@@ -19,124 +19,14 @@
 //! row `A₀[Eⁱ[t]]` (`A₀` = the arrangement at epoch start), so the whole
 //! epoch folds into per-slot totals `U[s] = Σᵢ panel[E⁻ⁱ[s]]` — computed in
 //! O(slots) over `E`'s cycle decomposition ([`WearKernel::fold_epoch_into`])
-//! instead of O(steps × iterations) of replay. The totals scatter into the
-//! [`WearMap`](crate::WearMap) as one flat accumulate of a [`WearPanel`].
+//! instead of O(steps × iterations) of replay. The totals stay in slot/row
+//! space: the simulator books them per (lane class, physical row) and
+//! renders lanes into the [`WearMap`](crate::WearMap) only when the lane
+//! table changes or the map is read (see `nvpim_core::kernel`).
 //!
 //! This module holds the representation and the permutation arithmetic; the
 //! symbolic compiler lives with the simulator (it needs the remapper type),
 //! keeping this crate free of balancing dependencies.
-
-use crate::ArrayDims;
-
-/// A flat per-cell write/read delta panel in physical scan order — the
-/// staging buffer a compiled epoch is rendered into before being folded
-/// into a [`WearMap`](crate::WearMap) with a single contiguous accumulate
-/// ([`WearMap::accumulate_panel`](crate::WearMap::accumulate_panel)).
-///
-/// # Examples
-///
-/// ```
-/// use nvpim_array::{ArrayDims, WearMap, WearPanel};
-///
-/// let dims = ArrayDims::new(4, 2);
-/// let mut panel = WearPanel::new(dims, false);
-/// panel.add_row_writes(1, &[0, 1], 3);
-/// let mut wear = WearMap::new(dims);
-/// wear.accumulate_panel(&panel, 10);
-/// assert_eq!(wear.writes_at(1, 0), 30);
-/// assert_eq!(wear.total_writes(), 60);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WearPanel {
-    dims: ArrayDims,
-    writes: Vec<u64>,
-    /// Empty unless read tracking was requested at construction.
-    reads: Vec<u64>,
-    sum_writes: u64,
-    sum_reads: u64,
-}
-
-impl WearPanel {
-    /// A zeroed panel; `track_reads` sizes the read half (untracked panels
-    /// carry no read storage at all).
-    #[must_use]
-    pub fn new(dims: ArrayDims, track_reads: bool) -> Self {
-        WearPanel {
-            dims,
-            writes: vec![0; dims.cells()],
-            reads: if track_reads { vec![0; dims.cells()] } else { Vec::new() },
-            sum_writes: 0,
-            sum_reads: 0,
-        }
-    }
-
-    /// The dimensions this panel covers.
-    #[must_use]
-    pub fn dims(&self) -> ArrayDims {
-        self.dims
-    }
-
-    /// Whether the panel carries a read half.
-    #[must_use]
-    pub fn tracks_reads(&self) -> bool {
-        !self.reads.is_empty()
-    }
-
-    /// Zeroes the panel for reuse without reallocating.
-    pub fn clear(&mut self) {
-        self.writes.fill(0);
-        self.reads.fill(0);
-        self.sum_writes = 0;
-        self.sum_reads = 0;
-    }
-
-    /// Adds `count` writes at every listed physical lane of `row`.
-    pub fn add_row_writes(&mut self, row: usize, lanes: &[usize], count: u64) {
-        let base = row * self.dims.lanes();
-        for &lane in lanes {
-            self.writes[base + lane] += count;
-            self.sum_writes += count;
-        }
-    }
-
-    /// Adds `count` reads at every listed physical lane of `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the panel was built without read tracking.
-    pub fn add_row_reads(&mut self, row: usize, lanes: &[usize], count: u64) {
-        assert!(self.tracks_reads(), "panel was built without read tracking");
-        let base = row * self.dims.lanes();
-        for &lane in lanes {
-            self.reads[base + lane] += count;
-            self.sum_reads += count;
-        }
-    }
-
-    /// The flat write deltas (row-major, `row * lanes + lane`).
-    #[must_use]
-    pub fn writes(&self) -> &[u64] {
-        &self.writes
-    }
-
-    /// The flat read deltas (empty when reads are untracked).
-    #[must_use]
-    pub fn reads(&self) -> &[u64] {
-        &self.reads
-    }
-
-    /// Sum of all write deltas (kept in lockstep by the mutators).
-    #[must_use]
-    pub fn sum_writes(&self) -> u64 {
-        self.sum_writes
-    }
-
-    /// Sum of all read deltas.
-    #[must_use]
-    pub fn sum_reads(&self) -> u64 {
-        self.sum_reads
-    }
-}
 
 /// A permutation with its cycle decomposition precomputed — the reusable
 /// algebra every epoch-folding fast path is built on.
@@ -233,23 +123,29 @@ impl PermFolder {
         assert_eq!(panel.len(), self.perm.len(), "panel length mismatch");
         assert_eq!(out.len(), self.perm.len(), "output length mismatch");
         for cycle in &self.cycles {
-            let len = cycle.len() as u64;
-            let q = span / len;
-            let r = (span % len) as usize;
+            let l = cycle.len();
+            if l == 1 {
+                // A fixed point keeps its own delta every application.
+                out[cycle[0]] = span * panel[cycle[0]];
+                continue;
+            }
+            let q = span / l as u64;
+            let r = (span % l as u64) as usize;
             let cycle_sum: u64 = cycle.iter().map(|&s| panel[s]).sum();
             // Window for position j: Σ_{i=0}^{r−1} panel[cycle[(j−i) mod L]].
-            let l = cycle.len();
             let mut window = 0u64;
             for i in 0..r {
                 // j = 0: slots cycle[0], cycle[L−1], …, cycle[L−r+1].
                 window += panel[cycle[(l - i) % l]];
             }
-            for (j, &slot) in cycle.iter().enumerate() {
+            // Slide to j+1: gains cycle[j+1], loses cycle[j+1−r]; both
+            // indices wrap by comparison, keeping division out of the loop.
+            let (mut next, mut drop) = (1, (1 + l - r) % l);
+            for &slot in cycle {
                 out[slot] = q * cycle_sum + window;
-                // Slide to j+1: gains cycle[j+1], loses cycle[j+1−r].
-                let next = cycle[(j + 1) % l];
-                let drop = cycle[(j + 1 + l - r) % l];
-                window = window + panel[next] - panel[drop];
+                window = window + panel[cycle[next]] - panel[cycle[drop]];
+                next = if next + 1 == l { 0 } else { next + 1 };
+                drop = if drop + 1 == l { 0 } else { drop + 1 };
             }
         }
     }
@@ -462,15 +358,6 @@ impl WearKernel {
         self.redirects_per_iter
     }
 
-    /// Whether one iteration leaves the arrangement unchanged (`E` is the
-    /// identity). Then every iteration of an epoch deposits the identical
-    /// physical pattern and the epoch collapses to a single scaled
-    /// accumulate — the run-length-batched case.
-    #[must_use]
-    pub fn is_static(&self) -> bool {
-        self.folder.is_identity()
-    }
-
     /// Approximate resident size in bytes (delta panels plus tables) —
     /// what a byte-budgeted artifact cache bills for holding this kernel.
     #[must_use]
@@ -531,7 +418,6 @@ fn cycle_decomposition(perm: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LaneSet, WearMap};
 
     /// Reference fold: literally apply E iteration by iteration.
     fn brute_fold(end: &[usize], span: u64, panel: &[u64]) -> Vec<u64> {
@@ -645,7 +531,7 @@ mod tests {
     #[test]
     fn identity_end_is_static_and_folds_to_scaling() {
         let kernel = kernel_with_end((0..8).collect());
-        assert!(kernel.is_static());
+        assert!(kernel.folder().is_identity());
         let panel: Vec<u64> = (0..8).collect();
         let mut out = vec![0u64; 8];
         kernel.fold_epoch_into(13, &panel, &mut out);
@@ -662,7 +548,7 @@ mod tests {
         // E = rotation by one: slot s → s+1 (mod 4).
         let end = vec![1, 2, 3, 0];
         let kernel = kernel_with_end(end.clone());
-        assert!(!kernel.is_static());
+        assert!(!kernel.folder().is_identity());
         let panel = vec![10, 0, 0, 0];
         let mut out = vec![0u64; 4];
         // Three iterations: deposits at E^0[0]=0, E^1[0]=1, E^2[0]=2.
@@ -684,40 +570,6 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn bad_end_rejected() {
         let _ = kernel_with_end(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn panel_accumulates_into_wear_map_with_scale() {
-        let dims = ArrayDims::new(3, 4);
-        let mut panel = WearPanel::new(dims, true);
-        panel.add_row_writes(0, &[1, 3], 2);
-        panel.add_row_writes(2, &[0], 7);
-        panel.add_row_reads(1, &[2], 5);
-        assert_eq!(panel.sum_writes(), 11);
-        assert_eq!(panel.sum_reads(), 5);
-
-        let mut wear = WearMap::new(dims);
-        wear.add_writes(0, &LaneSet::full(4), 1); // pre-existing wear survives
-        wear.accumulate_panel(&panel, 3);
-        assert_eq!(wear.writes_at(0, 1), 1 + 6);
-        assert_eq!(wear.writes_at(0, 0), 1);
-        assert_eq!(wear.writes_at(2, 0), 21);
-        assert_eq!(wear.reads_at(1, 2), 15);
-        assert_eq!(wear.total_writes(), wear.recount_writes());
-        assert_eq!(wear.total_reads(), wear.recount_reads());
-
-        panel.clear();
-        assert_eq!(panel.sum_writes(), 0);
-        assert!(panel.writes().iter().all(|&w| w == 0));
-        wear.accumulate_panel(&panel, 100);
-        assert_eq!(wear.total_writes(), wear.recount_writes());
-    }
-
-    #[test]
-    #[should_panic(expected = "without read tracking")]
-    fn untracked_panel_rejects_reads() {
-        let mut panel = WearPanel::new(ArrayDims::new(2, 2), false);
-        panel.add_row_reads(0, &[0], 1);
     }
 
     #[test]

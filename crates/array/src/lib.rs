@@ -45,7 +45,7 @@ pub mod wear;
 pub use arch::ArchStyle;
 pub use array::{ExecStats, PimArray};
 pub use geometry::{ArrayDims, Orientation};
-pub use kernel::{PermFolder, WearKernel, WearPanel};
+pub use kernel::{PermFolder, WearKernel};
 pub use laneset::LaneSet;
 pub use mapping::{AddressMap, IdentityMap};
 pub use trace::{ClassId, Step, Trace, WriteSource};

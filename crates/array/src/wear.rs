@@ -1,6 +1,6 @@
 //! Per-cell read/write accounting and distribution statistics.
 
-use crate::{ArrayDims, LaneSet, WearPanel};
+use crate::{ArrayDims, LaneSet};
 
 /// A 2-D map of accumulated cell writes (and reads) over an array.
 ///
@@ -20,10 +20,12 @@ use crate::{ArrayDims, LaneSet, WearPanel};
 /// assert_eq!(wear.writes_at(1, 1), 1);
 /// assert_eq!(wear.writes_at(1, 3), 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WearMap {
     dims: ArrayDims,
     writes: Vec<u64>,
+    /// Empty until the first read is booked, so runs without read tracking
+    /// never allocate (or page in) a read plane.
     reads: Vec<u64>,
     // Running grand totals, maintained by every mutator so that
     // `total_writes`/`total_reads` are O(1). The conservation checker in
@@ -39,7 +41,7 @@ impl WearMap {
         WearMap {
             dims,
             writes: vec![0; dims.cells()],
-            reads: vec![0; dims.cells()],
+            reads: Vec::new(),
             sum_writes: 0,
             sum_reads: 0,
         }
@@ -62,6 +64,7 @@ impl WearMap {
 
     /// Adds `count` reads to the cell at every lane of `lanes` in `row`.
     pub fn add_reads(&mut self, row: usize, lanes: &LaneSet, count: u64) {
+        self.track_reads();
         let base = row * self.dims.lanes();
         for lane in lanes.iter() {
             self.reads[base + lane] += count;
@@ -77,6 +80,7 @@ impl WearMap {
 
     /// Adds one read at a single cell.
     pub fn add_read_at(&mut self, row: usize, lane: usize, count: u64) {
+        self.track_reads();
         self.reads[self.dims.index_of(row, lane)] += count;
         self.sum_reads += count;
     }
@@ -90,7 +94,14 @@ impl WearMap {
     /// Accumulated reads at `(row, lane)`.
     #[must_use]
     pub fn reads_at(&self, row: usize, lane: usize) -> u64 {
-        self.reads[self.dims.index_of(row, lane)]
+        self.reads.get(self.dims.index_of(row, lane)).copied().unwrap_or(0)
+    }
+
+    /// Allocates the read plane on first use.
+    fn track_reads(&mut self) {
+        if self.reads.is_empty() {
+            self.reads = vec![0; self.dims.cells()];
+        }
     }
 
     /// Merges another wear map into this one.
@@ -102,6 +113,9 @@ impl WearMap {
         assert_eq!(self.dims, other.dims, "wear map dimension mismatch");
         for (a, b) in self.writes.iter_mut().zip(&other.writes) {
             *a += b;
+        }
+        if !other.reads.is_empty() {
+            self.track_reads();
         }
         for (a, b) in self.reads.iter_mut().zip(&other.reads) {
             *a += b;
@@ -126,27 +140,30 @@ impl WearMap {
         total
     }
 
-    /// Folds a flat delta panel into this map, scaled: every cell gains
-    /// `panel_delta × scale`. This is the compiled-kernel scatter path —
-    /// one contiguous pass over both row-major buffers (no lane-set
-    /// iteration, no per-cell indexing arithmetic), with the cached grand
-    /// totals updated from the panel's own running sums.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn accumulate_panel(&mut self, panel: &WearPanel, scale: u64) {
-        assert_eq!(self.dims, panel.dims(), "wear panel dimension mismatch");
-        for (cell, &delta) in self.writes.iter_mut().zip(panel.writes()) {
-            *cell += delta * scale;
-        }
-        self.sum_writes += panel.sum_writes() * scale;
-        if panel.tracks_reads() {
-            for (cell, &delta) in self.reads.iter_mut().zip(panel.reads()) {
-                *cell += delta * scale;
-            }
-            self.sum_reads += panel.sum_reads() * scale;
-        }
+    /// Adds `count` writes at every listed lane of `row` — the render of a
+    /// lane class whose physical lanes were resolved once for many rows.
+    pub fn add_row_writes(&mut self, row: usize, lanes: &[usize], count: u64) {
+        add_row_list(self.dims, &mut self.writes, &mut self.sum_writes, row, lanes, count);
+    }
+
+    /// Adds `count` reads at every listed lane of `row` (see
+    /// [`WearMap::add_row_writes`]).
+    pub fn add_row_reads(&mut self, row: usize, lanes: &[usize], count: u64) {
+        self.track_reads();
+        add_row_list(self.dims, &mut self.reads, &mut self.sum_reads, row, lanes, count);
+    }
+
+    /// Adds `count` writes at every cell of `row` — the render of a lane
+    /// class that spans every lane, as one contiguous slice pass.
+    pub fn add_full_row_writes(&mut self, row: usize, count: u64) {
+        add_full_row(self.dims, &mut self.writes, &mut self.sum_writes, row, count);
+    }
+
+    /// Adds `count` reads at every cell of `row` (see
+    /// [`WearMap::add_full_row_writes`]).
+    pub fn add_full_row_reads(&mut self, row: usize, count: u64) {
+        self.track_reads();
+        add_full_row(self.dims, &mut self.reads, &mut self.sum_reads, row, count);
     }
 
     /// Adds a flat row-major delta plane to the write counters — the
@@ -174,6 +191,7 @@ impl WearMap {
     ///
     /// Panics if `deltas` is not exactly `cells()` long.
     pub fn accumulate_flat_reads(&mut self, deltas: &[u64]) {
+        self.track_reads();
         assert_eq!(deltas.len(), self.reads.len(), "flat read plane length mismatch");
         let mut sum = 0u64;
         for (cell, &delta) in self.reads.iter_mut().zip(deltas) {
@@ -363,6 +381,49 @@ impl WearMap {
     }
 }
 
+impl Clone for WearMap {
+    /// Zero-aware: a plane whose running sum is 0 (e.g. the write plane of
+    /// a lazy backend whose classes all span every lane) is allocated
+    /// zeroed instead of copied, so the allocator can hand out fresh pages
+    /// without touching them.
+    fn clone(&self) -> Self {
+        let plane = |cells: &Vec<u64>, sum: u64| {
+            if sum == 0 {
+                vec![0; cells.len()]
+            } else {
+                cells.clone()
+            }
+        };
+        WearMap {
+            writes: plane(&self.writes, self.sum_writes),
+            reads: plane(&self.reads, self.sum_reads),
+            ..*self
+        }
+    }
+}
+
+fn add_row_list(
+    dims: ArrayDims,
+    plane: &mut [u64],
+    sum: &mut u64,
+    row: usize,
+    lanes: &[usize],
+    count: u64,
+) {
+    let cells = &mut plane[row * dims.lanes()..(row + 1) * dims.lanes()];
+    for &lane in lanes {
+        cells[lane] += count;
+    }
+    *sum += count * lanes.len() as u64;
+}
+
+fn add_full_row(dims: ArrayDims, plane: &mut [u64], sum: &mut u64, row: usize, count: u64) {
+    for cell in &mut plane[row * dims.lanes()..(row + 1) * dims.lanes()] {
+        *cell += count;
+    }
+    *sum += count * dims.lanes() as u64;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,6 +591,59 @@ mod tests {
         }
         assert_eq!(flat.total_writes(), flat.recount_writes());
         assert_eq!(flat.total_reads(), flat.recount_reads());
+    }
+
+    #[test]
+    fn row_adders_match_lane_set_adds() {
+        let dims = ArrayDims::new(3, 4);
+        let mut rows = WearMap::new(dims);
+        rows.add_row_writes(0, &[1, 3], 2);
+        rows.add_full_row_writes(2, 5);
+        rows.add_row_reads(1, &[0], 7);
+        rows.add_full_row_reads(0, 1);
+        let mut sets = WearMap::new(dims);
+        sets.add_writes(0, &LaneSet::from_indices(4, &[1, 3]), 2);
+        sets.add_writes(2, &LaneSet::full(4), 5);
+        sets.add_reads(1, &LaneSet::from_indices(4, &[0]), 7);
+        sets.add_reads(0, &LaneSet::full(4), 1);
+        for r in 0..3 {
+            assert_eq!(rows.row_writes(r), sets.row_writes(r));
+            for l in 0..4 {
+                assert_eq!(rows.reads_at(r, l), sets.reads_at(r, l));
+            }
+        }
+        assert_eq!(rows.total_writes(), rows.recount_writes());
+        assert_eq!(rows.total_reads(), rows.recount_reads());
+        assert_eq!(rows.total_writes(), sets.total_writes());
+        assert_eq!(rows.total_reads(), sets.total_reads());
+    }
+
+    #[test]
+    fn read_plane_is_allocated_on_first_read() {
+        let mut w = WearMap::new(ArrayDims::new(2, 3));
+        assert_eq!(w.reads_at(1, 2), 0);
+        let mut other = WearMap::new(ArrayDims::new(2, 3));
+        w.merge(&other);
+        assert_eq!(w.recount_reads(), 0);
+        other.add_read_at(1, 2, 4);
+        w.merge(&other);
+        assert_eq!(w.reads_at(1, 2), 4);
+        assert_eq!(w.total_reads(), w.recount_reads());
+    }
+
+    #[test]
+    fn clone_copies_both_planes() {
+        let mut w = WearMap::new(ArrayDims::new(2, 3));
+        w.add_write_at(1, 2, 4);
+        let writes_only = w.clone();
+        assert_eq!(writes_only.writes_at(1, 2), 4);
+        assert_eq!(writes_only.total_reads(), 0);
+        assert_eq!(writes_only.recount_reads(), 0);
+        w.add_read_at(0, 1, 3);
+        let both = w.clone();
+        assert_eq!(both.reads_at(0, 1), 3);
+        assert_eq!(both.total_reads(), both.recount_reads());
+        assert_eq!(both.total_writes(), both.recount_writes());
     }
 
     #[test]

@@ -31,14 +31,19 @@
 //!    without `Hw`, or `Ra` lanes with periodic rows under `Hw`, or a
 //!    closed form whose prefix panels would exceed
 //!    [`MAX_PREFIX_ENTRIES`]. Epoch states are enumerated in schedule
-//!    order with the exact seeded RNG streams, but each epoch costs one
-//!    O(rows) scatter (software) or one O(rows) kernel fold (hardware,
-//!    with kernels memoized per row-table phase) — never a trace walk.
+//!    order with the exact seeded RNG streams, but each epoch only books
+//!    O(rows) per lane class into a row-space stage — the logical panels
+//!    through the row table (software) or one kernel fold (hardware, with
+//!    kernels memoized per row-table phase) — never a trace walk. Lanes
+//!    render into the cell map once per query for classes spanning every
+//!    lane, and once per lane-table change for partial classes
+//!    (`kernel::RowAccumulator`).
 //! 3. **Fallback** ([`AnalyticPath::Fallback`]) — `Ra` rows with `Hw`: the
 //!    software table feeding the kernel compiler changes unpredictably
 //!    every epoch, so each epoch needs a fresh symbolic trace walk anyway.
-//!    Queries delegate to [`EnduranceSimulator`] (itself epoch-compiled),
-//!    and the path is labeled so callers can report it.
+//!    Queries delegate to [`EnduranceSimulator`] (itself epoch-compiled,
+//!    staging wear in the same row space as the lazy rung), and the path
+//!    is labeled so callers can report it.
 //!
 //! Every path is bit-identical to the simulator — the bit-identity suite
 //! (`tests/analytic.rs`) pins `analytic == compiled == step replay` across
@@ -78,7 +83,7 @@
 use std::sync::Arc;
 
 use nvpim_array::trace::TraceCounts;
-use nvpim_array::{ArchStyle, ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
+use nvpim_array::{ArchStyle, ArrayDims, PermFolder, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{BalanceConfig, CombinedMap, RemapSchedule};
 use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
@@ -318,6 +323,25 @@ fn zeroed_plane(plane: &mut Vec<u64>, len: usize) {
     plane.resize(len, 0);
 }
 
+/// Adds `deltas[i]` at row `row_of(i)` across `lanes` of a flat row-major
+/// plane `width` lanes wide.
+fn scatter_rows(
+    plane: &mut [u64],
+    width: usize,
+    deltas: &[u64],
+    row_of: impl Fn(usize) -> usize,
+    lanes: &[usize],
+) {
+    for (i, &delta) in deltas.iter().enumerate() {
+        if delta > 0 {
+            let row = &mut plane[row_of(i) * width..][..width];
+            for &lane in lanes {
+                row[lane] += delta;
+            }
+        }
+    }
+}
+
 /// Reusable per-engine query scratch: the closed-form paths evaluate whole
 /// planes into these buffers instead of allocating per call.
 #[derive(Debug, Default)]
@@ -380,25 +404,9 @@ impl StaticClosedForm {
             };
             for (class, laneset) in trace.classes().iter().enumerate() {
                 let phys: Vec<usize> = laneset.iter().map(|l| lp[l]).collect();
-                for (row, &v) in vw[class].iter().enumerate() {
-                    if v == 0 {
-                        continue;
-                    }
-                    let base = rt[row] * lanes;
-                    for &lane in &phys {
-                        acc_w[base + lane] += v;
-                    }
-                }
+                scatter_rows(&mut acc_w, lanes, &vw[class], |row| rt[row], &phys);
                 if let (Some(vr), Some(acc_r)) = (&vr, &mut acc_r) {
-                    for (row, &v) in vr[class].iter().enumerate() {
-                        if v == 0 {
-                            continue;
-                        }
-                        let base = rt[row] * lanes;
-                        for &lane in &phys {
-                            acc_r[base + lane] += v;
-                        }
-                    }
+                    scatter_rows(acc_r, lanes, &vr[class], |row| rt[row], &phys);
                 }
             }
             prefix_w.push(acc_w.clone());
@@ -607,26 +615,10 @@ impl HwClosedForm {
             let lanes_of = &phys_lanes[(j % lc) as usize];
             for (class, class_lanes) in lanes_of.iter().enumerate() {
                 kernel.fold_epoch_into(p, kernel.slot_writes(class), &mut folded);
-                for (s, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    let base = dj[s] * lanes;
-                    for &lane in class_lanes {
-                        acc_w[base + lane] += delta;
-                    }
-                }
+                scatter_rows(&mut acc_w, lanes, &folded, |s| dj[s], class_lanes);
                 if let (Some(acc_r), Some(reads)) = (&mut acc_r, kernel.slot_reads(class)) {
                     kernel.fold_epoch_into(p, reads, &mut folded);
-                    for (s, &delta) in folded.iter().enumerate() {
-                        if delta == 0 {
-                            continue;
-                        }
-                        let base = dj[s] * lanes;
-                        for &lane in class_lanes {
-                            acc_r[base + lane] += delta;
-                        }
-                    }
+                    scatter_rows(acc_r, lanes, &folded, |s| dj[s], class_lanes);
                 }
             }
             let ep = &epoch_perms[(j % lr) as usize];
@@ -665,25 +657,15 @@ impl HwClosedForm {
         let folded = &mut s.folded;
         let Some(p) = self.period else {
             let kernel = &self.kernels[0];
-            for class in 0..kernel.classes() {
+            for (class, lanes) in self.phys_lanes[0].iter().enumerate() {
                 kernel.fold_epoch_into(n, kernel.slot_writes(class), folded);
-                for (slot, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    for &lane in &self.phys_lanes[0][class] {
-                        wear.add_write_at(slot, lane, delta);
-                    }
+                for (slot, &delta) in folded.iter().enumerate().filter(|&(_, &d)| d > 0) {
+                    wear.add_row_writes(slot, lanes, delta);
                 }
                 if let Some(reads) = kernel.slot_reads(class) {
                     kernel.fold_epoch_into(n, reads, folded);
-                    for (slot, &delta) in folded.iter().enumerate() {
-                        if delta == 0 {
-                            continue;
-                        }
-                        for &lane in &self.phys_lanes[0][class] {
-                            wear.add_read_at(slot, lane, delta);
-                        }
+                    for (slot, &delta) in folded.iter().enumerate().filter(|&(_, &d)| d > 0) {
+                        wear.add_row_reads(slot, lanes, delta);
                     }
                 }
             }
@@ -758,28 +740,10 @@ impl HwClosedForm {
             let lanes_of = &self.phys_lanes[(full % self.lc) as usize];
             for (class, class_lanes) in lanes_of.iter().enumerate() {
                 kernel.fold_epoch_into(rem, kernel.slot_writes(class), folded);
-                for (slot, &delta) in folded.iter().enumerate() {
-                    if delta == 0 {
-                        continue;
-                    }
-                    let base = fk[dr[slot]] * lanes;
-                    for &lane in class_lanes {
-                        acc_w[base + lane] += delta;
-                    }
-                }
-                if let Some(reads) = kernel.slot_reads(class) {
-                    if track {
-                        kernel.fold_epoch_into(rem, reads, folded);
-                        for (slot, &delta) in folded.iter().enumerate() {
-                            if delta == 0 {
-                                continue;
-                            }
-                            let base = fk[dr[slot]] * lanes;
-                            for &lane in class_lanes {
-                                acc_r[base + lane] += delta;
-                            }
-                        }
-                    }
+                scatter_rows(acc_w, lanes, folded, |slot| fk[dr[slot]], class_lanes);
+                if let (true, Some(reads)) = (track, kernel.slot_reads(class)) {
+                    kernel.fold_epoch_into(rem, reads, folded);
+                    scatter_rows(acc_r, lanes, folded, |slot| fk[dr[slot]], class_lanes);
                 }
             }
         }
@@ -807,77 +771,80 @@ impl HwClosedForm {
     }
 }
 
-/// Lazy enumerator for software-only configs with `Ra` on an axis: walks
-/// the epoch sequence with the exact seeded mappers, scattering the
-/// precomputed logical panels — one O(cells) scatter per epoch, zero trace
-/// walks. Monotone queries continue from the cached cumulative state.
+/// The cumulative state both lazy backends walk: the exact seeded maps,
+/// the wear rendered so far, its row-space stage, and the iterations done.
 #[derive(Debug)]
-struct LazySw {
-    dims: ArrayDims,
-    panels: Arc<LogicalPanels>,
+struct LazyRun {
     map: CombinedMap,
     wear: WearMap,
+    rows: kernel::RowAccumulator,
     done: u64,
-    phys_scratch: LaneSet,
 }
 
-impl LazySw {
-    fn new(
-        trace: &Trace,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        fp: Fingerprint,
-        ctx: &mut StoreCtx<'_>,
-    ) -> Self {
+impl LazyRun {
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
-        LazySw {
-            dims,
-            panels: fetch_panels(trace, cfg, fp, ctx),
+        LazyRun {
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             wear: WearMap::new(dims),
+            rows: kernel::RowAccumulator::new(trace, cfg.track_reads),
             done: 0,
-            phys_scratch: LaneSet::empty(dims.lanes()),
         }
     }
 
-    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+    /// The wear after `n` iterations: hands each remaining epoch span to
+    /// `epoch` (which books it into the stage) in schedule order, then
+    /// reads the stage. A query behind the cached position restarts from
+    /// the seed (backwards queries are rare — sweeps ascend).
+    fn query(
+        &mut self,
+        trace: &Trace,
+        balance: BalanceConfig,
+        cfg: SimConfig,
+        n: u64,
+        mut epoch: impl FnMut(&mut LazyRun, u64),
+    ) -> WearMap {
         if n < self.done {
-            // Deterministic restart: re-derive the epoch sequence from the
-            // seed (backwards queries are rare — sweeps ascend).
-            self.map = CombinedMap::new(balance, self.dims.rows(), self.dims.lanes(), cfg.seed);
-            self.wear = WearMap::new(self.dims);
-            self.done = 0;
+            *self = LazyRun::new(trace, balance, cfg);
         }
+        let period = cfg.schedule.period();
         while self.done < n {
-            let span = match cfg.schedule.period() {
-                Some(p) => (p - self.done % p).min(n - self.done),
-                None => n - self.done,
-            };
-            let rows = self.map.row_table();
-            let perm = self.map.lane_permutation();
-            for (class, laneset) in trace.classes().iter().enumerate() {
-                laneset.permuted_into(perm, &mut self.phys_scratch);
-                for (row, &v) in self.panels.writes[class].iter().enumerate() {
-                    if v > 0 {
-                        self.wear.add_writes(rows[row], &self.phys_scratch, v * span);
-                    }
-                }
-                if let Some(vr) = &self.panels.reads {
-                    for (row, &v) in vr[class].iter().enumerate() {
-                        if v > 0 {
-                            self.wear.add_reads(rows[row], &self.phys_scratch, v * span);
-                        }
-                    }
-                }
-            }
+            let span = period.map_or(n, |p| p - self.done % p).min(n - self.done);
+            epoch(self, span);
             self.done += span;
-            if let Some(p) = cfg.schedule.period() {
-                if self.done % p == 0 {
-                    self.map.advance_epoch();
-                }
+            if period.is_some_and(|p| self.done % p == 0) {
+                self.map.advance_epoch();
             }
         }
-        self.wear.clone()
+        self.rows.snapshot(&mut self.wear)
+    }
+}
+
+/// Lazy enumerator for software-only configs with `Ra` on an axis: walks
+/// the epoch sequence with the exact seeded mappers, booking the
+/// precomputed logical panels through each epoch's row table into the
+/// row-space stage — O(rows) per class per epoch, zero trace walks; lanes
+/// render only when the lane table changes and at the end of a query.
+/// Monotone queries continue from the cached cumulative state.
+#[derive(Debug)]
+struct LazySw {
+    panels: Arc<LogicalPanels>,
+    run: LazyRun,
+}
+
+impl LazySw {
+    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+        let panels = &self.panels;
+        self.run.query(trace, balance, cfg, n, |run, span| {
+            run.rows.set_lanes(run.map.lane_permutation(), &mut run.wear);
+            let table = run.map.row_table();
+            for (class, writes) in panels.writes.iter().enumerate() {
+                run.rows.book(class, table, writes, span, false);
+            }
+            for (class, reads) in panels.reads.iter().flatten().enumerate() {
+                run.rows.book(class, table, reads, span, true);
+            }
+        })
     }
 }
 
@@ -887,30 +854,23 @@ impl LazySw {
 /// like the simulator's compiled path.
 #[derive(Debug)]
 struct LazyHw {
-    dims: ArrayDims,
     lr: u64,
     kernels: Vec<Option<Arc<WearKernel>>>,
     fp: Fingerprint,
-    scratch: kernel::EpochScratch,
-    map: CombinedMap,
-    wear: WearMap,
-    done: u64,
+    run: LazyRun,
 }
 
 impl LazyHw {
     fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, fp: Fingerprint) -> Self {
-        let dims = trace.dims();
-        let lr =
-            balance.row.epoch_period(dims.rows() - 1).expect("lazy Hw path requires periodic rows");
+        let lr = balance
+            .row
+            .epoch_period(trace.dims().rows() - 1)
+            .expect("lazy Hw path requires periodic rows");
         LazyHw {
-            dims,
             lr,
             kernels: (0..lr).map(|_| None).collect(),
             fp,
-            scratch: kernel::EpochScratch::new(trace, cfg.track_reads),
-            map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
-            wear: WearMap::new(dims),
-            done: 0,
+            run: LazyRun::new(trace, balance, cfg),
         }
     }
 
@@ -922,34 +882,14 @@ impl LazyHw {
         n: u64,
         ctx: &mut StoreCtx<'_>,
     ) -> WearMap {
-        if n < self.done {
-            self.map = CombinedMap::new(balance, self.dims.rows(), self.dims.lanes(), cfg.seed);
-            self.wear = WearMap::new(self.dims);
-            self.done = 0;
-        }
         let p = cfg.schedule.period().expect("lazy Hw path requires a finite schedule");
-        while self.done < n {
-            let span = (p - self.done % p).min(n - self.done);
-            let phase = ((self.done / p) % self.lr) as usize;
-            if self.kernels[phase].is_none() {
-                let table = self.map.sw_row_table().to_vec();
-                self.kernels[phase] = Some(fetch_kernel(trace, &table, cfg, self.fp, ctx));
-            }
-            let kernel = self.kernels[phase].as_ref().expect("memoized above");
-            kernel::apply_kernel_epoch(
-                kernel,
-                trace,
-                &mut self.map,
-                span,
-                &mut self.wear,
-                &mut self.scratch,
-            );
-            self.done += span;
-            if self.done % p == 0 {
-                self.map.advance_epoch();
-            }
-        }
-        self.wear.clone()
+        let (kernels, lr, fp) = (&mut self.kernels, self.lr, self.fp);
+        self.run.query(trace, balance, cfg, n, |run, span| {
+            let phase = ((run.done / p) % lr) as usize;
+            let kernel = kernels[phase]
+                .get_or_insert_with(|| fetch_kernel(trace, run.map.sw_row_table(), cfg, fp, ctx));
+            run.rows.apply_kernel_epoch(kernel, &mut run.map, span, &mut run.wear);
+        })
     }
 }
 
@@ -1085,9 +1025,10 @@ impl<'w> AnalyticWearEngine<'w> {
             PathChoice::HwClosed => {
                 Backend::HwClosed(build_hw_closed(trace, balance, cfg, fp, &mut ctx))
             }
-            PathChoice::LazySw => {
-                Backend::LazySw(Box::new(LazySw::new(trace, balance, cfg, fp, &mut ctx)))
-            }
+            PathChoice::LazySw => Backend::LazySw(Box::new(LazySw {
+                panels: fetch_panels(trace, cfg, fp, &mut ctx),
+                run: LazyRun::new(trace, balance, cfg),
+            })),
             PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg, fp))),
             PathChoice::Fallback => Backend::Fallback,
         };
@@ -1218,6 +1159,13 @@ impl<'w> AnalyticWearEngine<'w> {
                 }
             }
         };
+        // Partial-class lane renders of a lazy query (the fallback's
+        // simulator books its own).
+        let lane_renders = match &mut self.backend {
+            Backend::LazySw(b) => Some(b.run.rows.take_lane_renders()),
+            Backend::LazyHw(b) => Some(b.run.rows.take_lane_renders()),
+            _ => None,
+        };
         if sink.enabled() {
             sink.record(&Event::CounterAdd { name: "sim.analytic_queries", delta: 1 });
             if !matches!(self.backend, Backend::Fallback) {
@@ -1230,6 +1178,9 @@ impl<'w> AnalyticWearEngine<'w> {
                     name: "array.cell_reads",
                     delta: result.wear.total_reads(),
                 });
+            }
+            if let Some(delta) = lane_renders {
+                sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta });
             }
             sink.flush();
         }

@@ -17,11 +17,10 @@
 //!    operation, and both sides apply the same position swaps).
 //! 2. **Fold** ([`HwKernelEngine::apply_epoch`]): collapse the epoch's
 //!    `span` iterations into per-slot totals over `E`'s cycle structure
-//!    (O(rows), any span — [`WearKernel::fold_epoch_into`]), render them
-//!    through the lane permutation into a flat [`WearPanel`], and
-//!    accumulate the panel into the wear map in one contiguous pass. When
-//!    `E` is the identity the fold degenerates to `span ×` the one-shot
-//!    panel (run-length batching).
+//!    (O(rows), any span — [`WearKernel::fold_epoch_into`]; when `E` is the
+//!    identity this is `span ×` the one-shot panel) and book them per
+//!    (class, physical row) into a [`RowAccumulator`] — O(rows) per class,
+//!    no lane rendering at all.
 //! 3. **Advance**: set the remapper to `A₀ ∘ E^span` and book `span × k`
 //!    redirects, so the renaming state and the observability tally are
 //!    bit-identical to having replayed every iteration.
@@ -30,110 +29,226 @@
 //! row table: static row strategies (`St`) keep one kernel for the whole
 //! run; `Ra`/`Bs` rows recompile once per epoch — still one trace walk per
 //! epoch instead of one per iteration.
+//!
+//! Lanes are rendered into the wear map only when the lane table changes
+//! or the map is read ([`RowAccumulator`]): a class spanning every lane
+//! once per read as full-row adds, a partial class once per lane-table
+//! change or read (once per run for `St` lanes). The analytic engine's
+//! lazy backends stage their epochs through the same accumulator.
 
 use std::sync::Arc;
 
-use nvpim_array::{ArchStyle, Step, Trace, WearKernel, WearMap, WearPanel};
+use nvpim_array::{ArchStyle, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{CombinedMap, HwRemapper};
 
 use crate::artifacts::{self, ArtifactKind, Fingerprint};
 
-/// Reusable scratch buffers for folding one kernel epoch into a wear map —
-/// shared between the simulator's [`HwKernelEngine`] (which caches one
-/// kernel) and the analytic engine's lazy backend (which memoizes a kernel
-/// per software row-table phase).
+/// Row-space wear staging shared by every per-epoch path: the simulator's
+/// compiled `+Hw` path and the analytic engine's lazy backends.
+///
+/// An epoch books its deposits per (lane class, physical row) in O(rows);
+/// lanes are rendered only when the wear map needs them. This is exact
+/// because wear is `Σ_class Σ_epoch (T_e·v_c) ⊗ P_e(1_c)` and `P_e(1_c)`
+/// is all ones for a class spanning every lane under any lane permutation
+/// `P_e`: such classes share one bucket, rendered as contiguous full-row
+/// adds only at a read ([`RowAccumulator::flush`] or
+/// [`RowAccumulator::snapshot`]), however many permutations its deposits
+/// were booked under. A partial class is rendered under the permutation
+/// its deposits were booked under — when [`RowAccumulator::set_lanes`]
+/// sees the permutation change, or at a read. Every render goes through
+/// the wear map's adders, so its running sums (and every conservation
+/// assert built on them) stay exact.
 #[derive(Debug)]
-pub(crate) struct EpochScratch {
-    panel: WearPanel,
-    /// Per-class physical-lane lists under the current lane permutation.
-    phys_lanes: Vec<Vec<usize>>,
-    /// Per-class folded per-slot write totals for the epoch.
-    totals: Vec<Vec<u64>>,
-    /// Per-class folded per-slot read totals (when tracking reads).
-    read_totals: Option<Vec<Vec<u64>>>,
-    /// Arrangement scratch (A₀, advanced in place to A_span).
+pub(crate) struct RowAccumulator {
+    /// Class → bucket: every full-lane class shares bucket 0, each partial
+    /// class owns one of the rest.
+    bucket: Vec<usize>,
+    /// Per bucket: logical lanes, and physical lanes under `perm` (both
+    /// empty for the full bucket).
+    logical: Vec<Vec<usize>>,
+    physical: Vec<Vec<usize>>,
+    /// Per bucket: staged writes (and reads, when tracked) per physical row.
+    writes: Vec<Vec<u64>>,
+    reads: Option<Vec<Vec<u64>>>,
+    /// The lane permutation the staged partial deposits were booked under.
+    perm: Vec<usize>,
+    partial_pending: bool,
+    /// Partial-class renders since the last [`RowAccumulator::take_lane_renders`].
+    lane_renders: u64,
+    /// Kernel-epoch scratch: one class's folded per-slot totals, and the
+    /// arrangement (A₀, advanced in place to A_span).
+    totals: Vec<u64>,
     arrangement: Vec<usize>,
     cycle_scratch: Vec<usize>,
 }
 
-impl EpochScratch {
+impl RowAccumulator {
     pub(crate) fn new(trace: &Trace, track_reads: bool) -> Self {
-        let slots = trace.dims().rows();
-        let n_classes = trace.classes().len();
-        EpochScratch {
-            panel: WearPanel::new(trace.dims(), track_reads),
-            phys_lanes: vec![Vec::new(); n_classes],
-            totals: vec![vec![0; slots]; n_classes],
-            read_totals: track_reads.then(|| vec![vec![0; slots]; n_classes]),
+        let (rows, lanes) = (trace.dims().rows(), trace.dims().lanes());
+        let mut bucket = Vec::new();
+        let mut logical = vec![Vec::new()];
+        for class in trace.classes() {
+            if class.count() == lanes {
+                bucket.push(0);
+            } else {
+                bucket.push(logical.len());
+                logical.push(class.iter().collect());
+            }
+        }
+        RowAccumulator {
+            bucket,
+            physical: vec![Vec::new(); logical.len()],
+            writes: vec![vec![0; rows]; logical.len()],
+            reads: track_reads.then(|| vec![vec![0; rows]; logical.len()]),
+            logical,
+            perm: Vec::new(),
+            partial_pending: false,
+            lane_renders: 0,
+            totals: vec![0; rows],
             arrangement: Vec::new(),
             cycle_scratch: Vec::new(),
         }
     }
 
-    pub(crate) fn tracks_reads(&self) -> bool {
-        self.read_totals.is_some()
+    /// Declares the lane permutation the next deposits are booked under.
+    /// If it differs from the one staged partial deposits were booked
+    /// under, those are rendered into `wear` first.
+    pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: &mut WearMap) {
+        if self.perm == perm {
+            return;
+        }
+        self.render_partial(wear);
+        self.perm.clear();
+        self.perm.extend_from_slice(perm);
+        for (physical, logical) in self.physical.iter_mut().zip(&self.logical) {
+            physical.clear();
+            physical.extend(logical.iter().map(|&l| perm[l]));
+            // Ascending lanes walk each row front to back when rendered.
+            physical.sort_unstable();
+        }
     }
-}
 
-/// Folds one epoch of `span` iterations of `kernel` into `wear` and
-/// advances the map's renaming state, bit-identically to `span` step
-/// replays. The kernel must have been compiled against the map's current
-/// software row table.
-///
-/// # Panics
-///
-/// Panics if the map is not dynamic.
-pub(crate) fn apply_kernel_epoch(
-    kernel: &WearKernel,
-    trace: &Trace,
-    map: &mut CombinedMap,
-    span: u64,
-    wear: &mut WearMap,
-    s: &mut EpochScratch,
-) {
-    debug_assert!(kernel.matches(map.sw_row_table()), "kernel is stale for this epoch");
-    let perm = map.lane_permutation();
-    for (class, lanes) in trace.classes().iter().enumerate() {
-        let out = &mut s.phys_lanes[class];
-        out.clear();
-        out.extend(lanes.iter().map(|l| perm[l]));
+    /// Books `deltas[i] × scale` at physical row `rows[i]` for `class`
+    /// (writes, or reads when `reads` is set).
+    pub(crate) fn book(
+        &mut self,
+        class: usize,
+        rows: &[usize],
+        deltas: &[u64],
+        scale: u64,
+        reads: bool,
+    ) {
+        debug_assert_eq!(rows.len(), deltas.len(), "row table and deltas disagree");
+        let bucket = self.bucket[class];
+        let staged = if reads {
+            &mut self.reads.as_mut().expect("accumulator built without read tracking")[bucket]
+        } else {
+            &mut self.writes[bucket]
+        };
+        for (&row, &delta) in rows.iter().zip(deltas) {
+            staged[row] += delta * scale;
+        }
+        self.partial_pending |= bucket != 0;
     }
-    let hw = map.hw_mut().expect("compiled path requires a dynamic map");
-    s.arrangement.clear();
-    s.arrangement.extend_from_slice(&hw.arrangement());
 
-    s.panel.clear();
-    if kernel.is_static() {
-        // One iteration's pattern, span times — scaled flat accumulate.
+    /// Folds one epoch of `span` iterations of `kernel` into the stage and
+    /// advances the map's renaming state, bit-identically to `span` step
+    /// replays once the stage is flushed. The kernel must have been
+    /// compiled against the map's current software row table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map is not dynamic.
+    pub(crate) fn apply_kernel_epoch(
+        &mut self,
+        kernel: &WearKernel,
+        map: &mut CombinedMap,
+        span: u64,
+        wear: &mut WearMap,
+    ) {
+        debug_assert!(kernel.matches(map.sw_row_table()), "kernel is stale for this epoch");
+        self.set_lanes(map.lane_permutation(), wear);
+        let hw = map.hw_mut().expect("compiled path requires a dynamic map");
+        let mut arrangement = std::mem::take(&mut self.arrangement);
+        arrangement.clear();
+        arrangement.extend_from_slice(&hw.arrangement());
+        // Slot t's epoch total lands at physical row A₀[t]; a static
+        // kernel's fold is `span ×` its one-iteration panel.
+        let mut totals = std::mem::take(&mut self.totals);
         for class in 0..kernel.classes() {
-            deposit(
-                &mut s.panel,
-                &s.arrangement,
-                kernel.slot_writes(class),
-                &s.phys_lanes[class],
-                false,
-            );
+            kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut totals);
+            self.book(class, &arrangement, &totals, 1, false);
             if let Some(reads) = kernel.slot_reads(class) {
-                deposit(&mut s.panel, &s.arrangement, reads, &s.phys_lanes[class], true);
+                kernel.fold_epoch_into(span, reads, &mut totals);
+                self.book(class, &arrangement, &totals, 1, true);
             }
         }
-        wear.accumulate_panel(&s.panel, span);
-    } else {
-        for class in 0..kernel.classes() {
-            kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut s.totals[class]);
-            deposit(&mut s.panel, &s.arrangement, &s.totals[class], &s.phys_lanes[class], false);
-            if let Some(reads) = kernel.slot_reads(class) {
-                let read_totals = &mut s.read_totals.as_mut().expect("read scratch")[class];
-                kernel.fold_epoch_into(span, reads, read_totals);
-                deposit(&mut s.panel, &s.arrangement, read_totals, &s.phys_lanes[class], true);
-            }
-        }
-        wear.accumulate_panel(&s.panel, 1);
+        kernel.advance_arrangement(span, &mut arrangement, &mut self.cycle_scratch);
+        hw.set_arrangement(&arrangement);
+        hw.add_redirects(span * kernel.redirects_per_iteration());
+        (self.arrangement, self.totals) = (arrangement, totals);
     }
 
-    kernel.advance_arrangement(span, &mut s.arrangement, &mut s.cycle_scratch);
-    hw.set_arrangement(&s.arrangement);
-    hw.add_redirects(span * kernel.redirects_per_iteration());
+    /// Renders every staged deposit into `wear` and empties the stage.
+    pub(crate) fn flush(&mut self, wear: &mut WearMap) {
+        self.render_partial(wear);
+        self.render_full(wear);
+        self.writes[0].fill(0);
+        if let Some(reads) = &mut self.reads {
+            reads[0].fill(0);
+        }
+    }
+
+    /// A lazy backend's read: renders the staged partial classes into
+    /// `wear`, the backend's cumulative map, and returns a copy of it with
+    /// the full-lane bucket added. That bucket stays staged across queries,
+    /// so a full class's cumulative wear lives only in the returned copy.
+    pub(crate) fn snapshot(&mut self, wear: &mut WearMap) -> WearMap {
+        self.render_partial(wear);
+        let mut out = wear.clone();
+        self.render_full(&mut out);
+        out
+    }
+
+    fn render_full(&self, wear: &mut WearMap) {
+        for (row, &count) in self.writes[0].iter().enumerate().filter(|&(_, &c)| c > 0) {
+            wear.add_full_row_writes(row, count);
+        }
+        let reads = self.reads.iter().flat_map(|reads| reads[0].iter().enumerate());
+        for (row, &count) in reads.filter(|&(_, &c)| c > 0) {
+            wear.add_full_row_reads(row, count);
+        }
+    }
+
+    /// Partial-class renders since the last call (the `sim.lane_renders`
+    /// counter): one per partial class per lane-table change or read.
+    pub(crate) fn take_lane_renders(&mut self) -> u64 {
+        std::mem::take(&mut self.lane_renders)
+    }
+
+    fn render_partial(&mut self, wear: &mut WearMap) {
+        if !self.partial_pending {
+            return;
+        }
+        // Row-major across classes, so each cell row is rendered while it
+        // is cache-resident.
+        for row in 0..self.writes[0].len() {
+            for (bucket, lanes) in self.physical.iter().enumerate().skip(1) {
+                let count = std::mem::take(&mut self.writes[bucket][row]);
+                if count > 0 {
+                    wear.add_row_writes(row, lanes, count);
+                }
+                if let Some(reads) = &mut self.reads {
+                    let count = std::mem::take(&mut reads[bucket][row]);
+                    if count > 0 {
+                        wear.add_row_reads(row, lanes, count);
+                    }
+                }
+            }
+        }
+        self.lane_renders += (self.physical.len() - 1) as u64;
+        self.partial_pending = false;
+    }
 }
 
 /// Reusable compiled-replay state for one simulation run (kernel cache +
@@ -149,7 +264,8 @@ pub(crate) fn apply_kernel_epoch(
 #[derive(Debug)]
 pub(crate) struct HwKernelEngine {
     kernel: Option<Arc<WearKernel>>,
-    scratch: EpochScratch,
+    /// The row-space stage; flush it before reading the wear map.
+    pub(crate) rows: RowAccumulator,
     /// Trace fingerprint for store keys; `None` when the store is off.
     trace_fp: Option<Fingerprint>,
 }
@@ -158,7 +274,7 @@ impl HwKernelEngine {
     pub(crate) fn new(trace: &Trace, track_reads: bool, use_store: bool) -> Self {
         HwKernelEngine {
             kernel: None,
-            scratch: EpochScratch::new(trace, track_reads),
+            rows: RowAccumulator::new(trace, track_reads),
             trace_fp: use_store.then(|| artifacts::trace_fingerprint(trace)),
         }
     }
@@ -178,7 +294,7 @@ impl HwKernelEngine {
         if self.kernel.as_ref().is_some_and(|k| k.matches(table)) {
             return false;
         }
-        let track_reads = self.scratch.tracks_reads();
+        let track_reads = self.rows.reads.is_some();
         self.kernel = Some(match self.trace_fp {
             Some(fp) => {
                 let key = artifacts::kernel_key(fp, table, arch, track_reads);
@@ -195,44 +311,16 @@ impl HwKernelEngine {
         true
     }
 
-    /// Folds one epoch of `span` iterations into `wear` and advances the
-    /// map's renaming state, bit-identically to `span` step replays.
+    /// Folds one epoch of `span` iterations into the stage and advances the
+    /// map's renaming state (see [`RowAccumulator::apply_kernel_epoch`]).
     ///
     /// # Panics
     ///
     /// Panics if no kernel is compiled ([`HwKernelEngine::ensure_kernel`]
     /// must run first) or the map is not dynamic.
-    pub(crate) fn apply_epoch(
-        &mut self,
-        trace: &Trace,
-        map: &mut CombinedMap,
-        span: u64,
-        wear: &mut WearMap,
-    ) {
+    pub(crate) fn apply_epoch(&mut self, map: &mut CombinedMap, span: u64, wear: &mut WearMap) {
         let kernel = self.kernel.as_ref().expect("ensure_kernel must precede apply_epoch");
-        apply_kernel_epoch(kernel, trace, map, span, wear, &mut self.scratch);
-    }
-}
-
-/// Renders per-slot totals into the flat panel: slot `t`'s delta lands at
-/// physical row `arrangement[t]` across the class's physical lanes.
-pub(crate) fn deposit(
-    panel: &mut WearPanel,
-    arrangement: &[usize],
-    slot_totals: &[u64],
-    lanes: &[usize],
-    reads: bool,
-) {
-    for (slot, &delta) in slot_totals.iter().enumerate() {
-        if delta == 0 {
-            continue;
-        }
-        let row = arrangement[slot];
-        if reads {
-            panel.add_row_reads(row, lanes, delta);
-        } else {
-            panel.add_row_writes(row, lanes, delta);
-        }
+        self.rows.apply_kernel_epoch(kernel, map, span, wear);
     }
 }
 

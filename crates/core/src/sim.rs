@@ -398,7 +398,13 @@ impl EnduranceSimulator {
 
             let scatter_timer = enabled.then(Instant::now);
             if let Some(engine) = &mut hw_engine {
-                engine.apply_epoch(trace, &mut map, span, &mut wear);
+                engine.apply_epoch(&mut map, span, &mut wear);
+                // The compiled path stages its epochs in row space; render
+                // them before anything reads the map (an epoch-series
+                // sample or the run-end conservation check).
+                if self.cfg.epoch_series || iteration + span == self.cfg.iterations {
+                    engine.rows.flush(&mut wear);
+                }
             } else {
                 let scale = if map.is_dynamic() { 1 } else { span };
                 acc.scatter(trace, &map, &mut wear, scale);
@@ -475,6 +481,10 @@ impl EnduranceSimulator {
                 delta: replays * counts.sequential_steps,
             });
             sink.record(&Event::CounterAdd { name: "sim.kernel_compiles", delta: kernel_compiles });
+            if let Some(engine) = &mut hw_engine {
+                let delta = engine.rows.take_lane_renders();
+                sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta });
+            }
             sink.record(&Event::CounterAdd { name: "balance.remap_events", delta: epochs });
             sink.record(&Event::CounterAdd {
                 name: "balance.hw_redirects",
@@ -932,6 +942,37 @@ mod tests {
         // Phase timings were booked under the expected names.
         assert!(observer.spans().phase("sim.replay").is_some());
         assert!(observer.spans().phase("sim.scatter").is_some());
+    }
+
+    #[test]
+    fn lanes_render_once_per_lane_table_change() {
+        // dot-256x16 has partial lane classes; its Hw runs stage wear in
+        // row space. St lanes never move, so the partial classes render
+        // once (at the final flush); Ra lanes render them every epoch.
+        let wl = DotProduct::new(ArrayDims::new(256, 16), 16, 8).build();
+        let lanes = wl.trace().dims().lanes();
+        let partial = wl.trace().classes().iter().filter(|c| c.count() < lanes).count() as u64;
+        assert!(partial > 0);
+        let cfg = SimConfig::default().with_iterations(20).with_schedule(RemapSchedule::every(5));
+        let renders = |config: &str| {
+            let observer = nvpim_obs::Observer::collecting();
+            let _ = EnduranceSimulator::new(cfg).run_with(&wl, config.parse().unwrap(), &observer);
+            observer.snapshot().counter("sim.lane_renders")
+        };
+        assert_eq!(renders("RaxSt+Hw"), Some(partial));
+        assert_eq!(renders("RaxRa+Hw"), Some(4 * partial), "one render per epoch");
+        assert_eq!(renders("RaxRa"), None, "only the staged Hw path books renders");
+        // The analytic lazy rung stages the same way, per query.
+        let lazy_renders = |config: &str| {
+            let observer = nvpim_obs::Observer::collecting();
+            let mut engine =
+                crate::analytic::AnalyticWearEngine::new(&wl, config.parse().unwrap(), cfg);
+            let _ = engine.wear_at_with(20, &observer);
+            observer.snapshot().counter("sim.lane_renders")
+        };
+        assert_eq!(lazy_renders("RaxSt"), Some(partial));
+        assert_eq!(lazy_renders("StxRa"), Some(4 * partial));
+        assert_eq!(lazy_renders("BsxRa+Hw"), Some(4 * partial));
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! passes the repo's own validator.
 //!
 //! Lives in its own integration binary because `observer::install` is
-//! once-per-process.
+//! once-per-process. The three tests share that one process-wide tracer,
+//! and an ambient root set by one would parent another's job spans, so
+//! each runs under [`serial`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use nvpim_array::{ArchStyle, ArrayDims};
 use nvpim_balance::BalanceConfig;
@@ -22,8 +24,16 @@ fn workload() -> Workload {
     ParallelMul::new(ArrayDims::new(128, 8), 8).build()
 }
 
+/// Serializes the tests of this binary around the shared tracer (a failed
+/// sibling's poisoned lock still serializes).
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn parallel_matrix_produces_one_coherent_trace() {
+    let _serial = serial();
     let recorder = Arc::new(TraceRecorder::new());
     let installed = observer::install(Observer::collecting().with_tracer(Arc::clone(&recorder)))
         .expect("first install in this process");
@@ -80,19 +90,18 @@ fn parallel_matrix_produces_one_coherent_trace() {
 
 #[test]
 fn without_ambient_context_jobs_open_no_spans() {
+    let _serial = serial();
     // Runs in the same process as the test above (order unknown), so it
     // asserts a relative property: fan-out with no ambient set records no
-    // *new* exec.job spans.
-    let installed = match observer::install(Observer::collecting()) {
-        Ok(arc) => arc,
-        Err(_) => observer::current().expect("installed by sibling test"),
-    };
-    if let Some(tracer) = installed.tracer() {
+    // *new* exec.job spans. It installs nothing: the observer (and its
+    // tracer) is the matrix test's to install first.
+    let installed = observer::current();
+    let tracer = installed.as_deref().and_then(Observer::tracer);
+    if let Some(tracer) = tracer {
         tracer.clear_ambient();
     }
-    let count_jobs = || {
-        installed.tracer().map_or(0, |t| t.spans().iter().filter(|s| s.name == "exec.job").count())
-    };
+    let count_jobs =
+        || tracer.map_or(0, |t| t.spans().iter().filter(|s| s.name == "exec.job").count());
     let before = count_jobs();
     let out = nvpim_core::fan_out((0..4u64).collect(), 2, |i, _| i + 1);
     assert_eq!(out, vec![1, 2, 3, 4]);
@@ -101,6 +110,7 @@ fn without_ambient_context_jobs_open_no_spans() {
 
 #[test]
 fn traced_parallel_results_stay_bit_identical() {
+    let _serial = serial();
     // Tracing must not perturb simulation results: the same matrix with
     // and without an ambient root span produces identical wear maps.
     let configs: Vec<BalanceConfig> =
@@ -108,12 +118,10 @@ fn traced_parallel_results_stay_bit_identical() {
     let base = SimConfig::default().with_iterations(10);
     let arch = [ArchStyle::SenseAmp];
     let quiet = run_matrix(&[workload()], &configs, &arch, &[Some(5)], base, 2);
+    // Uses the matrix test's tracer when it ran first; installs nothing.
     let traced = {
-        let installed = match observer::install(Observer::collecting()) {
-            Ok(arc) => arc,
-            Err(_) => observer::current().expect("installed by sibling test"),
-        };
-        match installed.tracer() {
+        let installed = observer::current();
+        match installed.as_deref().and_then(Observer::tracer) {
             Some(tracer) => {
                 let root = tracer.begin_trace("determinism");
                 tracer.set_ambient(root.context());

@@ -28,6 +28,13 @@ cargo test -q --release --offline -p nvpim-core --test kernels
 # solve.
 cargo test -q --release --offline -p nvpim-core --test analytic
 
+# The per-epoch rungs at the paper's 1024×1024 dims in release mode: the
+# lazy software, lazy Hw and fallback paths stage wear in row space and
+# render lanes only when the lane table changes; they must match step
+# replay cell for cell with the lane table changing mid-run, across a
+# follow-up query, a restart from the seed, and per-epoch series samples.
+cargo test -q --release --offline -p nvpim-core --test paper_dims
+
 # The artifact-store bit-identity suite in release mode: wear identical
 # with the store off, cold, warm, and starved to a 1-byte budget (every
 # insert immediately evicted) across all 18 configurations, the blocked
