@@ -32,6 +32,13 @@ pub struct WearMap {
     // nvpim-check cross-validates these against the per-cell sums.
     sum_writes: u64,
     sum_reads: u64,
+    /// The hottest cell's write count (Eq. 4), or `None` when unknown.
+    /// Whole-plane passes (construction, [`WearMap::from_planes`],
+    /// [`WearMap::plus_full_rows`], [`WearMap::accumulate_flat_writes`],
+    /// [`WearMap::merge`]) set it in the pass they already make; scattered
+    /// adders only clear it, so their loops carry no per-cell compare.
+    /// [`WearMap::max_writes`] scans only while it is unknown.
+    max_writes: Option<u64>,
 }
 
 impl WearMap {
@@ -44,7 +51,27 @@ impl WearMap {
             reads: Vec::new(),
             sum_writes: 0,
             sum_reads: 0,
+            max_writes: Some(0),
         }
+    }
+
+    /// A map that owns `writes` (and `reads`, empty when reads are not
+    /// tracked) as its row-major cell planes. One pass over each plane
+    /// sets the running sums and the carried maximum, so an analytic
+    /// answer evaluated straight into fresh planes costs no copy and no
+    /// read-modify-write of freshly mapped pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writes` is not `dims.cells()` long, or `reads` is neither
+    /// empty nor `dims.cells()` long.
+    #[must_use]
+    pub fn from_planes(dims: ArrayDims, writes: Vec<u64>, reads: Vec<u64>) -> Self {
+        assert_eq!(writes.len(), dims.cells(), "write plane length mismatch");
+        assert!(reads.is_empty() || reads.len() == dims.cells(), "read plane length mismatch");
+        let (sum_writes, max) = sum_and_max(&writes);
+        let sum_reads = reads.iter().sum();
+        WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
     }
 
     /// The dimensions this map covers.
@@ -60,6 +87,7 @@ impl WearMap {
             self.writes[base + lane] += count;
             self.sum_writes += count;
         }
+        self.max_writes = None;
     }
 
     /// Adds `count` reads to the cell at every lane of `lanes` in `row`.
@@ -76,6 +104,7 @@ impl WearMap {
     pub fn add_write_at(&mut self, row: usize, lane: usize, count: u64) {
         self.writes[self.dims.index_of(row, lane)] += count;
         self.sum_writes += count;
+        self.max_writes = None;
     }
 
     /// Adds one read at a single cell.
@@ -111,9 +140,12 @@ impl WearMap {
     /// Panics if the dimensions differ.
     pub fn merge(&mut self, other: &WearMap) {
         assert_eq!(self.dims, other.dims, "wear map dimension mismatch");
+        let mut max = 0u64;
         for (a, b) in self.writes.iter_mut().zip(&other.writes) {
             *a += b;
+            max = max.max(*a);
         }
+        self.max_writes = Some(max);
         if !other.reads.is_empty() {
             self.track_reads();
         }
@@ -144,6 +176,7 @@ impl WearMap {
     /// lane class whose physical lanes were resolved once for many rows.
     pub fn add_row_writes(&mut self, row: usize, lanes: &[usize], count: u64) {
         add_row_list(self.dims, &mut self.writes, &mut self.sum_writes, row, lanes, count);
+        self.max_writes = None;
     }
 
     /// Adds `count` reads at every listed lane of `row` (see
@@ -157,6 +190,7 @@ impl WearMap {
     /// class that spans every lane, as one contiguous slice pass.
     pub fn add_full_row_writes(&mut self, row: usize, count: u64) {
         add_full_row(self.dims, &mut self.writes, &mut self.sum_writes, row, count);
+        self.max_writes = None;
     }
 
     /// Adds `count` reads at every cell of `row` (see
@@ -169,19 +203,21 @@ impl WearMap {
     /// Adds a flat row-major delta plane to the write counters — the
     /// cache-blocked analytic scatter path: one contiguous zip over both
     /// buffers with the grand total accumulated locally, no per-cell
-    /// index arithmetic.
+    /// index arithmetic. The same pass sets the carried maximum.
     ///
     /// # Panics
     ///
     /// Panics if `deltas` is not exactly `cells()` long.
     pub fn accumulate_flat_writes(&mut self, deltas: &[u64]) {
         assert_eq!(deltas.len(), self.writes.len(), "flat write plane length mismatch");
-        let mut sum = 0u64;
+        let (mut sum, mut max) = (0u64, 0u64);
         for (cell, &delta) in self.writes.iter_mut().zip(deltas) {
             *cell += delta;
             sum += delta;
+            max = max.max(*cell);
         }
         self.sum_writes += sum;
+        self.max_writes = Some(max);
     }
 
     /// Adds a flat row-major delta plane to the read counters (see
@@ -201,10 +237,42 @@ impl WearMap {
         self.sum_reads += sum;
     }
 
+    /// A copy of this map with `row_writes[r]` (and `row_reads[r]`) added
+    /// to every cell of row `r`, in one fused pass that writes each cell of
+    /// the fresh planes once and sets the sums and the carried maximum.
+    /// A plane whose running sum is 0 is allocated zeroed and only the rows
+    /// with a nonzero count are filled, so untouched pages stay unmapped.
+    /// `row_reads` is `None` when reads are not tracked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row-count slice is not `rows()` long.
+    #[must_use]
+    pub fn plus_full_rows(&self, row_writes: &[u64], row_reads: Option<&[u64]>) -> WearMap {
+        let (writes, sum_writes, max) =
+            plane_plus_rows(self.dims, &self.writes, self.sum_writes, row_writes);
+        let (reads, sum_reads, _) = match row_reads {
+            Some(rows) if !self.reads.is_empty() || rows.iter().any(|&c| c > 0) => {
+                plane_plus_rows(self.dims, &self.reads, self.sum_reads, rows)
+            }
+            _ => (clone_plane(&self.reads, self.sum_reads), self.sum_reads, 0),
+        };
+        WearMap { dims: self.dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
+    }
+
     /// Maximum writes over all cells (the lifetime-limiting cell, Eq. 4).
+    /// O(1) when the carried maximum is known; otherwise a scan.
     #[must_use]
     pub fn max_writes(&self) -> u64 {
-        self.writes.iter().copied().max().unwrap_or(0)
+        self.max_writes.unwrap_or_else(|| self.recount_max_writes())
+    }
+
+    /// Maximum writes recomputed by scanning every cell — the O(cells)
+    /// reference the carried [`WearMap::max_writes`] must always agree
+    /// with. Exposed for the conservation checker.
+    #[must_use]
+    pub fn recount_max_writes(&self) -> u64 {
+        sum_and_max(&self.writes).1
     }
 
     /// Total writes over all cells. O(1): returns the running sum kept in
@@ -385,21 +453,73 @@ impl Clone for WearMap {
     /// Zero-aware: a plane whose running sum is 0 (e.g. the write plane of
     /// a lazy backend whose classes all span every lane) is allocated
     /// zeroed instead of copied, so the allocator can hand out fresh pages
-    /// without touching them.
+    /// without touching them. The carried maximum is kept.
     fn clone(&self) -> Self {
-        let plane = |cells: &Vec<u64>, sum: u64| {
-            if sum == 0 {
-                vec![0; cells.len()]
-            } else {
-                cells.clone()
-            }
-        };
         WearMap {
-            writes: plane(&self.writes, self.sum_writes),
-            reads: plane(&self.reads, self.sum_reads),
+            writes: clone_plane(&self.writes, self.sum_writes),
+            reads: clone_plane(&self.reads, self.sum_reads),
             ..*self
         }
     }
+}
+
+/// A copy of `cells`, allocated zeroed instead of copied when its running
+/// `sum` is 0.
+fn clone_plane(cells: &[u64], sum: u64) -> Vec<u64> {
+    if sum == 0 {
+        vec![0; cells.len()]
+    } else {
+        cells.to_vec()
+    }
+}
+
+/// `cells + rows[r]` at every cell of each row `r`, into a fresh plane:
+/// returns the plane, its sum and its maximum. `sum` is the running sum of
+/// `cells` (an empty `cells` is an untracked, all-zero plane).
+fn plane_plus_rows(dims: ArrayDims, cells: &[u64], sum: u64, rows: &[u64]) -> (Vec<u64>, u64, u64) {
+    let lanes = dims.lanes();
+    assert_eq!(rows.len(), dims.rows(), "row count length mismatch");
+    let added = rows.iter().sum::<u64>() * lanes as u64;
+    if sum == 0 {
+        let mut out = vec![0; dims.cells()];
+        let mut max = 0;
+        for (row, &count) in out.chunks_exact_mut(lanes).zip(rows).filter(|&(_, &c)| c > 0) {
+            row.fill(count);
+            max = max.max(count);
+        }
+        return (out, added, max);
+    }
+    let mut out = Vec::with_capacity(cells.len());
+    let mut max = 0;
+    for (src, &count) in cells.chunks_exact(lanes).zip(rows) {
+        if count == 0 {
+            out.extend_from_slice(src);
+        } else {
+            out.extend(src.iter().map(|&w| w + count));
+        }
+        max = max.max(sum_and_max(src).1 + count);
+    }
+    (out, sum + added, max)
+}
+
+/// Sum and maximum of `cells` in one pass. Four independent running sums
+/// and maxima keep the compares from forming one serial chain (baseline
+/// x86-64 has no vector compare for `u64`), which halves the pass.
+fn sum_and_max(cells: &[u64]) -> (u64, u64) {
+    let (mut sums, mut maxima) = ([0u64; 4], [0u64; 4]);
+    let mut chunks = cells.chunks_exact(4);
+    for chunk in &mut chunks {
+        for ((sum, max), &cell) in sums.iter_mut().zip(&mut maxima).zip(chunk) {
+            *sum += cell;
+            *max = (*max).max(cell);
+        }
+    }
+    let (mut sum, mut max) = (sums.iter().sum(), maxima.into_iter().max().unwrap_or(0));
+    for &cell in chunks.remainder() {
+        sum += cell;
+        max = max.max(cell);
+    }
+    (sum, max)
 }
 
 fn add_row_list(
@@ -644,6 +764,84 @@ mod tests {
         assert_eq!(both.reads_at(0, 1), 3);
         assert_eq!(both.total_reads(), both.recount_reads());
         assert_eq!(both.total_writes(), both.recount_writes());
+    }
+
+    #[test]
+    fn carried_max_is_known_after_whole_plane_passes_only() {
+        let dims = ArrayDims::new(2, 3);
+        let mut w = WearMap::new(dims);
+        assert_eq!(w.max_writes, Some(0));
+        w.add_write_at(1, 2, 4);
+        assert_eq!(w.max_writes, None, "a scattered add clears the carried max");
+        assert_eq!(w.max_writes(), 4, "an unknown max is scanned");
+        w.accumulate_flat_writes(&[1, 0, 0, 0, 0, 2]);
+        assert_eq!(w.max_writes, Some(6));
+        w.add_full_row_writes(0, 9);
+        assert_eq!(w.max_writes, None);
+        let mut other = WearMap::new(dims);
+        other.add_row_writes(1, &[0], 20);
+        assert_eq!(other.max_writes, None);
+        w.merge(&other);
+        assert_eq!(w.max_writes, Some(20));
+        w.add_writes(0, &LaneSet::full(3), 1);
+        assert_eq!(w.max_writes, None);
+        assert_eq!(w.max_writes(), w.recount_max_writes());
+        let planes = WearMap::from_planes(dims, vec![3, 1, 4, 1, 5, 9], vec![2; 6]);
+        assert_eq!(planes.max_writes, Some(9));
+        assert_eq!((planes.total_writes(), planes.total_reads()), (23, 12));
+    }
+
+    #[test]
+    fn clone_keeps_the_carried_max_state() {
+        let dims = ArrayDims::new(2, 2);
+        let known = WearMap::from_planes(dims, vec![0, 7, 2, 0], Vec::new());
+        assert_eq!(known.clone().max_writes, Some(7));
+        let mut unknown = known.clone();
+        unknown.add_write_at(0, 0, 1);
+        assert_eq!(unknown.clone().max_writes, None);
+        // Zero-sum clones allocate zeroed planes and keep the state too: a
+        // fresh map's known 0, and an unknown max left by zero-count adds.
+        let fresh = WearMap::new(dims);
+        assert_eq!(fresh.clone().max_writes, Some(0));
+        let mut zero_adds = WearMap::new(dims);
+        zero_adds.add_write_at(1, 1, 0);
+        let copy = zero_adds.clone();
+        assert_eq!(copy.max_writes, None);
+        assert_eq!((copy.max_writes(), copy.recount_max_writes()), (0, 0));
+    }
+
+    #[test]
+    fn plus_full_rows_matches_clone_and_full_row_adds() {
+        let dims = ArrayDims::new(3, 4);
+        let rows_w = [2u64, 0, 5];
+        let rows_r = [0u64, 1, 0];
+        let check = |base: &WearMap| {
+            let fused = base.plus_full_rows(&rows_w, Some(&rows_r));
+            let mut slow = base.clone();
+            for (row, (&w, &r)) in rows_w.iter().zip(&rows_r).enumerate() {
+                slow.add_full_row_writes(row, w);
+                slow.add_full_row_reads(row, r);
+            }
+            for row in 0..3 {
+                assert_eq!(fused.row_writes(row), slow.row_writes(row));
+                for lane in 0..4 {
+                    assert_eq!(fused.reads_at(row, lane), slow.reads_at(row, lane));
+                }
+            }
+            assert_eq!(fused.max_writes, Some(slow.recount_max_writes()));
+            assert_eq!(fused.total_writes(), fused.recount_writes());
+            assert_eq!(fused.total_reads(), fused.recount_reads());
+        };
+        // Zero-sum planes: only the bucket rows are written.
+        check(&WearMap::new(dims));
+        let mut w = WearMap::new(dims);
+        w.add_write_at(1, 3, 11);
+        w.add_read_at(0, 0, 2);
+        check(&w);
+        // Untracked reads stay unallocated.
+        let untracked = WearMap::new(dims).plus_full_rows(&rows_w, None);
+        assert!(untracked.reads.is_empty());
+        assert_eq!(untracked.max_writes(), 5);
     }
 
     #[test]

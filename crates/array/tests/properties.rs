@@ -59,13 +59,43 @@ proptest! {
     }
 
     #[test]
-    fn wearmap_totals_equal_sum_of_marginals(rows in 1usize..32, lanes in 1usize..32, ops in prop::collection::vec((0usize..31, 0usize..31, 1u64..100), 0..50)) {
+    fn wearmap_totals_equal_sum_of_marginals(rows in 1usize..32, lanes in 1usize..32, ops in prop::collection::vec((0usize..31, 0usize..31, 1u64..100, 0u8..9), 0..50)) {
         let dims = ArrayDims::new(rows, lanes);
+        let cells = dims.cells();
         let mut wear = WearMap::new(dims);
-        for &(r, l, n) in &ops {
-            if r < rows && l < lanes {
-                wear.add_write_at(r, l, n);
+        // Scattered adders interleaved with the whole-plane passes that
+        // carry the maximum: after every step the carried maximum and the
+        // running sum must match a per-cell recount.
+        for &(r, l, n, kind) in &ops {
+            let (r, l) = (r % rows, l % lanes);
+            match kind {
+                0 => wear.add_write_at(r, l, n),
+                1 => wear.add_writes(r, &LaneSet::range(lanes, 0, l + 1), n),
+                2 => wear.add_row_writes(r, &[l], n),
+                3 => wear.add_full_row_writes(r, n),
+                4 => {
+                    let plane: Vec<u64> = (0..cells)
+                        .map(|i| wear.writes_at(i / lanes, i % lanes) + (i as u64 * n) % 7)
+                        .collect();
+                    wear = WearMap::from_planes(dims, plane, Vec::new());
+                }
+                5 => {
+                    let deltas: Vec<u64> = (0..cells).map(|i| (i as u64 + n) % 5).collect();
+                    wear.accumulate_flat_writes(&deltas);
+                }
+                6 => {
+                    let mut other = WearMap::new(dims);
+                    other.add_write_at(r, l, n);
+                    wear.merge(&other);
+                }
+                7 => {
+                    let counts: Vec<u64> = (0..rows).map(|i| if i == r { n } else { 0 }).collect();
+                    wear = wear.plus_full_rows(&counts, None);
+                }
+                _ => wear = wear.clone(),
             }
+            prop_assert_eq!(wear.max_writes(), wear.recount_max_writes());
+            prop_assert_eq!(wear.total_writes(), wear.recount_writes());
         }
         let row_sum: u64 = wear.row_totals().iter().sum();
         let lane_sum: u64 = wear.lane_totals().iter().sum();

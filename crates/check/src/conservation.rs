@@ -19,8 +19,9 @@ use crate::finding::Finding;
 
 const PASS: &str = "conservation";
 
-/// Verifies that a wear map's O(1) cached totals agree with a full
-/// per-cell recount, and that they match externally expected totals.
+/// Verifies that a wear map's O(1) cached totals and carried maximum agree
+/// with a full per-cell recount, and that the totals match externally
+/// expected ones.
 ///
 /// `subject` names the run; `expected` is `(writes, reads)` from an
 /// independent tally (`None` skips the external comparison).
@@ -37,6 +38,17 @@ pub fn check_totals(subject: &str, wear: &WearMap, expected: Option<(u64, u64)>)
             format!(
                 "cached totals (w={cached_w}, r={cached_r}) disagree with per-cell \
                  recount (w={sum_w}, r={sum_r})"
+            ),
+        ));
+    }
+    let (carried_max, scanned_max) = (wear.max_writes(), wear.recount_max_writes());
+    if carried_max != scanned_max {
+        findings.push(Finding::new(
+            PASS,
+            "cached-max-drift",
+            subject,
+            format!(
+                "carried max-writes {carried_max} disagrees with per-cell recount {scanned_max}"
             ),
         ));
     }
@@ -152,6 +164,9 @@ pub fn verify_kernel_equivalence(
     let mut engine = AnalyticWearEngine::new(workload, config, cfg);
     let path = engine.path();
     let analytic = engine.wear_at(cfg.iterations);
+    // The analytic rungs build their answers through whole-plane passes
+    // that carry the maximum; it must agree with a recount.
+    findings.extend(check_totals(&format!("{subject}/analytic-{path}"), &analytic, None));
 
     let dims = workload.trace().dims();
     let mut divergent = 0usize;

@@ -317,12 +317,6 @@ fn fetch_kernel(
     kernel
 }
 
-/// Zeroes `plane` and sizes it to `len` (scratch reuse across queries).
-fn zeroed_plane(plane: &mut Vec<u64>, len: usize) {
-    plane.clear();
-    plane.resize(len, 0);
-}
-
 /// Adds `deltas[i]` at row `row_of(i)` across `lanes` of a flat row-major
 /// plane `width` lanes wide.
 fn scatter_rows(
@@ -342,12 +336,32 @@ fn scatter_rows(
     }
 }
 
-/// Reusable per-engine query scratch: the closed-form paths evaluate whole
-/// planes into these buffers instead of allocating per call.
+/// Writes per-class row deposits `deltas[class][row]` across each class's
+/// `lanes` into a fresh row-major plane, one whole row at a time, so every
+/// page of the plane is first touched by a write.
+fn render_class_rows(dims: ArrayDims, deltas: &[Vec<u64>], lanes: &[Vec<usize>]) -> Vec<u64> {
+    let mut plane = Vec::with_capacity(dims.cells());
+    let mut row = vec![0u64; dims.lanes()];
+    for r in 0..dims.rows() {
+        row.fill(0);
+        for (deltas, class_lanes) in deltas.iter().zip(lanes) {
+            if deltas[r] > 0 {
+                for &lane in class_lanes {
+                    row[lane] += deltas[r];
+                }
+            }
+        }
+        plane.extend_from_slice(&row);
+    }
+    plane
+}
+
+/// Reusable per-engine query scratch for the closed-form paths' per-slot
+/// and per-row working buffers. The answer planes themselves are allocated
+/// fresh per query and handed to [`WearMap::from_planes`], so their pages
+/// are first touched by a write.
 #[derive(Debug, Default)]
 struct QueryScratch {
-    plane_w: Vec<u64>,
-    plane_r: Vec<u64>,
     folded: Vec<u64>,
     col_in: Vec<u64>,
     col_out: Vec<u64>,
@@ -484,19 +498,17 @@ impl StaticClosedForm {
         entries * std::mem::size_of::<u64>()
     }
 
-    fn query(&self, n: u64, blocked: bool, s: &mut QueryScratch) -> WearMap {
-        let mut wear = WearMap::new(self.dims);
+    fn query(&self, n: u64, blocked: bool) -> WearMap {
         if blocked {
-            zeroed_plane(&mut s.plane_w, self.dims.cells());
-            self.eval_plane_into(&self.prefix_w, n, &mut s.plane_w);
-            wear.accumulate_flat_writes(&s.plane_w);
-            if let Some(prefix_r) = &self.prefix_r {
-                zeroed_plane(&mut s.plane_r, self.dims.cells());
-                self.eval_plane_into(prefix_r, n, &mut s.plane_r);
-                wear.accumulate_flat_reads(&s.plane_r);
-            }
-            return wear;
+            let eval = |prefix: &[Vec<u64>]| {
+                let mut plane = vec![0; self.dims.cells()];
+                self.eval_plane_into(prefix, n, &mut plane);
+                plane
+            };
+            let reads = self.prefix_r.as_deref().map_or_else(Vec::new, eval);
+            return WearMap::from_planes(self.dims, eval(&self.prefix_w), reads);
         }
+        let mut wear = WearMap::new(self.dims);
         let lanes = self.dims.lanes();
         self.eval_plane(&self.prefix_w, n, |i, v| wear.add_write_at(i / lanes, i % lanes, v));
         if let Some(prefix_r) = &self.prefix_r {
@@ -649,122 +661,116 @@ impl HwClosedForm {
             + self.dims.rows() * 2 * std::mem::size_of::<usize>()
     }
 
+    /// The answer within the first epoch, or in the one endless epoch of a
+    /// `never()` schedule: kernel 0 folded over `n` iterations from the
+    /// identity arrangement, under lane phase 0, written into fresh planes
+    /// one row at a time.
+    fn first_epoch(&self, n: u64) -> WearMap {
+        let kernel = &self.kernels[0];
+        let fold = |panel: &[u64]| {
+            let mut folded = vec![0; self.dims.rows()];
+            kernel.fold_epoch_into(n, panel, &mut folded);
+            folded
+        };
+        let classes = 0..kernel.classes();
+        let writes: Vec<Vec<u64>> = classes.clone().map(|c| fold(kernel.slot_writes(c))).collect();
+        let reads: Option<Vec<Vec<u64>>> =
+            classes.map(|c| kernel.slot_reads(c).map(fold)).collect();
+        let render =
+            |deltas: &[Vec<u64>]| render_class_rows(self.dims, deltas, &self.phys_lanes[0]);
+        WearMap::from_planes(
+            self.dims,
+            render(&writes),
+            reads.as_deref().map_or_else(Vec::new, render),
+        )
+    }
+
     fn query(&self, n: u64, blocked: bool, s: &mut QueryScratch) -> WearMap {
-        let mut wear = WearMap::new(self.dims);
+        let Some(p) = self.period.filter(|&p| n >= p) else {
+            return self.first_epoch(n);
+        };
         let lanes = self.dims.lanes();
         let slots = self.dims.rows();
-        zeroed_plane(&mut s.folded, slots);
-        let folded = &mut s.folded;
-        let Some(p) = self.period else {
-            let kernel = &self.kernels[0];
-            for (class, lanes) in self.phys_lanes[0].iter().enumerate() {
-                kernel.fold_epoch_into(n, kernel.slot_writes(class), folded);
-                for (slot, &delta) in folded.iter().enumerate().filter(|&(_, &d)| d > 0) {
-                    wear.add_row_writes(slot, lanes, delta);
-                }
-                if let Some(reads) = kernel.slot_reads(class) {
-                    kernel.fold_epoch_into(n, reads, folded);
-                    for (slot, &delta) in folded.iter().enumerate().filter(|&(_, &d)| d > 0) {
-                        wear.add_row_reads(slot, lanes, delta);
-                    }
-                }
-            }
-            return wear;
-        };
-        let (full, rem) = (n / p, n % p);
-        let (k, r) = (full / self.l, (full % self.l) as usize);
         let cells = self.dims.cells();
         let track = self.scp_r.is_some();
-        zeroed_plane(&mut s.plane_w, cells);
-        if track {
-            zeroed_plane(&mut s.plane_r, cells);
-        }
-        let (acc_w, acc_r) = (&mut s.plane_w, &mut s.plane_r);
+        let (full, rem) = (n / p, n % p);
+        let (k, r) = (full / self.l, (full % self.l) as usize);
+        let fk = self.f.power(k);
 
-        // (1) k full super-cycles: the super-cycle panel folded over F.
-        // Blocked mode folds whole lane *rows* at a time (contiguous
-        // row-major vector adds via the cycle algebra); the legacy mode
-        // gathers one strided lane column per pass.
-        if k > 0 {
+        // (1) k full super-cycles: the super-cycle panel folded over F,
+        // then (2) r whole remainder epochs: their stored prefix panel,
+        // shifted through F^k one contiguous lane row at a time. The fold
+        // overwrites every cell, so each fresh plane is first touched by a
+        // write; with k = 0 (then r > 0, as n ≥ p), F^k is the identity and
+        // the plane starts as a copy of the prefix panel. Blocked mode
+        // folds whole lane *rows* at a time (contiguous row-major vector
+        // adds via the cycle algebra); the legacy mode gathers one strided
+        // lane column per pass.
+        let mut superfold = |scp: &[Vec<u64>]| -> Vec<u64> {
+            if k == 0 {
+                return scp[r].clone();
+            }
+            let mut acc = vec![0; cells];
+            let panel = &scp[self.l as usize];
             if blocked {
-                self.f.fold_rows_into(k, &self.scp_w[self.l as usize], lanes, acc_w, &mut s.rows);
-                if let Some(scp_r) = &self.scp_r {
-                    self.f.fold_rows_into(k, &scp_r[self.l as usize], lanes, acc_r, &mut s.rows);
-                }
+                self.f.fold_rows_into(k, panel, lanes, &mut acc, &mut s.rows);
             } else {
-                zeroed_plane(&mut s.col_in, slots);
-                zeroed_plane(&mut s.col_out, slots);
-                let (col_in, col_out) = (&mut s.col_in, &mut s.col_out);
-                let mut fold_plane = |panel: &[u64], acc: &mut [u64]| {
-                    for lane in 0..lanes {
-                        for slot in 0..slots {
-                            col_in[slot] = panel[slot * lanes + lane];
-                        }
-                        self.f.fold_into(k, col_in, col_out);
-                        for slot in 0..slots {
-                            acc[slot * lanes + lane] += col_out[slot];
-                        }
+                s.col_in.resize(slots, 0);
+                s.col_out.resize(slots, 0);
+                for lane in 0..lanes {
+                    for slot in 0..slots {
+                        s.col_in[slot] = panel[slot * lanes + lane];
                     }
-                };
-                fold_plane(&self.scp_w[self.l as usize], acc_w);
-                if let Some(scp_r) = &self.scp_r {
-                    fold_plane(&scp_r[self.l as usize], acc_r);
+                    self.f.fold_into(k, &s.col_in, &mut s.col_out);
+                    for slot in 0..slots {
+                        acc[slot * lanes + lane] = s.col_out[slot];
+                    }
                 }
             }
-        }
-
-        // (2) r whole remainder epochs: their stored prefix panel, shifted
-        // through F^k one contiguous lane row at a time.
-        let fk = self.f.power(k);
-        if r > 0 {
-            let shift_plane = |panel: &[u64], acc: &mut [u64]| {
+            if r > 0 {
                 for (slot, &fs) in fk.iter().enumerate() {
-                    let src = &panel[slot * lanes..(slot + 1) * lanes];
+                    let src = &scp[r][slot * lanes..(slot + 1) * lanes];
                     let dst = &mut acc[fs * lanes..(fs + 1) * lanes];
                     for (d, &v) in dst.iter_mut().zip(src.iter()) {
                         *d += v;
                     }
                 }
-            };
-            shift_plane(&self.scp_w[r], acc_w);
-            if let Some(scp_r) = &self.scp_r {
-                shift_plane(&scp_r[r], acc_r);
             }
-        }
+            acc
+        };
+        let mut acc_w = superfold(&self.scp_w);
+        let mut acc_r = self.scp_r.as_deref().map_or_else(Vec::new, &mut superfold);
 
         // (3) partial final epoch: fold its kernel over E for `rem`
         // iterations and deposit at F^k[D_r[s]].
         if rem > 0 {
+            s.folded.resize(slots, 0);
+            let folded = &mut s.folded;
             let kernel = &self.kernels[(full % self.lr) as usize];
             let dr = &self.d[r];
             let lanes_of = &self.phys_lanes[(full % self.lc) as usize];
             for (class, class_lanes) in lanes_of.iter().enumerate() {
                 kernel.fold_epoch_into(rem, kernel.slot_writes(class), folded);
-                scatter_rows(acc_w, lanes, folded, |slot| fk[dr[slot]], class_lanes);
+                scatter_rows(&mut acc_w, lanes, folded, |slot| fk[dr[slot]], class_lanes);
                 if let (true, Some(reads)) = (track, kernel.slot_reads(class)) {
                     kernel.fold_epoch_into(rem, reads, folded);
-                    scatter_rows(acc_r, lanes, folded, |slot| fk[dr[slot]], class_lanes);
+                    scatter_rows(&mut acc_r, lanes, folded, |slot| fk[dr[slot]], class_lanes);
                 }
             }
         }
 
         if blocked {
-            wear.accumulate_flat_writes(acc_w);
-            if track {
-                wear.accumulate_flat_reads(acc_r);
-            }
-            return wear;
+            return WearMap::from_planes(self.dims, acc_w, acc_r);
         }
+        let mut wear = WearMap::new(self.dims);
         for (i, &v) in acc_w.iter().enumerate() {
             if v > 0 {
                 wear.add_write_at(i / lanes, i % lanes, v);
             }
         }
-        if track {
-            for (i, &v) in acc_r.iter().enumerate() {
-                if v > 0 {
-                    wear.add_read_at(i / lanes, i % lanes, v);
-                }
+        for (i, &v) in acc_r.iter().enumerate() {
+            if v > 0 {
+                wear.add_read_at(i / lanes, i % lanes, v);
             }
         }
         wear
@@ -1121,7 +1127,7 @@ impl<'w> AnalyticWearEngine<'w> {
                 let trace = self.workload.trace();
                 let blocked = self.cfg.blocked_folds;
                 let wear = match backend {
-                    Backend::Static(b) => b.query(iterations, blocked, &mut self.scratch),
+                    Backend::Static(b) => b.query(iterations, blocked),
                     Backend::HwClosed(b) => b.query(iterations, blocked, &mut self.scratch),
                     Backend::LazySw(b) => b.query(trace, self.balance, self.cfg, iterations),
                     Backend::LazyHw(b) => {

@@ -56,8 +56,8 @@ use crate::artifacts::{self, ArtifactKind, Fingerprint};
 /// were booked under. A partial class is rendered under the permutation
 /// its deposits were booked under — when [`RowAccumulator::set_lanes`]
 /// sees the permutation change, or at a read. Every render goes through
-/// the wear map's adders, so its running sums (and every conservation
-/// assert built on them) stay exact.
+/// the wear map's own adders or fused passes, so its running sums (and
+/// every conservation assert built on them) stay exact.
 #[derive(Debug)]
 pub(crate) struct RowAccumulator {
     /// Class → bucket: every full-lane class shares bucket 0, each partial
@@ -201,13 +201,13 @@ impl RowAccumulator {
 
     /// A lazy backend's read: renders the staged partial classes into
     /// `wear`, the backend's cumulative map, and returns a copy of it with
-    /// the full-lane bucket added. That bucket stays staged across queries,
-    /// so a full class's cumulative wear lives only in the returned copy.
+    /// the full-lane bucket added, built in one fused pass that also
+    /// carries the copy's maximum ([`WearMap::plus_full_rows`]). That
+    /// bucket stays staged across queries, so a full class's cumulative
+    /// wear lives only in the returned copy.
     pub(crate) fn snapshot(&mut self, wear: &mut WearMap) -> WearMap {
         self.render_partial(wear);
-        let mut out = wear.clone();
-        self.render_full(&mut out);
-        out
+        wear.plus_full_rows(&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]))
     }
 
     fn render_full(&self, wear: &mut WearMap) {

@@ -57,6 +57,16 @@ fn assert_analytic_bit_identical(
             );
         }
     }
+    assert_eq!(
+        analytic.max_writes(),
+        replayed.wear.max_writes(),
+        "{label} {balance} [{path}]: max writes diverge from step replay"
+    );
+    assert_eq!(
+        analytic.max_writes(),
+        analytic.recount_max_writes(),
+        "{label} {balance} [{path}]: carried max writes disagree with a recount"
+    );
 }
 
 #[test]
@@ -177,6 +187,11 @@ fn lazy_engines_answer_monotone_and_backwards_queries() {
                 analytic.total_writes(),
                 sim.wear.total_writes(),
                 "{balance} at n={n}: total writes"
+            );
+            assert_eq!(
+                (analytic.max_writes(), analytic.recount_max_writes()),
+                (sim.wear.max_writes(), sim.wear.max_writes()),
+                "{balance} at n={n}: carried max writes"
             );
             let dims = wl.trace().dims();
             for row in 0..dims.rows() {

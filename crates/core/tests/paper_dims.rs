@@ -1,15 +1,17 @@
-//! Bit-identity of the per-epoch rungs at the paper's array dimensions.
+//! Bit-identity of every rung at the paper's array dimensions.
 //!
 //! The other suites pin the analytic engine against step replay at small
 //! dims; this one runs the 1024×1024 array that paper-scale runs use, on
 //! the three per-epoch paths that stage wear in row space and render lanes
 //! only when the lane table changes: the lazy software rung (`RaxRa`,
 //! `StxRa`), the lazy hardware rung (`BsxRa+Hw`), and the fallback rung
-//! (`RaxRa+Hw`, the simulator's compiled path). Every answer is compared
-//! cell for cell against per-iteration step replay. 300 iterations
-//! remapped every 100 change the lane table mid-run, and the query order
-//! 200 → 300 → 100 covers a follow-up query after a flush and a restart
-//! from the seed. `scripts/ci.sh` runs it in release mode.
+//! (`RaxRa+Hw`, the simulator's compiled path), plus the two closed forms
+//! (`StxSt`, `StxSt+Hw`). Every answer is compared cell for cell against
+//! per-iteration step replay, and its hottest cell against both replay's
+//! and its own recount. 300 iterations remapped every 100 change the lane
+//! table mid-run, and the query order 200 → 300 → 100 covers a follow-up
+//! query after a flush and a restart from the seed. `scripts/ci.sh` runs
+//! it in release mode.
 
 use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
@@ -61,19 +63,18 @@ fn assert_same_wear(got: &WearMap, want: &WearMap, what: &str) {
             );
         }
     }
+    // The hottest cell (Eq. 4): a carried maximum must match step
+    // replay's and a recount of the answer's own cells.
+    assert_eq!(got.max_writes(), want.max_writes(), "{what}: max writes");
+    assert_eq!(got.max_writes(), got.recount_max_writes(), "{what}: carried max writes");
 }
 
-#[test]
-fn per_epoch_rungs_match_step_replay_at_paper_dims() {
+/// Queries each rung at 200 → 300 → 100 iterations and compares every
+/// answer with step replay.
+fn assert_rungs_match_step_replay(rungs: &[(&str, AnalyticPath)]) {
     let cfg = config();
-    let rungs = [
-        ("RaxRa", AnalyticPath::Lazy),
-        ("StxRa", AnalyticPath::Lazy),
-        ("BsxRa+Hw", AnalyticPath::Lazy),
-        ("RaxRa+Hw", AnalyticPath::Fallback),
-    ];
     for (label, wl) in &paper_workloads() {
-        for (config, path) in rungs {
+        for &(config, path) in rungs {
             let balance: BalanceConfig = config.parse().unwrap();
             let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
             assert_eq!(engine.path(), path, "{label} {config}");
@@ -86,6 +87,27 @@ fn per_epoch_rungs_match_step_replay_at_paper_dims() {
             }
         }
     }
+}
+
+#[test]
+fn per_epoch_rungs_match_step_replay_at_paper_dims() {
+    assert_rungs_match_step_replay(&[
+        ("RaxRa", AnalyticPath::Lazy),
+        ("StxRa", AnalyticPath::Lazy),
+        ("BsxRa+Hw", AnalyticPath::Lazy),
+        ("RaxRa+Hw", AnalyticPath::Fallback),
+    ]);
+}
+
+#[test]
+fn closed_form_rungs_match_step_replay_at_paper_dims() {
+    // The only closed forms at paper dims (a byte-shift period of 128
+    // epochs overflows the prefix-panel ceiling). Both evaluate each
+    // answer straight into fresh planes that carry the hottest cell.
+    assert_rungs_match_step_replay(&[
+        ("StxSt", AnalyticPath::ClosedForm),
+        ("StxSt+Hw", AnalyticPath::ClosedForm),
+    ]);
 }
 
 #[test]

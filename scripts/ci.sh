@@ -52,6 +52,12 @@ cargo test -q --release --offline -p nvpim-serve --test integration
 # owner shutdown, and byte-identity of fleet vs single-node answers.
 cargo test -q --release --offline -p nvpim-serve --test fleet
 
+# The end-to-end benchmark package (its own workspace under e2ebench/) at
+# tiny scale: every workload in both modes, with each output digest checked
+# against the recorded reference. It reads the WearMap API, so a change
+# there must keep it building and its digests unchanged.
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
 # Two-worker smoke of the repro harness at a scaled-down iteration count:
 # exercises the full binary → parallel matrix path end to end. serve-smoke
 # boots an in-process server and round-trips real HTTP requests.
