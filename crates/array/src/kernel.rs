@@ -5,9 +5,9 @@
 //! simulator historically re-walked the whole step trace once per iteration.
 //! But the renaming state machine is *position-based*: which slots of its
 //! internal arrangement a trace touches — and in what order — depends only
-//! on the trace and the software row table, never on the arrangement's
-//! current values. One symbolic replay against a fresh remapper therefore
-//! yields a reusable **wear kernel**:
+//! on the trace, never on the arrangement's current values. One symbolic
+//! replay against a fresh remapper therefore yields a reusable **wear
+//! kernel**:
 //!
 //! * per-(lane class, arrangement slot) write/read deltas of one iteration
 //!   ([`WearKernel::slot_writes`]);
@@ -24,9 +24,12 @@
 //! renders lanes into the [`WearMap`](crate::WearMap) only when the lane
 //! table changes or the map is read (see `nvpim_core::kernel`).
 //!
-//! This module holds the representation and the permutation arithmetic; the
-//! symbolic compiler lives with the simulator (it needs the remapper type),
-//! keeping this crate free of balancing dependencies.
+//! A kernel is compiled once per trace, against the identity software row
+//! table; an epoch under any other table `T` is the same kernel with every
+//! slot relabeled by `T` (see `nvpim_core::kernel`). This module holds the
+//! representation and the permutation arithmetic; the symbolic compiler
+//! lives with the simulator (it needs the remapper type), keeping this
+//! crate free of balancing dependencies.
 
 /// A permutation with its cycle decomposition precomputed — the reusable
 /// algebra every epoch-folding fast path is built on.
@@ -249,8 +252,9 @@ impl PermFolder {
     }
 }
 
-/// One iteration of a trace, compiled against a software row table and a
-/// symbolic (identity-arrangement) hardware remapper.
+/// One iteration of a trace, compiled against a symbolic
+/// (identity-arrangement) hardware remapper under the identity software
+/// row table.
 ///
 /// `slots` is the physical row count: slot `s < slots − 1` is the remapper's
 /// logical address `s`, slot `slots − 1` is its free register. The kernel
@@ -261,7 +265,6 @@ impl PermFolder {
 /// arrays; see the module docs for the algebra.
 #[derive(Debug, Clone)]
 pub struct WearKernel {
-    sw_table: Vec<usize>,
     slots: usize,
     slot_writes: Vec<Vec<u64>>,
     slot_reads: Option<Vec<Vec<u64>>>,
@@ -274,10 +277,8 @@ pub struct WearKernel {
 impl WearKernel {
     /// Assembles a kernel from a symbolic replay's outputs.
     ///
-    /// `sw_table` is the software row table the replay translated through
-    /// (kept so callers can detect staleness), `end` the symbolic
-    /// arrangement after one iteration, `redirects_per_iter` the redirect
-    /// count of one iteration.
+    /// `end` is the symbolic arrangement after one iteration,
+    /// `redirects_per_iter` the redirect count of one iteration.
     ///
     /// # Panics
     ///
@@ -285,7 +286,6 @@ impl WearKernel {
     /// panel's length differs from `end`'s.
     #[must_use]
     pub fn new(
-        sw_table: Vec<usize>,
         slot_writes: Vec<Vec<u64>>,
         slot_reads: Option<Vec<Vec<u64>>>,
         end: Vec<usize>,
@@ -301,15 +301,7 @@ impl WearKernel {
             assert_eq!(panel.len(), slots, "panel length must equal the slot count");
         }
         let folder = PermFolder::new(end);
-        WearKernel { sw_table, slots, slot_writes, slot_reads, folder, redirects_per_iter }
-    }
-
-    /// Whether this kernel was compiled against exactly `table` (the reuse
-    /// test: a software re-compile that leaves the row table unchanged —
-    /// e.g. static rows — keeps the kernel valid).
-    #[must_use]
-    pub fn matches(&self, table: &[usize]) -> bool {
-        self.sw_table == table
+        WearKernel { slots, slot_writes, slot_reads, folder, redirects_per_iter }
     }
 
     /// Physical row count (arrangement length).
@@ -358,14 +350,14 @@ impl WearKernel {
         self.redirects_per_iter
     }
 
-    /// Approximate resident size in bytes (delta panels plus tables) —
+    /// Approximate resident size in bytes (delta panels plus the end
+    /// permutation and its cycles) —
     /// what a byte-budgeted artifact cache bills for holding this kernel.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         let panel_entries = self.slot_writes.iter().map(Vec::len).sum::<usize>()
             + self.slot_reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>());
-        panel_entries * std::mem::size_of::<u64>()
-            + (self.sw_table.len() + 2 * self.slots) * std::mem::size_of::<usize>()
+        panel_entries * std::mem::size_of::<u64>() + 2 * self.slots * std::mem::size_of::<usize>()
     }
 
     /// Folds one epoch of `span` iterations of a per-slot delta `panel`
@@ -446,7 +438,7 @@ mod tests {
 
     fn kernel_with_end(end: Vec<usize>) -> WearKernel {
         let slots = end.len();
-        WearKernel::new(Vec::new(), vec![vec![0; slots]], None, end, 0)
+        WearKernel::new(vec![vec![0; slots]], None, end, 0)
     }
 
     fn xorshift(x: &mut u64) -> u64 {
@@ -557,10 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn matches_compares_the_compiled_table() {
-        let kernel = WearKernel::new(vec![2, 0, 1], vec![vec![0; 4]], None, (0..4).collect(), 5);
-        assert!(kernel.matches(&[2, 0, 1]));
-        assert!(!kernel.matches(&[0, 1, 2]));
+    fn accessors_report_the_compiled_shape() {
+        let kernel = WearKernel::new(vec![vec![0; 4]], None, (0..4).collect(), 5);
         assert_eq!(kernel.redirects_per_iteration(), 5);
         assert_eq!(kernel.slots(), 4);
         assert_eq!(kernel.classes(), 1);

@@ -3,14 +3,13 @@
 //!
 //! All 18 balancing configurations answer against one workload, so their
 //! analytic engines share the symbolic trace walk, the logical/prefix
-//! panels, and (for `+Hw` cells with identical row tables) compiled wear
-//! kernels. The `matrix` group times the full 18-config matrix with the
+//! panels, and (for every `+Hw` cell) the trace's one compiled wear
+//! kernel. The `matrix` group times the full 18-config matrix with the
 //! content-addressed store disabled (every cell rebuilds everything),
 //! cold (first touch builds, later cells reuse), and warm (a previous
 //! matrix already populated the store). The acceptance bar is
-//! `warm_store` ≥ 2× faster than `no_store`. The `fold` group is the
-//! cache-blocked vs scalar accumulation ablation on the same matrix.
-//! `scripts/bench.sh` records both into `BENCH_sim.json`.
+//! `warm_store` ≥ 2× faster than `no_store`. `scripts/bench.sh` records
+//! the group into `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
@@ -68,29 +67,13 @@ fn bench_matrix_reuse(c: &mut Criterion) {
     group.bench_function("warm_store", |b| {
         // Previous matrices populated the store (repro reruns, serve
         // `/batch`, sweep refinement): every walk, panel, and kernel is
-        // already resident. Two warm-up passes — kernels are stored on
-        // their second miss (second-touch admission).
+        // already resident.
         let store = ArtifactStore::new(ROOMY);
-        let _ = run_matrix(&wl, cfg, Some(&store));
         let _ = run_matrix(&wl, cfg, Some(&store));
         b.iter(|| black_box(run_matrix(&wl, cfg, Some(&store))));
     });
     group.finish();
 }
 
-fn bench_fold_layout(c: &mut Criterion) {
-    let wl = workload();
-    let base = base_cfg().with_artifact_store(false);
-    let mut group = c.benchmark_group("fold");
-    group.sample_size(10);
-    for (name, blocked) in [("blocked", true), ("unblocked", false)] {
-        let cfg = base.with_blocked_folds(blocked);
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(run_matrix(&wl, cfg, None)));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_matrix_reuse, bench_fold_layout);
+criterion_group!(benches, bench_matrix_reuse);
 criterion_main!(benches);

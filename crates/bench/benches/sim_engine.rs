@@ -50,13 +50,13 @@ fn bench_arch_styles(c: &mut Criterion) {
 }
 
 fn bench_hw_replay(c: &mut Criterion) {
-    // The epoch-compiled wear-kernel ablation: for a dynamic (+Hw)
-    // configuration the compiled path walks the trace symbolically once per
-    // software epoch and folds whole epochs over the end permutation's
-    // cycle structure in O(rows); step replay walks the trace once per
-    // iteration. At paper scale the gap is the iterations-per-epoch factor.
+    // The compiled wear-kernel ablation: for a dynamic (+Hw) configuration
+    // the compiled path walks the trace symbolically once per run and
+    // folds each epoch, relabeled through its row table, over the end
+    // permutation's cycle structure in O(rows); step replay walks the
+    // trace once per iteration.
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
-    // Store off: the compiled arm must pay every epoch's compile, or the
+    // Store off: the compiled arm must pay its compile, or the
     // ablation degenerates into a cache benchmark (matrix_reuse covers
     // the memoized shape).
     let cfg = SimConfig::paper()
@@ -135,13 +135,13 @@ fn bench_analytic_query(c: &mut Criterion) {
         let sim = EnduranceSimulator::new(base.with_iterations(10_000).with_hw_kernels(true));
         b.iter(|| black_box(sim.run(&workload, raxra).wear.max_writes()));
     });
-    // The irreducible rung: Ra rows under +Hw delegate to the simulator,
-    // so this is a labeled control, not a speedup claim.
-    let fallback: BalanceConfig = "RaxRa+Hw".parse().unwrap();
-    group.bench_function("fallback/RaxRa+Hw/1000", |b| {
+    // The lazy Hw rung with Ra rows: the trace's one kernel relabeled
+    // through a fresh random row table every epoch.
+    let raxra_hw: BalanceConfig = "RaxRa+Hw".parse().unwrap();
+    group.bench_function("analytic/RaxRa+Hw/1000", |b| {
         let cfg = base.with_iterations(1_000);
         b.iter(|| {
-            let mut engine = AnalyticWearEngine::new(&workload, fallback, cfg);
+            let mut engine = AnalyticWearEngine::new(&workload, raxra_hw, cfg);
             black_box(engine.wear_at(1_000).max_writes())
         });
     });

@@ -404,8 +404,8 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
 /// Which analytic-engine path answers each configuration for commands that
 /// route through the replay-free engine (the `fig14`–`fig16` heatmap
 /// panels, the `fig17`/`table3` matrices, the `sweep` point, and `all`,
-/// which runs them all) — `closed_form`, `lazy`, or `fallback` per the
-/// reducibility ladder, recorded so a manifest states how its numbers were
+/// which runs them all) — `closed_form` or `lazy` per the reducibility
+/// ladder, recorded so a manifest states how its numbers were
 /// produced.
 fn analytic_paths_json(command: &str, scale: Scale) -> Option<Json> {
     use nvpim_balance::BalanceConfig;

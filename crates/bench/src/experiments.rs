@@ -8,7 +8,9 @@ use nvpim_array::{ArchStyle, ArrayDims};
 use nvpim_balance::{access_aware, BalanceConfig, ParseConfigError, RemapSchedule};
 use nvpim_core::report::{ascii_heatmap, fmt_value, text_table};
 use nvpim_core::sim::single_iteration_profile;
-use nvpim_core::{baseline, failure, limits, sweep, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_core::{
+    baseline, failure, limits, sweep, EnduranceSimulator, LifetimeModel, SimConfig, SimResult,
+};
 use nvpim_workloads::Workload;
 
 use crate::Scale;
@@ -216,20 +218,7 @@ fn heatmap_report_via(which: &str, scale: Scale, force_simulator: bool) -> Strin
         scale.iterations,
         scale.sim_config().schedule,
     );
-    // The 18 panels only need final wear maps, not trajectories, so they
-    // answer through the replay-free analytic engine (closed-form where
-    // the config is reducible, internal simulator fallback where not) —
-    // bit-identical to the replay path, rendered in the paper's order.
-    let results = if force_simulator {
-        EnduranceSimulator::new(scale.sim_config()).run_all_configs_parallel(&workload, scale.jobs)
-    } else {
-        nvpim_core::run_configs_analytic(
-            &workload,
-            &BalanceConfig::all(),
-            scale.sim_config(),
-            scale.jobs,
-        )
-    };
+    let results = matrix_results(&workload, scale, force_simulator);
     for result in &results {
         let config = result.config;
         out.push_str(&format!(
@@ -253,20 +242,25 @@ fn heatmap_report_via(which: &str, scale: Scale, force_simulator: bool) -> Strin
     out
 }
 
+/// All 18 configurations of one workload at `scale`, in the paper's
+/// order. The replay-free analytic engine answers unless the run samples
+/// per-epoch wear trajectories (`repro --series-out`), which only the
+/// simulator records; both give bit-identical wear.
+fn matrix_results(workload: &Workload, scale: Scale, force_simulator: bool) -> Vec<SimResult> {
+    let cfg = scale.sim_config();
+    if force_simulator || cfg.epoch_series {
+        EnduranceSimulator::new(cfg).run_all_configs_parallel(workload, scale.jobs)
+    } else {
+        nvpim_core::run_configs_analytic(workload, &BalanceConfig::all(), cfg, scale.jobs)
+    }
+}
+
 /// One benchmark's Fig. 17 data: lifetime improvement per configuration
 /// relative to `St × St`.
 #[must_use]
 pub fn fig17_data(workload: &Workload, scale: Scale) -> Vec<(BalanceConfig, f64)> {
     let model = LifetimeModel::mtj();
-    // Lifetime queries don't need the wear trajectory, so the whole matrix
-    // answers through the replay-free analytic engine — bit-identical to
-    // the simulator (irreducible configs fall back inside the engine).
-    let results = nvpim_core::run_configs_analytic(
-        workload,
-        &BalanceConfig::all(),
-        scale.sim_config(),
-        scale.jobs,
-    );
+    let results = matrix_results(workload, scale, false);
     let baseline_run =
         results.iter().find(|r| r.config.is_static()).expect("StxSt is part of the matrix").clone();
     results

@@ -149,8 +149,8 @@ pub fn verify_conservation(
 /// kernels enabled, once with them disabled, and once through
 /// [`AnalyticWearEngine::wear_at`], and every cell's write and read
 /// tallies — plus the lifetime-limiting maximum — must match exactly.
-/// Analytic findings name the engine path (`closed_form`, `lazy`,
-/// `fallback`) so a divergence points at the right algebra.
+/// Analytic findings name the engine path (`closed_form` or `lazy`) so a
+/// divergence points at the right algebra.
 #[must_use]
 pub fn verify_kernel_equivalence(
     workload: &Workload,

@@ -535,8 +535,8 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
 
 /// Runs the store pass: every configured [`BalanceConfig`] cross-checked
 /// for wear bit-identity with the artifact store off (reference), on
-/// (process-wide), cold, warm, and starved to a 1-byte budget, plus the
-/// cache-blocked vs scalar fold paths. A period of 5 against
+/// (process-wide), cold, warm, and starved to a 1-byte budget. A period
+/// of 5 against
 /// `conservation_iters = 24` keeps several software epochs in play so
 /// panel and kernel artifacts are actually built and reused.
 pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
@@ -548,10 +548,9 @@ pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
         .with_read_tracking(true);
     for &config in &opts.configs {
         report.extend(store::verify_store_equivalence(&workload, config, cfg));
-        // Six obligations per configuration: the simulator pair, three
-        // analytic store regimes, the eviction-leak bound, and the fold
-        // cross-check.
-        report.bump_checks(6);
+        // Five obligations per configuration: the simulator pair, three
+        // analytic store regimes, and the eviction-leak bound.
+        report.bump_checks(5);
     }
 }
 

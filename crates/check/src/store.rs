@@ -8,8 +8,8 @@
 //! claim per configuration by running the same workload with the store
 //! off (the reference), cold (all misses), warm (all hits), and starved
 //! to a 1-byte budget (every insert immediately evicted), plus the
-//! simulator's own store-on/store-off pair and the cache-blocked vs
-//! scalar fold paths, and demanding per-cell bit identity throughout.
+//! simulator's own store-on/store-off pair, and demanding per-cell bit
+//! identity throughout.
 
 use nvpim_array::WearMap;
 use nvpim_balance::BalanceConfig;
@@ -80,9 +80,7 @@ fn compare_maps(
 ///    disabled (`+Hw` cells exercise the kernel-memoization path; others
 ///    prove turning the knob is inert);
 /// 2. the analytic engine against cold, warm, and permanently-evicting
-///    private stores — the miss, hit, and eviction regimes in isolation;
-/// 3. the cache-blocked fold path against the scalar one
-///    ([`SimConfig::blocked_folds`] off).
+///    private stores — the miss, hit, and eviction regimes in isolation.
 ///
 /// Every arm must be bit-identical, per cell, to the store-off reference.
 #[must_use]
@@ -153,18 +151,6 @@ pub fn verify_store_equivalence(
             ),
         ));
     }
-
-    // Cache-blocked vs scalar folds: the layout optimization must be
-    // algebra-neutral.
-    let unblocked = AnalyticWearEngine::new(workload, config, off.with_blocked_folds(false))
-        .wear_at(off.iterations);
-    findings.extend(compare_maps(
-        &subject,
-        "fold-divergence",
-        "scalar-fold analytic",
-        &reference,
-        &unblocked,
-    ));
 
     findings
 }

@@ -23,7 +23,7 @@ fn representative_configs_conserve() {
 /// The compiled-kernel arm is bit-identical to step replay for dynamic
 /// configurations across epoch boundaries (including a partial epoch),
 /// and the analytic engine agrees with both on every reducibility rung
-/// (closed-form, lazy software, lazy hardware, and simulator fallback).
+/// (closed-form, lazy software, and lazy hardware).
 #[test]
 fn kernel_arms_are_equivalent_for_dynamic_configs() {
     let workload = ParallelMul::new(ArrayDims::new(128, 8), 8).build();

@@ -10,8 +10,9 @@
 //!
 //! # Reducibility ladder
 //!
-//! A configuration's epoch sequence is reducible exactly when every future
-//! software row/lane table is a pure function of the epoch index
+//! Every configuration lands on one of two rungs. A configuration's epoch
+//! sequence is *periodic* when every future software row/lane table is a
+//! pure function of the epoch index
 //! ([`nvpim_balance::Strategy::epoch_period`]):
 //!
 //! 1. **Closed form** ([`AnalyticPath::ClosedForm`], O(cells) per query) —
@@ -21,43 +22,38 @@
 //!    `j` epochs, `j = 0..=L`. Without `Hw` each epoch's one-iteration
 //!    deposit pattern is constant within the epoch and the query is pure
 //!    arithmetic on the prefix panels. With `Hw` the hardware arrangement
-//!    also evolves, but it advances by a *fixed* permutation per epoch
-//!    (the kernel's end permutation raised to the schedule period), so a
-//!    super-cycle of `L` epochs advances the arrangement by a fixed
-//!    permutation `F`; `k` super-cycles fold over `F`'s cycle structure in
-//!    O(cells) exactly like one epoch folds over `E` ([`PermFolder`]).
+//!    also evolves, but each epoch advances it by a *fixed* permutation
+//!    (the trace's one kernel relabeled through the epoch's row table,
+//!    its end permutation raised to the schedule period), so a super-cycle
+//!    of `L` epochs advances the arrangement by a fixed permutation `F`;
+//!    `k` super-cycles fold over `F`'s cycle structure in O(cells) exactly
+//!    like one epoch folds over `E` ([`PermFolder`]).
 //! 2. **Lazy** ([`AnalyticPath::Lazy`], O(epochs elapsed) per first query,
-//!    O(new epochs) for monotone follow-ups) — any axis running `Ra`
-//!    without `Hw`, or `Ra` lanes with periodic rows under `Hw`, or a
-//!    closed form whose prefix panels would exceed
+//!    O(new epochs) for monotone follow-ups) — any axis running `Ra`, with
+//!    or without `Hw`, or a closed form whose prefix panels would exceed
 //!    [`MAX_PREFIX_ENTRIES`]. Epoch states are enumerated in schedule
 //!    order with the exact seeded RNG streams, but each epoch only books
 //!    O(rows) per lane class into a row-space stage — the logical panels
-//!    through the row table (software) or one kernel fold (hardware, with
-//!    kernels memoized per row-table phase) — never a trace walk. Lanes
-//!    render into the cell map once per query for classes spanning every
-//!    lane, and once per lane-table change for partial classes
-//!    (`kernel::RowAccumulator`).
-//! 3. **Fallback** ([`AnalyticPath::Fallback`]) — `Ra` rows with `Hw`: the
-//!    software table feeding the kernel compiler changes unpredictably
-//!    every epoch, so each epoch needs a fresh symbolic trace walk anyway.
-//!    Queries delegate to [`EnduranceSimulator`] (itself epoch-compiled,
-//!    staging wear in the same row space as the lazy rung), and the path
-//!    is labeled so callers can report it.
+//!    through the row table (software), or the trace's one kernel
+//!    relabeled through the row table and folded (hardware, see
+//!    [`crate::kernel`]) — never a trace walk. Lanes render into the cell
+//!    map once per query for classes spanning every lane, and once per
+//!    lane-table change for partial classes (`kernel::RowAccumulator`).
 //!
 //! Every path is bit-identical to the simulator — the bit-identity suite
 //! (`tests/analytic.rs`) pins `analytic == compiled == step replay` across
 //! all 18 configurations, and each query re-asserts conservation against
-//! the trace's static counts.
+//! the trace's static counts. Answers carry no epoch series: per-epoch
+//! trajectories come from the simulator ([`crate::sim`]).
 //!
 //! # Artifact reuse
 //!
 //! Engine construction routes its expensive intermediates — the logical
-//! panels of one trace walk, compiled +Hw kernels, and whole closed-form
-//! backends — through [`crate::artifacts`]: a content-addressed store shared
-//! across matrix cells, sweep points, and serve requests. Sibling
-//! configurations that share a trace (all 18 do) or a row-table phase reuse
-//! each other's work; [`SimConfig::artifact_store`] disables the store, and
+//! panels of one trace walk, the trace's compiled +Hw kernel, and whole
+//! closed-form backends — through [`crate::artifacts`]: a content-addressed
+//! store shared across matrix cells, sweep points, and serve requests.
+//! Sibling configurations that share a trace (all 18 do) reuse each
+//! other's work; [`SimConfig::artifact_store`] disables the store, and
 //! [`AnalyticWearEngine::artifact_use`] reports how many lookups hit.
 //! Because every memoized builder is deterministic in its key, reuse is
 //! bit-identity-safe (see the `artifacts` module docs for the keying
@@ -91,9 +87,9 @@ use nvpim_workloads::Workload;
 use crate::artifacts::{self, ArtifactKind, ArtifactStore, ArtifactUse, Fingerprint, StoreCtx};
 use crate::kernel;
 use crate::parallel::fan_out;
-use crate::sim::{EnduranceSimulator, SimConfig, SimResult};
+use crate::sim::{SimConfig, SimResult};
 
-/// Chunk length (in `u64` cells) for the blocked fold loops: four zipped
+/// Chunk length (in `u64` cells) for the closed-form evaluation loop: four zipped
 /// streams of 1024 × 8 B stay L1-resident on every target we care about.
 const FOLD_CHUNK: usize = 1 << 10;
 
@@ -112,8 +108,9 @@ pub enum AnalyticPath {
     /// Epoch states enumerated lazily (exact RNG streams) and folded
     /// without trace walks; monotone queries advance incrementally.
     Lazy,
-    /// Irreducible (`Ra` rows with `Hw`): queries delegate to the
-    /// epoch-compiled simulator.
+    /// No configuration lands here: every one is closed form or lazy. The
+    /// variant is kept only because the `e2ebench` package, which matches
+    /// on every rung by name, must keep building unchanged.
     Fallback,
 }
 
@@ -142,7 +139,6 @@ enum PathChoice {
     HwClosed,
     LazySw,
     LazyHw,
-    Fallback,
 }
 
 impl PathChoice {
@@ -150,7 +146,6 @@ impl PathChoice {
         match self {
             PathChoice::Static | PathChoice::HwClosed => AnalyticPath::ClosedForm,
             PathChoice::LazySw | PathChoice::LazyHw => AnalyticPath::Lazy,
-            PathChoice::Fallback => AnalyticPath::Fallback,
         }
     }
 }
@@ -202,15 +197,12 @@ fn classify_inner(
         }
         let sw_rows = dims.rows() - 1;
         match (balance.row.epoch_period(sw_rows), balance.col.epoch_period(dims.lanes())) {
-            (Some(rp), Some(cp)) => {
-                if prefix_entries(lcm(rp, cp), dims, track_reads) <= MAX_PREFIX_ENTRIES {
-                    PathChoice::HwClosed
-                } else {
-                    PathChoice::LazyHw
-                }
+            (Some(rp), Some(cp))
+                if prefix_entries(lcm(rp, cp), dims, track_reads) <= MAX_PREFIX_ENTRIES =>
+            {
+                PathChoice::HwClosed
             }
-            (Some(_), None) => PathChoice::LazyHw,
-            (None, _) => PathChoice::Fallback,
+            _ => PathChoice::LazyHw,
         }
     }
 }
@@ -299,24 +291,6 @@ fn fetch_panels(
     })
 }
 
-/// Fetches (or compiles) the +Hw kernel specialized against `table`.
-fn fetch_kernel(
-    trace: &Trace,
-    table: &[usize],
-    cfg: SimConfig,
-    fp: Fingerprint,
-    ctx: &mut StoreCtx<'_>,
-) -> Arc<WearKernel> {
-    let key = artifacts::kernel_key(fp, table, cfg.arch, cfg.track_reads);
-    let kernel = ctx.get_or_build(ArtifactKind::Kernel, key, || {
-        let kernel = kernel::compile(trace, table, cfg.arch, cfg.track_reads);
-        let bytes = kernel.approx_bytes();
-        (kernel, bytes)
-    });
-    debug_assert!(kernel.matches(table), "kernel artifact keyed to the wrong table");
-    kernel
-}
-
 /// Adds `deltas[i]` at row `row_of(i)` across `lanes` of a flat row-major
 /// plane `width` lanes wide.
 fn scatter_rows(
@@ -363,8 +337,6 @@ fn render_class_rows(dims: ArrayDims, deltas: &[Vec<u64>], lanes: &[Vec<usize>])
 #[derive(Debug, Default)]
 struct QueryScratch {
     folded: Vec<u64>,
-    col_in: Vec<u64>,
-    col_out: Vec<u64>,
     rows: Vec<u64>,
 }
 
@@ -431,38 +403,10 @@ impl StaticClosedForm {
         StaticClosedForm { dims, period, l, prefix_w, prefix_r }
     }
 
-    /// Evaluates one plane (writes or reads) at iteration count `n` into a
-    /// per-cell value via the prefix-panel identity.
-    fn eval_plane(&self, prefix: &[Vec<u64>], n: u64, mut emit: impl FnMut(usize, u64)) {
-        match self.period {
-            None => {
-                for (i, &q) in prefix[1].iter().enumerate() {
-                    let v = n * q;
-                    if v > 0 {
-                        emit(i, v);
-                    }
-                }
-            }
-            Some(p) => {
-                let (full, rem) = (n / p, n % p);
-                let (q, r) = (full / self.l, (full % self.l) as usize);
-                let whole = &prefix[self.l as usize];
-                let head = &prefix[r];
-                let next = &prefix[r + 1];
-                for i in 0..whole.len() {
-                    let v = p * (q * whole[i] + head[i]) + rem * (next[i] - head[i]);
-                    if v > 0 {
-                        emit(i, v);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocked variant of [`StaticClosedForm::eval_plane`]: writes the
-    /// whole plane into `out` in L1-sized chunks of exact-size slices —
-    /// no per-cell emit dispatch, no bounds checks in the inner loop, and
-    /// the same arithmetic bit for bit.
+    /// Evaluates one plane (writes or reads) at iteration count `n` via the
+    /// prefix-panel identity, writing the whole plane into `out` in
+    /// L1-sized chunks of exact-size slices (no bounds checks in the inner
+    /// loop).
     fn eval_plane_into(&self, prefix: &[Vec<u64>], n: u64, out: &mut [u64]) {
         match self.period {
             None => {
@@ -498,52 +442,44 @@ impl StaticClosedForm {
         entries * std::mem::size_of::<u64>()
     }
 
-    fn query(&self, n: u64, blocked: bool) -> WearMap {
-        if blocked {
-            let eval = |prefix: &[Vec<u64>]| {
-                let mut plane = vec![0; self.dims.cells()];
-                self.eval_plane_into(prefix, n, &mut plane);
-                plane
-            };
-            let reads = self.prefix_r.as_deref().map_or_else(Vec::new, eval);
-            return WearMap::from_planes(self.dims, eval(&self.prefix_w), reads);
-        }
-        let mut wear = WearMap::new(self.dims);
-        let lanes = self.dims.lanes();
-        self.eval_plane(&self.prefix_w, n, |i, v| wear.add_write_at(i / lanes, i % lanes, v));
-        if let Some(prefix_r) = &self.prefix_r {
-            self.eval_plane(prefix_r, n, |i, v| wear.add_read_at(i / lanes, i % lanes, v));
-        }
-        wear
+    fn query(&self, n: u64) -> WearMap {
+        let eval = |prefix: &[Vec<u64>]| {
+            let mut plane = vec![0; self.dims.cells()];
+            self.eval_plane_into(prefix, n, &mut plane);
+            plane
+        };
+        let reads = self.prefix_r.as_deref().map_or_else(Vec::new, eval);
+        WearMap::from_planes(self.dims, eval(&self.prefix_w), reads)
     }
 }
 
 /// Closed form for `Hw` configs with periodic software tables.
 ///
-/// Epoch `j`'s kernel depends only on `j mod L_row` and its lane
-/// permutation on `j mod L_col`; the arrangement entering epoch `j` is
-/// `D_j = E₀ᵖ ∘ … ∘ E_{j−1}ᵖ` (with `A₀` the identity, slot space *is*
-/// physical-row space). Over a super-cycle of `L = lcm` epochs the
-/// arrangement advances by the fixed permutation `F = D_L`, so `k` full
-/// super-cycles fold the super-cycle deposit panel over `F`'s cycles, `r`
-/// remainder epochs add a stored prefix panel shifted by `Fᵏ`, and a
-/// partial epoch folds its kernel over `E` and deposits at `Fᵏ[D_r[s]]`.
+/// One kernel serves every epoch: epoch `j` runs it relabeled through its
+/// extended row table `T_j'` (row phase `j mod L_row`, see
+/// [`crate::kernel`]) under the lane permutation of phase `j mod L_col`.
+/// With `D_j` the arrangement entering epoch `j` (`D_0` the identity, so
+/// slot space *is* physical-row space), epoch `j` deposits kernel slot `s`
+/// at `D_j[T_j'(s)]` and leaves `D_{j+1} = D_j ∘ T_j'·Eᵖ·T_j'⁻¹`. Over a
+/// super-cycle of `L = lcm` epochs the arrangement advances by the fixed
+/// permutation `F = D_L`, so `k` full super-cycles fold the super-cycle
+/// deposit panel over `F`'s cycles, `r` remainder epochs add a stored
+/// prefix panel shifted by `Fᵏ`, and a partial epoch folds the kernel over
+/// `E` and deposits at `Fᵏ[D_r[T_r'(s)]]`.
 #[derive(Debug)]
 struct HwClosedForm {
     dims: ArrayDims,
     period: Option<u64>,
     l: u64,
-    lr: u64,
     lc: u64,
-    /// One compiled kernel per software row-table phase (shared through
-    /// the artifact store — sibling configs with the same row strategy
-    /// reuse the identical kernels).
-    kernels: Vec<Arc<WearKernel>>,
+    /// The trace's one compiled kernel (a store entry of its own, shared
+    /// with every `+Hw` config of the trace).
+    kernel: Arc<WearKernel>,
     /// `[lane phase][class]` → physical lanes.
     phys_lanes: Vec<Vec<Vec<usize>>>,
-    /// Arrangement entering epoch `j` of a super-cycle, `j = 0..=L`
-    /// (`d[L]` is `F`).
-    d: Vec<Vec<usize>>,
+    /// Where epoch `j` of a super-cycle deposits kernel slot `s`:
+    /// `starts[j][s] = D_j[T_j'(s)]`, `j = 0..L`.
+    starts: Vec<Vec<usize>>,
     /// Cycle folder over `F`.
     f: PermFolder,
     /// Cumulative deposits of epochs `0..j` of one super-cycle (flat
@@ -553,50 +489,28 @@ struct HwClosedForm {
 }
 
 impl HwClosedForm {
-    /// The row tables whose kernels the build needs, one per phase (the
-    /// identity table under a `never()` schedule).
-    fn phase_tables(
-        balance: BalanceConfig,
-        schedule: RemapSchedule,
-        sw_rows: usize,
-    ) -> Vec<Vec<usize>> {
-        match schedule.period() {
-            None => vec![(0..sw_rows).collect()],
-            Some(_) => {
-                let lr =
-                    balance.row.epoch_period(sw_rows).expect("closed form requires periodic rows");
-                (0..lr)
-                    .map(|phase| balance.row.table_at_epoch(sw_rows, phase).expect("periodic rows"))
-                    .collect()
-            }
-        }
-    }
-
     fn build(
         trace: &Trace,
         balance: BalanceConfig,
         cfg: SimConfig,
-        kernels: Vec<Arc<WearKernel>>,
+        kernel: Arc<WearKernel>,
     ) -> Self {
         let dims = trace.dims();
         let (slots, lanes, cells) = (dims.rows(), dims.lanes(), dims.cells());
         let sw_rows = slots - 1;
-        let track = cfg.track_reads;
-        let identity_lanes =
-            || trace.classes().iter().map(|c| c.iter().collect()).collect::<Vec<Vec<usize>>>();
+        let identity: Vec<usize> = (0..slots).collect();
         let Some(p) = cfg.schedule.period() else {
-            // Single endless epoch: one kernel over the identity table,
-            // queries fold it over its own end permutation.
+            // Single endless epoch under the identity table: queries fold
+            // the kernel over its own end permutation.
             return HwClosedForm {
                 dims,
                 period: None,
                 l: 1,
-                lr: 1,
                 lc: 1,
-                kernels,
-                phys_lanes: vec![identity_lanes()],
-                d: Vec::new(),
-                f: PermFolder::new((0..slots).collect()),
+                kernel,
+                phys_lanes: vec![trace.classes().iter().map(|c| c.iter().collect()).collect()],
+                starts: vec![identity.clone()],
+                f: PermFolder::new(identity),
                 scp_w: Vec::new(),
                 scp_r: None,
             };
@@ -604,73 +518,94 @@ impl HwClosedForm {
         let lr = balance.row.epoch_period(sw_rows).expect("closed form requires periodic rows");
         let lc = balance.col.epoch_period(lanes).expect("closed form requires periodic lanes");
         let l = lcm(lr, lc);
-        debug_assert_eq!(kernels.len(), lr as usize, "one kernel per row phase");
-        // E_phase^p: how one whole epoch at this row phase advances the
-        // arrangement.
-        let epoch_perms: Vec<Vec<usize>> = kernels.iter().map(|k| k.folder().power(p)).collect();
+        // T_j' per row phase: the software table with the spare slot fixed.
+        let tables: Vec<Vec<usize>> = (0..lr)
+            .map(|phase| {
+                let mut table = balance.row.table_at_epoch(sw_rows, phase).expect("periodic rows");
+                table.push(sw_rows);
+                table
+            })
+            .collect();
         let phys_lanes: Vec<Vec<Vec<usize>>> = (0..lc)
             .map(|phase| {
                 let perm = balance.col.table_at_epoch(lanes, phase).expect("periodic lanes");
                 trace.classes().iter().map(|c| c.iter().map(|l| perm[l]).collect()).collect()
             })
             .collect();
+        // Every whole epoch folds the same kernel over the same span, so
+        // each class's per-slot epoch totals are computed once.
+        let fold = |panel: &[u64]| {
+            let mut folded = vec![0; slots];
+            kernel.fold_epoch_into(p, panel, &mut folded);
+            folded
+        };
+        let classes = 0..kernel.classes();
+        let folded_w: Vec<Vec<u64>> =
+            classes.clone().map(|c| fold(kernel.slot_writes(c))).collect();
+        let folded_r: Option<Vec<Vec<u64>>> =
+            classes.map(|c| kernel.slot_reads(c).map(fold)).collect();
+        let epoch_perm = kernel.folder().power(p);
 
-        let mut d: Vec<Vec<usize>> = vec![(0..slots).collect()];
+        let mut d = identity;
+        let mut starts = Vec::with_capacity(l as usize);
         let mut acc_w = vec![0u64; cells];
-        let mut acc_r = track.then(|| vec![0u64; cells]);
+        let mut acc_r = cfg.track_reads.then(|| vec![0u64; cells]);
         let mut scp_w = vec![acc_w.clone()];
         let mut scp_r = acc_r.clone().map(|z| vec![z]);
-        let mut folded = vec![0u64; slots];
         for j in 0..l {
-            let kernel = &kernels[(j % lr) as usize];
-            let dj = &d[j as usize];
-            let lanes_of = &phys_lanes[(j % lc) as usize];
-            for (class, class_lanes) in lanes_of.iter().enumerate() {
-                kernel.fold_epoch_into(p, kernel.slot_writes(class), &mut folded);
-                scatter_rows(&mut acc_w, lanes, &folded, |s| dj[s], class_lanes);
-                if let (Some(acc_r), Some(reads)) = (&mut acc_r, kernel.slot_reads(class)) {
-                    kernel.fold_epoch_into(p, reads, &mut folded);
-                    scatter_rows(acc_r, lanes, &folded, |s| dj[s], class_lanes);
+            let table = &tables[(j % lr) as usize];
+            let start: Vec<usize> = table.iter().map(|&t| d[t]).collect();
+            for (class, class_lanes) in phys_lanes[(j % lc) as usize].iter().enumerate() {
+                scatter_rows(&mut acc_w, lanes, &folded_w[class], |s| start[s], class_lanes);
+                if let (Some(acc_r), Some(folded_r)) = (&mut acc_r, &folded_r) {
+                    scatter_rows(acc_r, lanes, &folded_r[class], |s| start[s], class_lanes);
                 }
             }
-            let ep = &epoch_perms[(j % lr) as usize];
-            let next: Vec<usize> = (0..slots).map(|s| dj[ep[s]]).collect();
-            d.push(next);
+            // D_{j+1}[T_j'(s)] = D_j[T_j'(Eᵖ[s])].
+            for (s, &t) in table.iter().enumerate() {
+                d[t] = start[epoch_perm[s]];
+            }
+            starts.push(start);
             scp_w.push(acc_w.clone());
             if let (Some(scp_r), Some(acc_r)) = (&mut scp_r, &acc_r) {
                 scp_r.push(acc_r.clone());
             }
         }
-        let f = PermFolder::new(d[l as usize].clone());
-        HwClosedForm { dims, period: Some(p), l, lr, lc, kernels, phys_lanes, d, f, scp_w, scp_r }
+        let f = PermFolder::new(d);
+        HwClosedForm { dims, period: Some(p), l, lc, kernel, phys_lanes, starts, f, scp_w, scp_r }
     }
 
     fn approx_bytes(&self) -> usize {
         let panels = self.scp_w.iter().map(Vec::len).sum::<usize>()
             + self.scp_r.as_ref().map_or(0, |p| p.iter().map(Vec::len).sum::<usize>());
-        let d = self.d.iter().map(Vec::len).sum::<usize>();
+        let starts = self.starts.iter().map(Vec::len).sum::<usize>();
         let lanes = self
             .phys_lanes
             .iter()
             .flat_map(|per_phase| per_phase.iter())
             .map(Vec::len)
             .sum::<usize>();
-        // Kernels are shared store entries in their own right; count only
-        // the Arc handles here so they are not billed twice.
-        (panels + d + lanes) * std::mem::size_of::<u64>()
+        // The kernel is a shared store entry in its own right; count only
+        // the Arc handle here so it is not billed twice.
+        (panels + starts + lanes) * std::mem::size_of::<u64>()
             + self.dims.rows() * 2 * std::mem::size_of::<usize>()
     }
 
     /// The answer within the first epoch, or in the one endless epoch of a
-    /// `never()` schedule: kernel 0 folded over `n` iterations from the
-    /// identity arrangement, under lane phase 0, written into fresh planes
-    /// one row at a time.
+    /// `never()` schedule: the kernel folded over `n` iterations and
+    /// deposited at `starts[0]`, under lane phase 0, written into fresh
+    /// planes one row at a time.
     fn first_epoch(&self, n: u64) -> WearMap {
-        let kernel = &self.kernels[0];
+        let kernel = &self.kernel;
+        let start = &self.starts[0];
         let fold = |panel: &[u64]| {
             let mut folded = vec![0; self.dims.rows()];
             kernel.fold_epoch_into(n, panel, &mut folded);
-            folded
+            let mut by_row = vec![0; self.dims.rows()];
+            for (&row, &total) in start.iter().zip(&folded) {
+                by_row[row] = total;
+            }
+            by_row
         };
         let classes = 0..kernel.classes();
         let writes: Vec<Vec<u64>> = classes.clone().map(|c| fold(kernel.slot_writes(c))).collect();
@@ -685,7 +620,7 @@ impl HwClosedForm {
         )
     }
 
-    fn query(&self, n: u64, blocked: bool, s: &mut QueryScratch) -> WearMap {
+    fn query(&self, n: u64, s: &mut QueryScratch) -> WearMap {
         let Some(p) = self.period.filter(|&p| n >= p) else {
             return self.first_epoch(n);
         };
@@ -697,36 +632,20 @@ impl HwClosedForm {
         let (k, r) = (full / self.l, (full % self.l) as usize);
         let fk = self.f.power(k);
 
-        // (1) k full super-cycles: the super-cycle panel folded over F,
-        // then (2) r whole remainder epochs: their stored prefix panel,
-        // shifted through F^k one contiguous lane row at a time. The fold
-        // overwrites every cell, so each fresh plane is first touched by a
-        // write; with k = 0 (then r > 0, as n ≥ p), F^k is the identity and
-        // the plane starts as a copy of the prefix panel. Blocked mode
-        // folds whole lane *rows* at a time (contiguous row-major vector
-        // adds via the cycle algebra); the legacy mode gathers one strided
-        // lane column per pass.
+        // (1) k full super-cycles: the super-cycle panel folded over F
+        // whole lane rows at a time (contiguous row-major vector adds via
+        // the cycle algebra), then (2) r whole remainder epochs: their
+        // stored prefix panel, shifted through F^k one contiguous lane row
+        // at a time. The fold overwrites every cell, so each fresh plane
+        // is first touched by a write; with k = 0 (then r > 0, as n ≥ p),
+        // F^k is the identity and the plane starts as a copy of the prefix
+        // panel.
         let mut superfold = |scp: &[Vec<u64>]| -> Vec<u64> {
             if k == 0 {
                 return scp[r].clone();
             }
             let mut acc = vec![0; cells];
-            let panel = &scp[self.l as usize];
-            if blocked {
-                self.f.fold_rows_into(k, panel, lanes, &mut acc, &mut s.rows);
-            } else {
-                s.col_in.resize(slots, 0);
-                s.col_out.resize(slots, 0);
-                for lane in 0..lanes {
-                    for slot in 0..slots {
-                        s.col_in[slot] = panel[slot * lanes + lane];
-                    }
-                    self.f.fold_into(k, &s.col_in, &mut s.col_out);
-                    for slot in 0..slots {
-                        acc[slot * lanes + lane] = s.col_out[slot];
-                    }
-                }
-            }
+            self.f.fold_rows_into(k, &scp[self.l as usize], lanes, &mut acc, &mut s.rows);
             if r > 0 {
                 for (slot, &fs) in fk.iter().enumerate() {
                     let src = &scp[r][slot * lanes..(slot + 1) * lanes];
@@ -741,39 +660,26 @@ impl HwClosedForm {
         let mut acc_w = superfold(&self.scp_w);
         let mut acc_r = self.scp_r.as_deref().map_or_else(Vec::new, &mut superfold);
 
-        // (3) partial final epoch: fold its kernel over E for `rem`
-        // iterations and deposit at F^k[D_r[s]].
+        // (3) partial final epoch: fold the kernel over E for `rem`
+        // iterations and deposit at F^k[D_r[T_r'(s)]]. Epoch `full` has row
+        // phase `r mod L_row` (L_row divides L) and lane phase `full mod L_col`.
         if rem > 0 {
             s.folded.resize(slots, 0);
             let folded = &mut s.folded;
-            let kernel = &self.kernels[(full % self.lr) as usize];
-            let dr = &self.d[r];
+            let kernel = &self.kernel;
+            let start = &self.starts[r];
             let lanes_of = &self.phys_lanes[(full % self.lc) as usize];
             for (class, class_lanes) in lanes_of.iter().enumerate() {
                 kernel.fold_epoch_into(rem, kernel.slot_writes(class), folded);
-                scatter_rows(&mut acc_w, lanes, folded, |slot| fk[dr[slot]], class_lanes);
+                scatter_rows(&mut acc_w, lanes, folded, |slot| fk[start[slot]], class_lanes);
                 if let (true, Some(reads)) = (track, kernel.slot_reads(class)) {
                     kernel.fold_epoch_into(rem, reads, folded);
-                    scatter_rows(&mut acc_r, lanes, folded, |slot| fk[dr[slot]], class_lanes);
+                    scatter_rows(&mut acc_r, lanes, folded, |slot| fk[start[slot]], class_lanes);
                 }
             }
         }
 
-        if blocked {
-            return WearMap::from_planes(self.dims, acc_w, acc_r);
-        }
-        let mut wear = WearMap::new(self.dims);
-        for (i, &v) in acc_w.iter().enumerate() {
-            if v > 0 {
-                wear.add_write_at(i / lanes, i % lanes, v);
-            }
-        }
-        for (i, &v) in acc_r.iter().enumerate() {
-            if v > 0 {
-                wear.add_read_at(i / lanes, i % lanes, v);
-            }
-        }
-        wear
+        WearMap::from_planes(self.dims, acc_w, acc_r)
     }
 }
 
@@ -854,46 +760,20 @@ impl LazySw {
     }
 }
 
-/// Lazy enumerator for `Hw` configs with periodic rows and `Ra` lanes:
-/// kernels are memoized per row-table phase (at most `L_row` trace walks
-/// ever), each epoch folds its kernel and advances the arrangement exactly
-/// like the simulator's compiled path.
+/// Lazy enumerator for `Hw` configs whose tables are not closed form (`Ra`
+/// on either axis, or a super-cycle too long for prefix panels): each epoch
+/// relabels the trace's one kernel through its row table, folds it and
+/// advances the arrangement exactly like the simulator's compiled path.
 #[derive(Debug)]
 struct LazyHw {
-    lr: u64,
-    kernels: Vec<Option<Arc<WearKernel>>>,
-    fp: Fingerprint,
+    kernel: Arc<WearKernel>,
     run: LazyRun,
 }
 
 impl LazyHw {
-    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, fp: Fingerprint) -> Self {
-        let lr = balance
-            .row
-            .epoch_period(trace.dims().rows() - 1)
-            .expect("lazy Hw path requires periodic rows");
-        LazyHw {
-            lr,
-            kernels: (0..lr).map(|_| None).collect(),
-            fp,
-            run: LazyRun::new(trace, balance, cfg),
-        }
-    }
-
-    fn query(
-        &mut self,
-        trace: &Trace,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        n: u64,
-        ctx: &mut StoreCtx<'_>,
-    ) -> WearMap {
-        let p = cfg.schedule.period().expect("lazy Hw path requires a finite schedule");
-        let (kernels, lr, fp) = (&mut self.kernels, self.lr, self.fp);
+    fn query(&mut self, trace: &Trace, balance: BalanceConfig, cfg: SimConfig, n: u64) -> WearMap {
+        let kernel = &self.kernel;
         self.run.query(trace, balance, cfg, n, |run, span| {
-            let phase = ((run.done / p) % lr) as usize;
-            let kernel = kernels[phase]
-                .get_or_insert_with(|| fetch_kernel(trace, run.map.sw_row_table(), cfg, fp, ctx));
             run.rows.apply_kernel_epoch(kernel, &mut run.map, span, &mut run.wear);
         })
     }
@@ -905,7 +785,6 @@ enum Backend {
     HwClosed(Arc<HwClosedForm>),
     LazySw(Box<LazySw>),
     LazyHw(Box<LazyHw>),
-    Fallback,
 }
 
 /// Fetches (or builds) the software-only closed form through the store.
@@ -925,10 +804,9 @@ fn build_static(
     })
 }
 
-/// Fetches (or builds) the +Hw closed form. Its per-phase kernels are
-/// fetched first as their own store entries, so a sibling config that
-/// shares the row strategy (or the lazy path of the same config) reuses
-/// them even if the whole closed form misses.
+/// Fetches (or builds) the +Hw closed form. The trace's kernel is fetched
+/// first as its own store entry, so every other `+Hw` config of the trace
+/// reuses it even if the whole closed form misses.
 fn build_hw_closed(
     trace: &Trace,
     balance: BalanceConfig,
@@ -936,25 +814,21 @@ fn build_hw_closed(
     fp: Fingerprint,
     ctx: &mut StoreCtx<'_>,
 ) -> Arc<HwClosedForm> {
-    let sw_rows = trace.dims().rows() - 1;
-    let kernels: Vec<Arc<WearKernel>> = HwClosedForm::phase_tables(balance, cfg.schedule, sw_rows)
-        .iter()
-        .map(|table| fetch_kernel(trace, table, cfg, fp, ctx))
-        .collect();
+    let kernel = kernel::fetch(trace, cfg.arch, cfg.track_reads, fp, ctx);
     let key = artifacts::closed_form_key(2, fp, balance, cfg.schedule, cfg.arch, cfg.track_reads);
     ctx.get_or_build(ArtifactKind::ClosedForm, key, || {
-        let form = HwClosedForm::build(trace, balance, cfg, kernels);
+        let form = HwClosedForm::build(trace, balance, cfg, kernel);
         let bytes = form.approx_bytes();
         (form, bytes)
     })
 }
 
 /// Replay-free per-cell wear as a function of the iteration count, for one
-/// (workload, configuration) pair — bit-identical to running
-/// [`EnduranceSimulator`] for the same number of iterations.
+/// (workload, configuration) pair — bit-identical to running the simulator
+/// ([`crate::sim`]) for the same number of iterations.
 ///
-/// Construction pays the one-time symbolic cost (trace walks bounded by
-/// the number of distinct software row tables); every
+/// Construction pays the one-time symbolic cost (at most one trace walk
+/// for the logical panels or the `+Hw` kernel); every
 /// [`AnalyticWearEngine::wear_at`] afterwards is O(cells) on the
 /// closed-form path. See the [module docs](self) for the path criteria.
 #[derive(Debug)]
@@ -964,7 +838,6 @@ pub struct AnalyticWearEngine<'w> {
     cfg: SimConfig,
     counts: TraceCounts,
     backend: Backend,
-    store: Option<&'w ArtifactStore>,
     usage: ArtifactUse,
     scratch: QueryScratch,
 }
@@ -988,8 +861,7 @@ impl<'w> AnalyticWearEngine<'w> {
     /// [`AnalyticWearEngine::new`] against an explicit store (the identity
     /// suite and `nvpim-check` use private stores to exercise hit, miss,
     /// and eviction regimes in isolation). The explicit store wins over
-    /// `cfg.artifact_store` for analytic intermediates; a fallback-path
-    /// delegation to the simulator still follows the config flag.
+    /// `cfg.artifact_store`.
     #[must_use]
     pub fn new_with_store(
         workload: &'w Workload,
@@ -1018,13 +890,9 @@ impl<'w> AnalyticWearEngine<'w> {
         let counts = trace.counts(cfg.arch);
         let choice = classify_inner(balance, cfg.schedule, dims, cfg.track_reads);
         // The trace walk for the fingerprint is only worth paying when a
-        // store can reuse it; detached engines and the fallback path (which
-        // delegates to the simulator and never issues panel lookups) skip
-        // it — keys derived from the placeholder go unused.
-        let fp = match (store, choice) {
-            (Some(_), PathChoice::Fallback) | (None, _) => Fingerprint::zero(),
-            (Some(_), _) => artifacts::trace_fingerprint(trace),
-        };
+        // store can reuse it; detached engines skip it — keys derived from
+        // the placeholder go unused.
+        let fp = store.map_or_else(Fingerprint::zero, |_| artifacts::trace_fingerprint(trace));
         let mut ctx = StoreCtx::new(store);
         let backend = match choice {
             PathChoice::Static => Backend::Static(build_static(trace, balance, cfg, fp, &mut ctx)),
@@ -1035,8 +903,10 @@ impl<'w> AnalyticWearEngine<'w> {
                 panels: fetch_panels(trace, cfg, fp, &mut ctx),
                 run: LazyRun::new(trace, balance, cfg),
             })),
-            PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw::new(trace, balance, cfg, fp))),
-            PathChoice::Fallback => Backend::Fallback,
+            PathChoice::LazyHw => Backend::LazyHw(Box::new(LazyHw {
+                kernel: kernel::fetch(trace, cfg.arch, cfg.track_reads, fp, &mut ctx),
+                run: LazyRun::new(trace, balance, cfg),
+            })),
         };
         let usage = ctx.tally();
         AnalyticWearEngine {
@@ -1045,15 +915,14 @@ impl<'w> AnalyticWearEngine<'w> {
             cfg,
             counts,
             backend,
-            store,
             usage,
             scratch: QueryScratch::default(),
         }
     }
 
-    /// How many artifact-store lookups this engine has answered from cache
-    /// versus built, across construction and every query so far. All zeros
-    /// when the store is disabled.
+    /// How many artifact-store lookups this engine's construction answered
+    /// from cache versus built (queries issue none). All zeros when the
+    /// store is disabled.
     #[must_use]
     pub fn artifact_use(&self) -> ArtifactUse {
         self.usage
@@ -1065,7 +934,6 @@ impl<'w> AnalyticWearEngine<'w> {
         match self.backend {
             Backend::Static(_) | Backend::HwClosed(_) => AnalyticPath::ClosedForm,
             Backend::LazySw(_) | Backend::LazyHw(_) => AnalyticPath::Lazy,
-            Backend::Fallback => AnalyticPath::Fallback,
         }
     }
 
@@ -1102,8 +970,7 @@ impl<'w> AnalyticWearEngine<'w> {
     }
 
     /// A full [`SimResult`] at `iterations` — bit-identical wear to a
-    /// simulator run, with an empty epoch series on the analytic paths
-    /// (the fallback path honors [`SimConfig::epoch_series`]).
+    /// simulator run, with an empty epoch series.
     #[must_use]
     pub fn result_at(&mut self, iterations: u64) -> SimResult {
         match nvpim_obs::observer::current() {
@@ -1113,60 +980,36 @@ impl<'w> AnalyticWearEngine<'w> {
     }
 
     /// [`AnalyticWearEngine::result_at`] with an explicit event sink. Each
-    /// call bumps the `sim.analytic_queries` counter; non-fallback paths
-    /// also book the iteration and cell-traffic counters the simulator
-    /// would have, so dashboards stay comparable.
+    /// call bumps the `sim.analytic_queries` counter and books the
+    /// iteration and cell-traffic counters the simulator would have, so
+    /// dashboards stay comparable.
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
-        let result = match &mut self.backend {
-            Backend::Fallback => {
-                let sim = EnduranceSimulator::new(self.cfg.with_iterations(iterations));
-                sim.run_with_counts(self.workload, self.balance, sink, self.counts)
-            }
-            backend => {
-                let trace = self.workload.trace();
-                let blocked = self.cfg.blocked_folds;
-                let wear = match backend {
-                    Backend::Static(b) => b.query(iterations, blocked),
-                    Backend::HwClosed(b) => b.query(iterations, blocked, &mut self.scratch),
-                    Backend::LazySw(b) => b.query(trace, self.balance, self.cfg, iterations),
-                    Backend::LazyHw(b) => {
-                        let mut ctx = StoreCtx::new(self.store);
-                        let wear = b.query(trace, self.balance, self.cfg, iterations, &mut ctx);
-                        self.usage.absorb(ctx.tally());
-                        wear
-                    }
-                    Backend::Fallback => unreachable!("handled above"),
-                };
-                // Same conservation cross-check as the simulator: the
-                // closed-form algebra and the trace's static counts tally
-                // the same traffic independently.
-                assert_eq!(
-                    wear.total_writes(),
-                    iterations * self.counts.cell_writes,
-                    "analytic wear disagrees with trace write counts under {}",
-                    self.balance
-                );
-                if self.cfg.track_reads {
-                    assert_eq!(
-                        wear.total_reads(),
-                        iterations * self.counts.cell_reads,
-                        "analytic wear disagrees with trace read counts under {}",
-                        self.balance
-                    );
-                }
-                SimResult {
-                    wear,
-                    config: self.balance,
-                    iterations,
-                    steps_per_iteration: self.counts.sequential_steps,
-                    arch: self.cfg.arch,
-                    series: Vec::new(),
-                }
-            }
+        let trace = self.workload.trace();
+        let wear = match &mut self.backend {
+            Backend::Static(b) => b.query(iterations),
+            Backend::HwClosed(b) => b.query(iterations, &mut self.scratch),
+            Backend::LazySw(b) => b.query(trace, self.balance, self.cfg, iterations),
+            Backend::LazyHw(b) => b.query(trace, self.balance, self.cfg, iterations),
         };
-        // Partial-class lane renders of a lazy query (the fallback's
-        // simulator books its own).
+        // Same conservation cross-check as the simulator: the closed-form
+        // algebra and the trace's static counts tally the same traffic
+        // independently.
+        assert_eq!(
+            wear.total_writes(),
+            iterations * self.counts.cell_writes,
+            "analytic wear disagrees with trace write counts under {}",
+            self.balance
+        );
+        if self.cfg.track_reads {
+            assert_eq!(
+                wear.total_reads(),
+                iterations * self.counts.cell_reads,
+                "analytic wear disagrees with trace read counts under {}",
+                self.balance
+            );
+        }
+        // Partial-class lane renders of a lazy query.
         let lane_renders = match &mut self.backend {
             Backend::LazySw(b) => Some(b.run.rows.take_lane_renders()),
             Backend::LazyHw(b) => Some(b.run.rows.take_lane_renders()),
@@ -1174,23 +1017,25 @@ impl<'w> AnalyticWearEngine<'w> {
         };
         if sink.enabled() {
             sink.record(&Event::CounterAdd { name: "sim.analytic_queries", delta: 1 });
-            if !matches!(self.backend, Backend::Fallback) {
-                sink.record(&Event::CounterAdd { name: "sim.iterations", delta: iterations });
-                sink.record(&Event::CounterAdd {
-                    name: "array.cell_writes",
-                    delta: result.wear.total_writes(),
-                });
-                sink.record(&Event::CounterAdd {
-                    name: "array.cell_reads",
-                    delta: result.wear.total_reads(),
-                });
-            }
+            sink.record(&Event::CounterAdd { name: "sim.iterations", delta: iterations });
+            sink.record(&Event::CounterAdd {
+                name: "array.cell_writes",
+                delta: wear.total_writes(),
+            });
+            sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: wear.total_reads() });
             if let Some(delta) = lane_renders {
                 sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta });
             }
             sink.flush();
         }
-        result
+        SimResult {
+            wear,
+            config: self.balance,
+            iterations,
+            steps_per_iteration: self.counts.sequential_steps,
+            arch: self.cfg.arch,
+            series: Vec::new(),
+        }
     }
 
     /// Writes on the hottest cell after `iterations` iterations — the
@@ -1203,9 +1048,9 @@ impl<'w> AnalyticWearEngine<'w> {
 }
 
 /// Runs `configs` analytically across `jobs` worker threads (`0` = auto),
-/// answering each at `cfg.iterations` — the analytic counterpart of
-/// [`EnduranceSimulator::run_configs_parallel`], bit-identical to it and
-/// to the serial simulator.
+/// answering each at `cfg.iterations` — the analytic counterpart of the
+/// simulator's `run_configs_parallel`, bit-identical to it and to the
+/// serial simulator.
 ///
 /// Every worker shares the same immutable artifact store (passed by
 /// reference into the pool; values come back as `Arc` clones), so sibling
@@ -1235,4 +1080,31 @@ pub fn run_configs_analytic(
             result
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classify_never_falls_back() {
+        let schedules =
+            [RemapSchedule::never(), RemapSchedule::every(1), RemapSchedule::every(100)];
+        for balance in BalanceConfig::all() {
+            for schedule in schedules {
+                for dims in [ArrayDims::new(128, 8), ArrayDims::new(1024, 1024)] {
+                    for track_reads in [false, true] {
+                        let path = classify(balance, schedule, dims, track_reads);
+                        assert_ne!(
+                            path,
+                            AnalyticPath::Fallback,
+                            "{balance} {schedule} {}x{} reads={track_reads}",
+                            dims.rows(),
+                            dims.lanes()
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -16,10 +16,9 @@
 //!
 //! * logical panels — the trace fingerprint (dims, classes, every step), the
 //!   architecture style, and whether reads are tracked;
-//! * compiled kernels — the trace fingerprint plus the *contents* of the
-//!   software row table the kernel was specialized against (so a Ra table
-//!   drawn from one seed never collides with another) and the arch/reads
-//!   flags;
+//! * compiled kernels — the trace fingerprint plus the arch/reads flags
+//!   (one kernel per trace serves every software row table, relabeled per
+//!   epoch — see [`crate::kernel`]);
 //! * closed-form backends — the trace fingerprint plus the balancing
 //!   strategies, remap-schedule period, and arch/reads flags. The seed is
 //!   deliberately excluded: closed forms are only ever built for periodic
@@ -51,6 +50,12 @@ const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Default store budget: 64 MiB of resident artifact bytes.
+///
+/// Measured on a traced `paper-matrix` benchmark round (the Fig. 17
+/// matrix at 1024×1024, three workloads × 18 configurations, 2-vCPU Intel
+/// Xeon): the round ends with 50.9 MB resident after 5 evictions (medians
+/// over the run's traced rounds; panels, one kernel per workload, and the
+/// closed forms).
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
 /// A 128-bit content fingerprint (FNV-1a-style, word-folded) over the
@@ -75,8 +80,7 @@ impl Fingerprint {
 /// Incremental 128-bit FNV-1a-style hasher over the encodings below.
 ///
 /// Words fold in one multiply each (not byte-at-a-time FNV): keys are
-/// word-heavy — row tables, trace steps — and `kernel_key` runs once per
-/// software epoch on the replay hot path, so the 8× fewer multiplies
+/// word-heavy — trace steps above all — so the 8× fewer multiplies
 /// matter. Fingerprints are process-internal content addresses; only
 /// determinism and spread are required, not FNV test-vector compliance.
 #[derive(Debug, Clone)]
@@ -120,8 +124,7 @@ pub enum ArtifactKind {
     /// Per-(class, logical row) write/read panels from one symbolic trace
     /// walk (`analytic::logical_panels`).
     Panels,
-    /// A compiled +Hw wear kernel specialized against one software row
-    /// table (`kernel::compile`).
+    /// The compiled +Hw wear kernel of one trace (`kernel::compile`).
     Kernel,
     /// A fully built closed-form backend (static prefix tables or the +Hw
     /// cycle-algebra form).
@@ -149,21 +152,6 @@ impl ArtifactKind {
             ArtifactKind::Kernel => 1,
             ArtifactKind::ClosedForm => 2,
         }
-    }
-
-    /// Whether entries of this kind must prove reuse before being stored.
-    ///
-    /// Kernel keys include the software row table's fingerprint, and
-    /// randomized mappers (`Ra` rows) under short remap periods emit an
-    /// unbounded stream of single-use tables — e.g. the serve cold path
-    /// compiles hundreds of never-again-seen kernels per request. Caching
-    /// those buys nothing and costs allocator pressure plus LRU churn, so
-    /// kernels pass a second-touch admission filter: the first miss of a
-    /// key only records its fingerprint, and the artifact is stored when
-    /// the same key misses again. Panels and closed forms are keyed per
-    /// (workload, arch) — a handful per process — and skip probation.
-    fn needs_admission(self) -> bool {
-        matches!(self, ArtifactKind::Kernel)
     }
 }
 
@@ -241,14 +229,6 @@ pub struct ArtifactUse {
     pub misses: u64,
 }
 
-impl ArtifactUse {
-    /// Accumulates another tally into this one.
-    pub fn absorb(&mut self, other: ArtifactUse) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
-
 struct StoreEntry {
     value: Arc<dyn Any + Send + Sync>,
     kind: ArtifactKind,
@@ -256,19 +236,11 @@ struct StoreEntry {
     stamp: u64,
 }
 
-/// Slots in the direct-mapped second-touch admission filter. A collision
-/// merely delays admission by one extra build; 4096 × 16 bytes keeps the
-/// filter itself far below any sensible byte budget.
-const ADMIT_SLOTS: usize = 4096;
-
 #[derive(Default)]
 struct Inner {
     map: HashMap<(ArtifactKind, Fingerprint), StoreEntry>,
     bytes: usize,
     clock: u64,
-    /// Direct-mapped table of recently first-seen keys for kinds that
-    /// require admission (allocated on first use).
-    admit: Vec<Fingerprint>,
 }
 
 #[derive(Default)]
@@ -334,26 +306,8 @@ impl ArtifactStore {
         self.counters[kind.index()].misses.fetch_add(1, Ordering::Relaxed);
         let (value, bytes) = build();
         let value = Arc::new(value);
-        if !kind.needs_admission() || self.admit(key) {
-            self.insert(kind, key, value.clone(), bytes);
-        }
+        self.insert(kind, key, value.clone(), bytes);
         (value, false)
-    }
-
-    /// Second-touch admission: `true` once `key` has missed before (its
-    /// fingerprint sits in the direct-mapped filter), `false` on first
-    /// sight, recording the fingerprint for next time.
-    fn admit(&self, key: Fingerprint) -> bool {
-        let mut inner = self.inner.lock().expect("artifact store poisoned");
-        if inner.admit.is_empty() {
-            inner.admit.resize(ADMIT_SLOTS, Fingerprint::zero());
-        }
-        let slot = (key.0 as usize) % ADMIT_SLOTS;
-        if inner.admit[slot] == key {
-            return true;
-        }
-        inner.admit[slot] = key;
-        false
     }
 
     fn lookup<T: Send + Sync + 'static>(
@@ -546,24 +500,14 @@ pub(crate) fn panels_key(trace_fp: Fingerprint, arch: ArchStyle, track_reads: bo
     h.finish()
 }
 
-/// Key for a compiled +Hw kernel: the trace plus the *contents* of the
-/// software row table it was specialized against (a Ra table from one seed
-/// therefore never matches another seed's).
-pub(crate) fn kernel_key(
-    trace_fp: Fingerprint,
-    table: &[usize],
-    arch: ArchStyle,
-    track_reads: bool,
-) -> Fingerprint {
+/// Key for a trace's compiled +Hw kernel. No row table: one kernel serves
+/// every table, relabeled per epoch.
+pub(crate) fn kernel_key(trace_fp: Fingerprint, arch: ArchStyle, track_reads: bool) -> Fingerprint {
     let mut h = Fnv::new();
     h.byte(b'K');
     h.fingerprint(trace_fp);
     h.byte(arch_tag(arch));
     h.bool(track_reads);
-    h.usize(table.len());
-    for &t in table {
-        h.usize(t);
-    }
     h.finish()
 }
 
@@ -780,14 +724,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_keys_separate_tables() {
+    fn kernel_keys_separate_arch_and_read_tracking() {
         let fp = trace_fingerprint(&sample_trace(16));
-        let a = kernel_key(fp, &[0, 1, 2], ArchStyle::PresetOutput, false);
-        let b = kernel_key(fp, &[0, 2, 1], ArchStyle::PresetOutput, false);
-        let c = kernel_key(fp, &[0, 1, 2], ArchStyle::PresetOutput, true);
+        let a = kernel_key(fp, ArchStyle::PresetOutput, false);
+        let b = kernel_key(fp, ArchStyle::SenseAmp, false);
+        let c = kernel_key(fp, ArchStyle::PresetOutput, true);
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a, kernel_key(fp, &[0, 1, 2], ArchStyle::PresetOutput, false));
+        assert_ne!(b, c);
+        assert_eq!(a, kernel_key(fp, ArchStyle::PresetOutput, false));
+        let other = trace_fingerprint(&sample_trace(32));
+        assert_ne!(a, kernel_key(other, ArchStyle::PresetOutput, false));
     }
 
     #[test]

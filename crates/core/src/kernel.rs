@@ -4,31 +4,34 @@
 //! entries of its arrangement a trace reads, redirects, and swaps is fixed
 //! by the trace and the software row table — the arrangement's current
 //! contents never feed back into the control flow. That makes one symbolic
-//! replay per software epoch sufficient:
+//! replay per trace sufficient:
 //!
-//! 1. **Compile** ([`HwKernelEngine::ensure_kernel`]): walk the trace once
-//!    against a *fresh* [`HwRemapper`] (identity arrangement), translating
-//!    rows through the epoch's software table. Record each operation's
-//!    returned slot into per-(class, slot) delta panels, plus the net slot
-//!    permutation `E` and the redirect count `k` of one iteration. If the
-//!    start-of-epoch arrangement is `A₀`, the real replay's iteration `i`
-//!    deposits the slot-`t` delta at physical row `A₀[Eⁱ[t]]` — exactly
-//!    (proved inductively: real state = `A₀ ∘ symbolic state` before every
-//!    operation, and both sides apply the same position swaps).
-//! 2. **Fold** ([`HwKernelEngine::apply_epoch`]): collapse the epoch's
-//!    `span` iterations into per-slot totals over `E`'s cycle structure
-//!    (O(rows), any span — [`WearKernel::fold_epoch_into`]; when `E` is the
-//!    identity this is `span ×` the one-shot panel) and book them per
-//!    (class, physical row) into a [`RowAccumulator`] — O(rows) per class,
-//!    no lane rendering at all.
-//! 3. **Advance**: set the remapper to `A₀ ∘ E^span` and book `span × k`
+//! 1. **Compile** ([`compile`]): walk the trace once against a *fresh*
+//!    [`HwRemapper`] (identity arrangement) under the identity software
+//!    table. Record each operation's returned slot into per-(class, slot)
+//!    delta panels, plus the net slot permutation `E` and the redirect
+//!    count `k` of one iteration. If the start-of-epoch arrangement is
+//!    `A₀`, the real replay's iteration `i` deposits the slot-`t` delta at
+//!    physical row `A₀[Eⁱ[t]]` — exactly (proved inductively: real state =
+//!    `A₀ ∘ symbolic state` before every operation, and both sides apply
+//!    the same position swaps).
+//! 2. **Relabel**: an epoch under software row table `T` is the same run
+//!    with every position relabeled by `T'` (`T` extended with the spare
+//!    slot `rows − 1` held fixed): a redirect of logical row `r` swaps
+//!    positions `T'(r)` and `rows − 1` instead of `r` and `rows − 1`. So
+//!    the epoch starts from `B = A₀ ∘ T'`, deposits the identity kernel's
+//!    slot `t` at `B[Eⁱ[t]]`, and ends at `A_end = B ∘ E^span ∘ T'⁻¹` —
+//!    O(rows) per epoch, whatever the table
+//!    ([`RowAccumulator::apply_kernel_epoch`]).
+//! 3. **Fold**: collapse the epoch's `span` iterations into per-slot totals
+//!    over `E`'s cycle structure (O(rows), any span —
+//!    [`WearKernel::fold_epoch_into`]; when `E` is the identity this is
+//!    `span ×` the one-shot panel) and book them per (class, physical row)
+//!    into a [`RowAccumulator`] — O(rows) per class, no lane rendering at
+//!    all.
+//! 4. **Advance**: set the remapper to `A_end` and book `span × k`
 //!    redirects, so the renaming state and the observability tally are
 //!    bit-identical to having replayed every iteration.
-//!
-//! The kernel is cached across epochs and re-validated against the software
-//! row table: static row strategies (`St`) keep one kernel for the whole
-//! run; `Ra`/`Bs` rows recompile once per epoch — still one trace walk per
-//! epoch instead of one per iteration.
 //!
 //! Lanes are rendered into the wear map only when the lane table changes
 //! or the map is read ([`RowAccumulator`]): a class spanning every lane
@@ -41,7 +44,7 @@ use std::sync::Arc;
 use nvpim_array::{ArchStyle, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{CombinedMap, HwRemapper};
 
-use crate::artifacts::{self, ArtifactKind, Fingerprint};
+use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
 
 /// Row-space wear staging shared by every per-epoch path: the simulator's
 /// compiled `+Hw` path and the analytic engine's lazy backends.
@@ -76,7 +79,7 @@ pub(crate) struct RowAccumulator {
     /// Partial-class renders since the last [`RowAccumulator::take_lane_renders`].
     lane_renders: u64,
     /// Kernel-epoch scratch: one class's folded per-slot totals, and the
-    /// arrangement (A₀, advanced in place to A_span).
+    /// relabeled arrangement (B = A₀ ∘ T', advanced in place).
     totals: Vec<u64>,
     arrangement: Vec<usize>,
     cycle_scratch: Vec<usize>,
@@ -153,8 +156,8 @@ impl RowAccumulator {
 
     /// Folds one epoch of `span` iterations of `kernel` into the stage and
     /// advances the map's renaming state, bit-identically to `span` step
-    /// replays once the stage is flushed. The kernel must have been
-    /// compiled against the map's current software row table.
+    /// replays once the stage is flushed. The kernel is relabeled through
+    /// the map's current software row table (module docs, step 2).
     ///
     /// # Panics
     ///
@@ -166,27 +169,35 @@ impl RowAccumulator {
         span: u64,
         wear: &mut WearMap,
     ) {
-        debug_assert!(kernel.matches(map.sw_row_table()), "kernel is stale for this epoch");
         self.set_lanes(map.lane_permutation(), wear);
-        let hw = map.hw_mut().expect("compiled path requires a dynamic map");
-        let mut arrangement = std::mem::take(&mut self.arrangement);
-        arrangement.clear();
-        arrangement.extend_from_slice(&hw.arrangement());
-        // Slot t's epoch total lands at physical row A₀[t]; a static
-        // kernel's fold is `span ×` its one-iteration panel.
+        let start = map.hw().expect("compiled path requires a dynamic map").arrangement();
+        let table = map.sw_row_table();
+        let spare = start.len() - 1;
+        // B = A₀ ∘ T': slot t of the identity kernel lands at B[t].
+        let mut relabeled = std::mem::take(&mut self.arrangement);
+        relabeled.clear();
+        relabeled.extend(table.iter().map(|&t| start[t]));
+        relabeled.push(start[spare]);
         let mut totals = std::mem::take(&mut self.totals);
         for class in 0..kernel.classes() {
             kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut totals);
-            self.book(class, &arrangement, &totals, 1, false);
+            self.book(class, &relabeled, &totals, 1, false);
             if let Some(reads) = kernel.slot_reads(class) {
                 kernel.fold_epoch_into(span, reads, &mut totals);
-                self.book(class, &arrangement, &totals, 1, true);
+                self.book(class, &relabeled, &totals, 1, true);
             }
         }
-        kernel.advance_arrangement(span, &mut arrangement, &mut self.cycle_scratch);
-        hw.set_arrangement(&arrangement);
+        // A_end[T'(x)] = (B ∘ E^span)[x], written back over A₀'s buffer.
+        kernel.advance_arrangement(span, &mut relabeled, &mut self.cycle_scratch);
+        let mut end = start;
+        for (&t, &row) in table.iter().zip(&relabeled) {
+            end[t] = row;
+        }
+        end[spare] = relabeled[spare];
+        let hw = map.hw_mut().expect("compiled path requires a dynamic map");
+        hw.set_arrangement(&end);
         hw.add_redirects(span * kernel.redirects_per_iteration());
-        (self.arrangement, self.totals) = (arrangement, totals);
+        (self.arrangement, self.totals) = (relabeled, totals);
     }
 
     /// Renders every staged deposit into `wear` and empties the stage.
@@ -251,64 +262,27 @@ impl RowAccumulator {
     }
 }
 
-/// Reusable compiled-replay state for one simulation run (kernel cache +
-/// scratch buffers, so steady-state epochs allocate nothing).
+/// Reusable compiled-replay state for one simulation run: the trace's one
+/// kernel plus the row-space stage, so steady-state epochs allocate
+/// nothing.
 ///
-/// When attached to the process-wide artifact store, compiled kernels are
-/// shared by content key — the trace fingerprint, the epoch's software row
-/// table contents, and the architecture — so sibling matrix cells and
-/// repeated runs skip the symbolic trace walk entirely on a hit. The
-/// `ensure_kernel` return value (what `sim.kernel_compiles` counts) still
-/// reports *staleness events*, store hit or not, keeping its semantics
-/// independent of cache state.
+/// With the artifact store enabled, the kernel is shared by content key —
+/// the trace fingerprint, the architecture, and read tracking — so sibling
+/// matrix cells and repeated runs skip the symbolic trace walk entirely on
+/// a hit.
 #[derive(Debug)]
 pub(crate) struct HwKernelEngine {
-    kernel: Option<Arc<WearKernel>>,
+    kernel: Arc<WearKernel>,
     /// The row-space stage; flush it before reading the wear map.
     pub(crate) rows: RowAccumulator,
-    /// Trace fingerprint for store keys; `None` when the store is off.
-    trace_fp: Option<Fingerprint>,
 }
 
 impl HwKernelEngine {
-    pub(crate) fn new(trace: &Trace, track_reads: bool, use_store: bool) -> Self {
-        HwKernelEngine {
-            kernel: None,
-            rows: RowAccumulator::new(trace, track_reads),
-            trace_fp: use_store.then(|| artifacts::trace_fingerprint(trace)),
-        }
-    }
-
-    /// Makes sure the cached kernel matches the map's current software row
-    /// table, compiling one if not (or fetching an identical memoized one
-    /// from the artifact store). Returns whether the cached kernel was
-    /// stale (one staleness event — the compiled path's analogue of a
-    /// replay, regardless of whether the store absorbed the trace walk).
-    pub(crate) fn ensure_kernel(
-        &mut self,
-        trace: &Trace,
-        map: &CombinedMap,
-        arch: ArchStyle,
-    ) -> bool {
-        let table = map.sw_row_table();
-        if self.kernel.as_ref().is_some_and(|k| k.matches(table)) {
-            return false;
-        }
-        let track_reads = self.rows.reads.is_some();
-        self.kernel = Some(match self.trace_fp {
-            Some(fp) => {
-                let key = artifacts::kernel_key(fp, table, arch, track_reads);
-                let (kernel, _) =
-                    artifacts::global().get_or_insert(ArtifactKind::Kernel, key, || {
-                        let k = compile(trace, table, arch, track_reads);
-                        let bytes = k.approx_bytes();
-                        (k, bytes)
-                    });
-                kernel
-            }
-            None => Arc::new(compile(trace, table, arch, track_reads)),
-        });
-        true
+    pub(crate) fn new(trace: &Trace, arch: ArchStyle, track_reads: bool, use_store: bool) -> Self {
+        let store = use_store.then(artifacts::global);
+        let fp = store.map_or_else(Fingerprint::zero, |_| artifacts::trace_fingerprint(trace));
+        let kernel = fetch(trace, arch, track_reads, fp, &mut StoreCtx::new(store));
+        HwKernelEngine { kernel, rows: RowAccumulator::new(trace, track_reads) }
     }
 
     /// Folds one epoch of `span` iterations into the stage and advances the
@@ -316,24 +290,34 @@ impl HwKernelEngine {
     ///
     /// # Panics
     ///
-    /// Panics if no kernel is compiled ([`HwKernelEngine::ensure_kernel`]
-    /// must run first) or the map is not dynamic.
+    /// Panics if the map is not dynamic.
     pub(crate) fn apply_epoch(&mut self, map: &mut CombinedMap, span: u64, wear: &mut WearMap) {
-        let kernel = self.kernel.as_ref().expect("ensure_kernel must precede apply_epoch");
-        self.rows.apply_kernel_epoch(kernel, map, span, wear);
+        self.rows.apply_kernel_epoch(&self.kernel, map, span, wear);
     }
 }
 
-/// Symbolically replays one iteration: a fresh remapper plays the hardware
-/// stage, rows translate through the epoch's software `table`. Mirrors
-/// `Accumulator::replay` operation for operation — in particular a gate
-/// redirects *before* its input reads are tallied.
-pub(crate) fn compile(
+/// Fetches the trace's one kernel from the store behind `ctx`, compiling it
+/// on a miss. `fp` is the trace's fingerprint (unused without a store).
+pub(crate) fn fetch(
     trace: &Trace,
-    table: &[usize],
     arch: ArchStyle,
     track_reads: bool,
-) -> WearKernel {
+    fp: Fingerprint,
+    ctx: &mut StoreCtx<'_>,
+) -> Arc<WearKernel> {
+    let key = artifacts::kernel_key(fp, arch, track_reads);
+    ctx.get_or_build(ArtifactKind::Kernel, key, || {
+        let kernel = compile(trace, arch, track_reads);
+        let bytes = kernel.approx_bytes();
+        (kernel, bytes)
+    })
+}
+
+/// Symbolically replays one iteration under the identity software table: a
+/// fresh remapper plays the hardware stage. Mirrors `Accumulator::replay`
+/// operation for operation — in particular a gate redirects *before* its
+/// input reads are tallied.
+fn compile(trace: &Trace, arch: ArchStyle, track_reads: bool) -> WearKernel {
     let slots = trace.dims().rows();
     let lanes = trace.dims().lanes();
     let mut sym = HwRemapper::new(slots);
@@ -345,35 +329,31 @@ pub(crate) fn compile(
     for step in trace.steps() {
         match *step {
             Step::Write { row, class, .. } => {
-                slot_writes[class][sym.lookup(table[row])] += 1;
+                slot_writes[class][sym.lookup(row)] += 1;
             }
             Step::Read { row, class } => {
                 if let Some(reads) = &mut slot_reads {
-                    reads[class][sym.lookup(table[row])] += 1;
+                    reads[class][sym.lookup(row)] += 1;
                 }
             }
             Step::Gate { kind, ins, out, class } => {
-                let slot = if all_lanes[class] {
-                    sym.redirect(table[out])
-                } else {
-                    sym.lookup(table[out])
-                };
+                let slot = if all_lanes[class] { sym.redirect(out) } else { sym.lookup(out) };
                 slot_writes[class][slot] += writes_per_gate;
                 if let Some(reads) = &mut slot_reads {
-                    reads[class][sym.lookup(table[ins[0]])] += 1;
+                    reads[class][sym.lookup(ins[0])] += 1;
                     if kind.arity() == 2 {
-                        reads[class][sym.lookup(table[ins[1]])] += 1;
+                        reads[class][sym.lookup(ins[1])] += 1;
                     }
                 }
             }
             Step::Transfer { src_row, dst_row, src_class, dst_class } => {
-                slot_writes[dst_class][sym.lookup(table[dst_row])] += 1;
+                slot_writes[dst_class][sym.lookup(dst_row)] += 1;
                 if let Some(reads) = &mut slot_reads {
-                    reads[src_class][sym.lookup(table[src_row])] += 1;
+                    reads[src_class][sym.lookup(src_row)] += 1;
                 }
             }
         }
     }
     let redirects = sym.redirects();
-    WearKernel::new(table.to_vec(), slot_writes, slot_reads, sym.arrangement(), redirects)
+    WearKernel::new(slot_writes, slot_reads, sym.arrangement(), redirects)
 }

@@ -176,7 +176,7 @@ pub struct SolveOutcome {
 /// exact failure iteration (the first `N` whose max write count exceeds
 /// the model's endurance) is located by exponential growth plus binary
 /// search — O(cells · log N) total, no replay, no Eq. 4 rate averaging.
-/// Lazy and fallback engines answer one query at `sample_iterations` and
+/// Lazy engines answer one query at `sample_iterations` and
 /// extrapolate through Eq. 4 exactly like [`LifetimeModel::lifetime`]
 /// (`exact` is `false`).
 ///

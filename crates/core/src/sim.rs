@@ -5,10 +5,11 @@
 //! write to each memory cell is counted."* Without `Hw` the pattern within
 //! one re-compilation epoch is constant, so one iteration is simulated per
 //! epoch and scaled. With `Hw` every iteration has a different pattern, but
-//! the free-row renaming is position-based: one symbolic trace walk per
-//! epoch compiles a wear kernel (per-slot delta panels plus the iteration's
-//! slot permutation), and the whole epoch is folded over the permutation's
-//! cycle structure in O(rows) (see [`crate::kernel`]'s module docs). Both
+//! the free-row renaming is position-based: one symbolic trace walk per run
+//! compiles a wear kernel (per-slot delta panels plus the iteration's slot
+//! permutation), and each epoch relabels it through the software row table
+//! and folds it over the permutation's cycle structure in O(rows) (see
+//! [`crate::kernel`]'s module docs). Both
 //! paths are bit-exact against naive execution (asserted by tests) and
 //! orders of magnitude faster.
 
@@ -54,8 +55,8 @@ pub struct SimConfig {
     /// re-translating every step. Identical results either way; off exists
     /// only for the ablation bench.
     pub translation_cache: bool,
-    /// Whether dynamic (`+Hw`) maps run through the epoch-compiled wear
-    /// kernel (one symbolic trace walk per epoch, folded in O(rows))
+    /// Whether dynamic (`+Hw`) maps run through the compiled wear kernel
+    /// (one symbolic trace walk per run, each epoch folded in O(rows))
     /// instead of replaying every iteration step by step. Identical results
     /// either way; off exists only for the ablation bench.
     pub hw_kernels: bool,
@@ -71,11 +72,6 @@ pub struct SimConfig {
     /// have produced (keys cover all determining inputs), so results are
     /// identical either way; off exists for ablation and purity tests.
     pub artifact_store: bool,
-    /// Whether the analytic engine uses the cache-blocked row-major fold
-    /// and flat scatter paths instead of the legacy per-cell loops.
-    /// Identical results either way; off exists only for the ablation
-    /// bench.
-    pub blocked_folds: bool,
 }
 
 impl SimConfig {
@@ -93,7 +89,6 @@ impl SimConfig {
             hw_kernels: true,
             epoch_series: false,
             artifact_store: true,
-            blocked_folds: true,
         }
     }
 
@@ -162,14 +157,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_artifact_store(mut self, enabled: bool) -> Self {
         self.artifact_store = enabled;
-        self
-    }
-
-    /// Enables or disables cache-blocked fold/scatter loops in the
-    /// analytic engine (on by default; off is for the ablation bench).
-    #[must_use]
-    pub fn with_blocked_folds(mut self, enabled: bool) -> Self {
-        self.blocked_folds = enabled;
         self
     }
 }
@@ -343,15 +330,18 @@ impl EnduranceSimulator {
 
         let mut acc = Accumulator::new(trace, self.cfg.track_reads);
         let mut wear = WearMap::new(dims);
+        // The compiled path's one symbolic trace walk (or its store hit)
+        // happens here, booked as the run's one replay.
+        let replay_timer = enabled.then(Instant::now);
         let mut hw_engine = (map.is_dynamic() && self.cfg.hw_kernels).then(|| {
-            crate::kernel::HwKernelEngine::new(trace, self.cfg.track_reads, self.cfg.artifact_store)
+            let cfg = self.cfg;
+            crate::kernel::HwKernelEngine::new(trace, cfg.arch, cfg.track_reads, cfg.artifact_store)
         });
 
         // Per-epoch tallies; cheap plain locals even on the disabled path.
-        let mut replays = 0u64;
-        let mut kernel_compiles = 0u64;
+        let mut replays = u64::from(hw_engine.is_some());
         let mut epochs = 0u64;
-        let mut replay_ns = 0u64;
+        let mut replay_ns = replay_timer.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let mut scatter_ns = 0u64;
         let mut series: Vec<EpochSample> = Vec::new();
 
@@ -364,16 +354,10 @@ impl EnduranceSimulator {
             };
             let span = until_remap.min(self.cfg.iterations - iteration);
 
+            // The compiled path walked the trace once, up front; the other
+            // paths replay every epoch.
             let replay_timer = enabled.then(Instant::now);
-            if let Some(engine) = &mut hw_engine {
-                // Compiled path: at most one symbolic trace walk per epoch
-                // (and none at all while the software row table is
-                // unchanged, e.g. St rows).
-                if engine.ensure_kernel(trace, &map, self.cfg.arch) {
-                    replays += 1;
-                    kernel_compiles += 1;
-                }
-            } else if map.is_dynamic() {
+            if hw_engine.is_none() && map.is_dynamic() {
                 // Hardware re-mapping evolves per gate: replay each
                 // iteration of the epoch. This path allocates nothing per
                 // iteration — all tallies live in the accumulator.
@@ -381,7 +365,7 @@ impl EnduranceSimulator {
                     acc.replay(trace, &mut map, self.cfg.arch);
                 }
                 replays += span;
-            } else {
+            } else if hw_engine.is_none() {
                 // Static within the epoch: one replay, scaled. With the
                 // translation cache the epoch's flat row table replaces the
                 // per-step lookup chain.
@@ -480,7 +464,6 @@ impl EnduranceSimulator {
                 name: "sim.steps_replayed",
                 delta: replays * counts.sequential_steps,
             });
-            sink.record(&Event::CounterAdd { name: "sim.kernel_compiles", delta: kernel_compiles });
             if let Some(engine) = &mut hw_engine {
                 let delta = engine.rows.take_lane_renders();
                 sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta });
@@ -515,8 +498,7 @@ impl EnduranceSimulator {
 
     /// Answers the configured iteration count through the replay-free
     /// analytic engine ([`crate::analytic`]) — bit-identical wear to
-    /// [`EnduranceSimulator::run`], with irreducible configurations
-    /// transparently falling back to the simulator. One-shot convenience;
+    /// [`EnduranceSimulator::run`]. One-shot convenience;
     /// callers issuing many queries should hold an
     /// [`crate::analytic::AnalyticWearEngine`] directly.
     #[must_use]
@@ -929,11 +911,9 @@ mod tests {
             EnduranceSimulator::new(cfg).run_with(&wl, "StxSt+Hw".parse().unwrap(), &observer);
         let snap = observer.snapshot();
         assert_eq!(snap.counter("sim.iterations"), Some(10));
-        // The compiled Hw path walks the trace once: with static (St) rows
-        // the software table never changes, so the single kernel compiled in
-        // epoch 1 covers both epochs.
+        // The compiled Hw path walks the trace once per run: the one
+        // kernel covers both epochs.
         assert_eq!(snap.counter("sim.replays"), Some(1));
-        assert_eq!(snap.counter("sim.kernel_compiles"), Some(1));
         assert_eq!(snap.counter("balance.remap_events"), Some(2));
         // The counters cross-check the wear map exactly.
         assert_eq!(snap.counter("array.cell_writes"), Some(result.total_writes()));

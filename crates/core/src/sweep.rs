@@ -275,8 +275,8 @@ mod tests {
         let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
         let base = SimConfig::default().with_iterations(500);
         let periods = [100u64, 50, 10];
-        // RaxSt exercises the lazy path, BsxBs the closed form, RaxSt+Hw
-        // the simulator fallback — the sweep must not care.
+        // RaxSt exercises the lazy software path, BsxBs the closed form,
+        // RaxSt+Hw the lazy Hw path — the sweep must not care.
         for name in ["RaxSt", "BsxBs", "RaxSt+Hw"] {
             let balance: BalanceConfig = name.parse().unwrap();
             let serial = remap_frequency_sweep(&wl, balance, base, LifetimeModel::mtj(), &periods);

@@ -1,8 +1,7 @@
 //! Bit-identity of the replay-free analytic wear engine.
 //!
 //! The analytic engine answers `wear_at(N)` through closed-form prefix
-//! panels, lazy epoch enumeration, or simulator fallback depending on the
-//! configuration. These tests pin every path against both simulator arms —
+//! panels or lazy epoch enumeration depending on the configuration. These tests pin every path against both simulator arms —
 //! epoch-compiled (`with_hw_kernels(true)`) and per-iteration step replay
 //! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across all
 //! 18 balancing configurations, never() schedules, randomized iteration
@@ -117,9 +116,7 @@ fn classification_predicts_engine_path_for_every_config() {
         let predicted = classify(balance, cfg.schedule, dims, cfg.track_reads);
         let engine = AnalyticWearEngine::new(&wl, balance, cfg);
         assert_eq!(predicted, engine.path(), "classify disagrees with the engine for {balance}");
-        let expected = if balance.hw && balance.row == nvpim_balance::Strategy::Random {
-            AnalyticPath::Fallback
-        } else if balance.row == nvpim_balance::Strategy::Random
+        let expected = if balance.row == nvpim_balance::Strategy::Random
             || balance.col == nvpim_balance::Strategy::Random
         {
             AnalyticPath::Lazy
@@ -241,11 +238,12 @@ fn solve_locates_the_exact_failure_iteration() {
             "{balance}: failure iteration does not exceed endurance"
         );
     }
-    // Irreducible configs still answer, flagged as extrapolations.
-    let mut fallback = AnalyticWearEngine::new(&wl, "RaxSt+Hw".parse().unwrap(), cfg);
-    let outcome = lifetime::solve(&mut fallback, model, 1_000);
+    // Lazy configs (here `Ra` rows under `+Hw`) still answer, flagged as
+    // extrapolations.
+    let mut lazy = AnalyticWearEngine::new(&wl, "RaxSt+Hw".parse().unwrap(), cfg);
+    let outcome = lifetime::solve(&mut lazy, model, 1_000);
     assert!(!outcome.exact);
-    assert_eq!(outcome.path, AnalyticPath::Fallback);
+    assert_eq!(outcome.path, AnalyticPath::Lazy);
     assert!(outcome.lifetime.iterations > 0.0);
 }
 

@@ -6,13 +6,13 @@
 //! would have produced — so these tests pin every store regime (off,
 //! cold, warm, and starved to a 1-byte budget that evicts every insert)
 //! against the store-off reference, cell by cell, across all 18 balancing
-//! configurations, both fold layouts, the replay simulator's kernel path,
-//! and a seeded fuzz arm over random shapes and schedules.
+//! configurations, the replay simulator's kernel path, and a seeded fuzz
+//! arm over random shapes and schedules.
 //! `scripts/ci.sh` runs this suite in release mode.
 
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
-use nvpim_core::analytic::{AnalyticPath, AnalyticWearEngine};
+use nvpim_core::analytic::AnalyticWearEngine;
 use nvpim_core::{ArtifactStore, EnduranceSimulator, SimConfig};
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
@@ -47,8 +47,8 @@ fn assert_maps_equal(
 }
 
 /// Store off vs cold vs warm vs constantly-evicting, per configuration.
-/// The warm engine must actually score hits on every non-fallback path —
-/// otherwise the "warm" arm silently degenerates into a second cold run.
+/// The warm engine must actually score hits on every path — otherwise the
+/// "warm" arm silently degenerates into a second cold run.
 #[test]
 fn store_regimes_are_bit_identical_for_every_config() {
     let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
@@ -64,24 +64,15 @@ fn store_regimes_are_bit_identical_for_every_config() {
         let mut cold = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &roomy);
         assert_maps_equal(&reference, &cold.wear_at(cfg.iterations), &format!("{balance} cold"));
 
-        // Kernels pass a second-touch admission filter (stored on their
-        // second miss), so the second engine may still build; by the
-        // third, every kind is resident and must hit.
-        for round in ["second", "third"] {
-            let mut warm = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &roomy);
-            let path = warm.path();
-            assert_maps_equal(
-                &reference,
-                &warm.wear_at(cfg.iterations),
-                &format!("{balance} warm ({round})"),
-            );
-            if round == "third" && path != AnalyticPath::Fallback {
-                assert!(
-                    warm.artifact_use().hits > 0,
-                    "{balance} [{path}]: warm engine scored no store hits"
-                );
-            }
-        }
+        // Every kind is stored on its first miss, so the second engine
+        // must hit.
+        let mut warm = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &roomy);
+        let path = warm.path();
+        assert_maps_equal(&reference, &warm.wear_at(cfg.iterations), &format!("{balance} warm"));
+        assert!(
+            warm.artifact_use().hits > 0,
+            "{balance} [{path}]: warm engine scored no store hits"
+        );
 
         // A 1-byte budget evicts every insert on arrival; the store must
         // degrade to build-always without touching the results.
@@ -94,24 +85,6 @@ fn store_regimes_are_bit_identical_for_every_config() {
         );
         let left = starved.stats().total();
         assert_eq!((left.entries, left.bytes), (0, 0), "{balance}: starved store retained data");
-    }
-}
-
-/// The cache-blocked fold/scatter layout must be algebra-neutral: a run
-/// with `blocked_folds` off is the scalar per-(class, slot) loop.
-#[test]
-fn blocked_and_scalar_folds_are_bit_identical() {
-    let wl = DotProduct::new(ArrayDims::new(256, 16), 16, 8).build();
-    let cfg = SimConfig::paper()
-        .with_iterations(23)
-        .with_schedule(RemapSchedule::every(7))
-        .with_read_tracking(true)
-        .with_artifact_store(false);
-    for balance in BalanceConfig::all() {
-        let blocked = AnalyticWearEngine::new(&wl, balance, cfg).wear_at(cfg.iterations);
-        let scalar = AnalyticWearEngine::new(&wl, balance, cfg.with_blocked_folds(false))
-            .wear_at(cfg.iterations);
-        assert_maps_equal(&blocked, &scalar, &format!("{balance} blocked-vs-scalar"));
     }
 }
 
@@ -166,7 +139,6 @@ fn fuzzed_cells_are_store_invariant() {
             .with_iterations(iterations)
             .with_schedule(RemapSchedule::every(period))
             .with_read_tracking(next() % 2 == 0)
-            .with_blocked_folds(next() % 2 == 0)
             .with_artifact_store(false)
             .with_seed(next());
         let label = format!("trial {trial}: {balance} {rows}x{lanes} i={iterations} p={period}");

@@ -1,7 +1,8 @@
 //! Bit-identity of the epoch-compiled wear-kernel path.
 //!
-//! The `+Hw` fast path compiles one symbolic trace walk per software epoch
-//! and folds whole epochs over the resulting slot permutation. These tests
+//! The `+Hw` fast path compiles one symbolic trace walk per run, relabels
+//! it through each epoch's software row table, and folds whole epochs over
+//! the resulting slot permutation. These tests
 //! pin it against the reference — per-iteration step replay
 //! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across every
 //! balancing configuration, multiple geometries, partial final epochs, long
@@ -71,10 +72,10 @@ fn long_never_remap_span_exercises_the_cycle_power_fold() {
 }
 
 #[test]
-fn per_iteration_remapping_recompiles_without_divergence() {
-    // period 1 under Ra rows: a fresh software table — and thus a kernel
-    // recompile — every single iteration. The compiled path degenerates to
-    // one trace walk per iteration and must still match exactly.
+fn per_iteration_remapping_relabels_without_divergence() {
+    // period 1 under Ra rows: a fresh software table every single
+    // iteration, so the one kernel is relabeled every iteration and must
+    // still match exactly.
     let cfg = SimConfig::default()
         .with_iterations(9)
         .with_schedule(RemapSchedule::every(1))

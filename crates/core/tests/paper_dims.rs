@@ -2,11 +2,12 @@
 //!
 //! The other suites pin the analytic engine against step replay at small
 //! dims; this one runs the 1024×1024 array that paper-scale runs use, on
-//! the three per-epoch paths that stage wear in row space and render lanes
-//! only when the lane table changes: the lazy software rung (`RaxRa`,
-//! `StxRa`), the lazy hardware rung (`BsxRa+Hw`), and the fallback rung
-//! (`RaxRa+Hw`, the simulator's compiled path), plus the two closed forms
-//! (`StxSt`, `StxSt+Hw`). Every answer is compared cell for cell against
+//! the per-epoch paths that stage wear in row space and render lanes only
+//! when the lane table changes: the lazy software rung (`RaxRa`, `StxRa`)
+//! and the lazy hardware rung (`BsxRa+Hw`, plus every `Ra`-rows `+Hw`
+//! config — `RaxRa+Hw`, `RaxSt+Hw`, `RaxBs+Hw` — whose one kernel is
+//! relabeled through a fresh random row table every epoch), plus the two
+//! closed forms (`StxSt`, `StxSt+Hw`). Every answer is compared cell for cell against
 //! per-iteration step replay, and its hottest cell against both replay's
 //! and its own recount. 300 iterations remapped every 100 change the lane
 //! table mid-run, and the query order 200 → 300 → 100 covers a follow-up
@@ -95,7 +96,9 @@ fn per_epoch_rungs_match_step_replay_at_paper_dims() {
         ("RaxRa", AnalyticPath::Lazy),
         ("StxRa", AnalyticPath::Lazy),
         ("BsxRa+Hw", AnalyticPath::Lazy),
-        ("RaxRa+Hw", AnalyticPath::Fallback),
+        ("RaxRa+Hw", AnalyticPath::Lazy),
+        ("RaxSt+Hw", AnalyticPath::Lazy),
+        ("RaxBs+Hw", AnalyticPath::Lazy),
     ]);
 }
 

@@ -39,7 +39,7 @@
 //! [`SimRequest::cache_key`]: crate::request::SimRequest::cache_key
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use nvpim_obs::Json;
@@ -294,19 +294,22 @@ impl ResultCache {
     /// `dir` when given (the directory is created eagerly so a bad path
     /// fails at startup, not mid-request).
     ///
+    /// # Errors
+    ///
+    /// Returns the I/O error if the spill directory cannot be created.
+    ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero or the spill directory cannot be
-    /// created.
-    #[must_use]
-    pub fn new(capacity: usize, dir: Option<PathBuf>) -> Self {
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize, dir: Option<PathBuf>) -> io::Result<Self> {
         assert!(capacity > 0, "cache capacity must be positive");
         if let Some(dir) = &dir {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| panic!("cannot create cache dir {}: {e}", dir.display()));
+            std::fs::create_dir_all(dir).map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot create cache dir {}: {e}", dir.display()))
+            })?;
         }
         let index = dir.as_deref().map(DiskIndex::open);
-        ResultCache {
+        Ok(ResultCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             capacity,
@@ -315,7 +318,7 @@ impl ResultCache {
             max_spill_bytes: 0,
             max_spill_age_s: 0,
             stats: CacheStats::default(),
-        }
+        })
     }
 
     /// Bounds the spill directory: at most `max_bytes` of entry files
@@ -463,7 +466,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert_and_miss_before() {
-        let mut cache = ResultCache::new(4, None);
+        let mut cache = ResultCache::new(4, None).unwrap();
         assert_eq!(cache.get(1, "req-1"), None);
         cache.insert(1, "req-1".into(), "body-1".into());
         assert_eq!(cache.get(1, "req-1"), Some("body-1".into()));
@@ -473,7 +476,7 @@ mod tests {
 
     #[test]
     fn hit_response_is_prerendered_http() {
-        let mut cache = ResultCache::new(4, None);
+        let mut cache = ResultCache::new(4, None).unwrap();
         assert_eq!(cache.get_response(9, "req"), None);
         cache.insert(9, "req".into(), "{\"x\":1}".into());
         let bytes = cache.get_response(9, "req").expect("hit");
@@ -489,14 +492,14 @@ mod tests {
 
     #[test]
     fn colliding_key_with_different_request_never_serves_wrong_body() {
-        let mut cache = ResultCache::new(4, None);
+        let mut cache = ResultCache::new(4, None).unwrap();
         cache.insert(7, "req-a".into(), "body-a".into());
         assert_eq!(cache.get(7, "req-b"), None, "collision must miss, not serve body-a");
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut cache = ResultCache::new(2, None);
+        let mut cache = ResultCache::new(2, None).unwrap();
         cache.insert(1, "r1".into(), "b1".into());
         cache.insert(2, "r2".into(), "b2".into());
         assert!(cache.get(1, "r1").is_some()); // refresh 1; 2 is now oldest
@@ -509,7 +512,7 @@ mod tests {
 
     #[test]
     fn reinserting_same_key_does_not_grow_the_cache() {
-        let mut cache = ResultCache::new(2, None);
+        let mut cache = ResultCache::new(2, None).unwrap();
         cache.insert(1, "r1".into(), "b1".into());
         cache.insert(1, "r1".into(), "b1-v2".into());
         cache.insert(2, "r2".into(), "b2".into());
@@ -522,7 +525,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nvpim-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let mut cache = ResultCache::new(1, Some(dir.clone()));
+            let mut cache = ResultCache::new(1, Some(dir.clone())).unwrap();
             cache.insert(1, "r1".into(), "b1".into());
             cache.insert(2, "r2".into(), "b2".into()); // evicts 1 from memory
             assert_eq!(cache.stats().evictions, 1);
@@ -531,7 +534,7 @@ mod tests {
         }
         // A fresh cache over the same directory (a restarted server) is
         // warm immediately.
-        let mut fresh = ResultCache::new(4, Some(dir.clone()));
+        let mut fresh = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(fresh.get(2, "r2"), Some("b2".into()));
         assert_eq!(fresh.stats().disk_loads, 1);
         // ...but only for matching canonical requests.
@@ -549,7 +552,7 @@ mod tests {
     fn spill_appends_to_the_index_and_startup_loads_it() {
         let dir = scratch_dir("index");
         {
-            let mut cache = ResultCache::new(4, Some(dir.clone()));
+            let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
             cache.insert(0xA, "ra".into(), "ba".into());
             cache.insert(0xB, "rb".into(), "bb".into());
             assert_eq!(cache.stats().indexed, 2);
@@ -559,7 +562,7 @@ mod tests {
         assert!(index.contains(&key_hex(0xB)), "{index}");
         assert_eq!(index.lines().count(), 2, "one line per spilled key: {index}");
         // A restarted server knows both keys before touching any entry file.
-        let mut fresh = ResultCache::new(4, Some(dir.clone()));
+        let mut fresh = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(fresh.stats().indexed, 2);
         assert_eq!(fresh.get(0xA, "ra"), Some("ba".into()));
         assert_eq!(fresh.get(0xB, "rb"), Some("bb".into()));
@@ -570,12 +573,12 @@ mod tests {
     fn missing_index_is_rebuilt_by_a_one_time_scan() {
         let dir = scratch_dir("rebuild");
         {
-            let mut cache = ResultCache::new(4, Some(dir.clone()));
+            let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
             cache.insert(0xC, "rc".into(), "bc".into());
         }
         // A pre-index directory: entries on disk, no index file.
         std::fs::remove_file(dir.join("index.jsonl")).expect("index existed");
-        let mut fresh = ResultCache::new(4, Some(dir.clone()));
+        let mut fresh = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(fresh.stats().indexed, 1, "scan found the spilled entry");
         assert_eq!(fresh.get(0xC, "rc"), Some("bc".into()));
         assert!(dir.join("index.jsonl").exists(), "rebuild rewrote the index");
@@ -586,12 +589,12 @@ mod tests {
     fn keys_absent_from_the_index_never_probe_the_disk() {
         let dir = scratch_dir("gate");
         // Creating the cache writes an (empty) index for the fresh dir.
-        drop(ResultCache::new(4, Some(dir.clone())));
+        drop(ResultCache::new(4, Some(dir.clone())).unwrap());
         // A file smuggled in behind the index's back is invisible: the key
         // set gates every disk read.
         let doc = Json::object().with("request", "rx").with("response", "bx").render();
         std::fs::write(dir.join(format!("{}.json", key_hex(0xD))), doc).unwrap();
-        let mut cache = ResultCache::new(4, Some(dir.clone()));
+        let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(cache.get(0xD, "rx"), None);
         assert_eq!(cache.stats().disk_loads, 0);
         assert_eq!(cache.stats().indexed, 0);
@@ -601,7 +604,7 @@ mod tests {
     #[test]
     fn compaction_bounds_spill_bytes_oldest_first() {
         let dir = scratch_dir("compact-bytes");
-        let mut cache = ResultCache::new(8, Some(dir.clone())).with_spill_limits(200, 0);
+        let mut cache = ResultCache::new(8, Some(dir.clone())).unwrap().with_spill_limits(200, 0);
         let body = "x".repeat(60); // each spill file is ~80 bytes with framing
         for key in 1..=5u64 {
             cache.insert(key, format!("r{key}"), body.clone());
@@ -617,7 +620,7 @@ mod tests {
         // A restarted cache honors the compacted index: retired keys miss
         // without probing the disk, survivors still load.
         drop(cache);
-        let mut fresh = ResultCache::new(8, Some(dir.clone()));
+        let mut fresh = ResultCache::new(8, Some(dir.clone())).unwrap();
         assert!(fresh.stats().spill_bytes <= 200);
         assert_eq!(fresh.get(1, "r1"), None);
         assert_eq!(fresh.get(5, "r5"), Some(body));
@@ -628,7 +631,7 @@ mod tests {
     fn compaction_retires_entries_past_the_age_limit() {
         let dir = scratch_dir("compact-age");
         {
-            let mut cache = ResultCache::new(4, Some(dir.clone()));
+            let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
             cache.insert(1, "r1".into(), "b1".into());
         }
         // Backdate the index entry to two hours ago.
@@ -643,7 +646,7 @@ mod tests {
             .render();
         std::fs::write(&index_path, format!("{backdated}\n")).unwrap();
         // An hour-long age limit retires it at startup.
-        let mut cache = ResultCache::new(4, Some(dir.clone())).with_spill_limits(0, 3600);
+        let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap().with_spill_limits(0, 3600);
         let stats = cache.stats();
         assert_eq!(stats.compacted_entries, 1);
         assert_eq!(stats.indexed, 0);
@@ -656,19 +659,19 @@ mod tests {
     fn pre_compaction_index_lines_load_and_age_out() {
         let dir = scratch_dir("compact-legacy");
         {
-            let mut cache = ResultCache::new(4, Some(dir.clone()));
+            let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
             cache.insert(2, "r2".into(), "b2".into());
         }
         // An index written before compaction existed: key only.
         let legacy = Json::object().with("key", key_hex(2)).render();
         std::fs::write(dir.join("index.jsonl"), format!("{legacy}\n")).unwrap();
         // Without limits the entry still serves.
-        let mut cache = ResultCache::new(4, Some(dir.clone()));
+        let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(cache.get(2, "r2"), Some("b2".into()));
         drop(cache);
         std::fs::write(dir.join("index.jsonl"), format!("{legacy}\n")).unwrap();
         // With an age limit the unknown-age (ts 0) entry counts as ancient.
-        let cache = ResultCache::new(4, Some(dir.clone())).with_spill_limits(0, 3600);
+        let cache = ResultCache::new(4, Some(dir.clone())).unwrap().with_spill_limits(0, 3600);
         assert_eq!(cache.stats().compacted_entries, 1);
         assert_eq!(cache.stats().indexed, 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -678,13 +681,13 @@ mod tests {
     fn index_survives_a_stale_entry_file() {
         let dir = scratch_dir("stale");
         {
-            let mut cache = ResultCache::new(4, Some(dir.clone()));
+            let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
             cache.insert(0xE, "re".into(), "be".into());
         }
         // Entry file lost (disk cleanup) but index line retained: the
         // lookup degrades to a miss, never a panic or wrong body.
         std::fs::remove_file(dir.join(format!("{}.json", key_hex(0xE)))).unwrap();
-        let mut cache = ResultCache::new(4, Some(dir.clone()));
+        let mut cache = ResultCache::new(4, Some(dir.clone())).unwrap();
         assert_eq!(cache.stats().indexed, 1);
         assert_eq!(cache.get(0xE, "re"), None);
         let _ = std::fs::remove_dir_all(&dir);

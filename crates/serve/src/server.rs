@@ -222,7 +222,7 @@ impl Server {
             }
             None => None,
         };
-        let cache = ResultCache::new(config.cache_entries, config.cache_dir.clone())
+        let cache = ResultCache::new(config.cache_entries, config.cache_dir.clone())?
             .with_spill_limits(config.cache_max_bytes, config.cache_max_age_s);
         let state = Arc::new(ServeState {
             cache: Mutex::new(cache),

@@ -545,3 +545,26 @@ fn disk_cache_and_manifests_survive_a_server_restart() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unusable_cache_dir_is_a_start_error_not_a_panic() {
+    // A cache directory whose parent is a regular file cannot be created:
+    // the operator mistake must surface as an `Err` from `Server::start`.
+    let file = std::env::temp_dir().join(format!("nvpim-serve-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"regular file").expect("temp file written");
+    let config = ServerConfig { cache_dir: Some(file.join("cache")), ..ServerConfig::default() };
+    let outcome = std::panic::catch_unwind(|| Server::start(config).map(|handle| handle.addr()));
+    let _ = std::fs::remove_file(&file);
+    let result = outcome.expect("Server::start must not panic on a bad cache dir");
+    assert!(result.is_err(), "a cache dir under a regular file must fail to start");
+}
+
+#[test]
+fn result_cache_reports_an_uncreatable_spill_dir() {
+    let file = std::env::temp_dir().join(format!("nvpim-cache-not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, b"regular file").expect("temp file written");
+    let result = nvpim_serve::ResultCache::new(4, Some(file.join("cache")));
+    let _ = std::fs::remove_file(&file);
+    let err = result.expect_err("a spill dir under a regular file cannot be created");
+    assert!(err.to_string().contains("cannot create cache dir"), "{err}");
+}

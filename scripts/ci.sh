@@ -22,24 +22,25 @@ cargo test -q --release --offline -p nvpim-exec
 # optimization level the benchmarks and the repro binary run at.
 cargo test -q --release --offline -p nvpim-core --test kernels
 
-# The replay-free analytic engine in release mode: closed-form, lazy, and
-# fallback answers must be bit-identical to both simulator arms across all
-# 18 configurations, randomized iteration counts, and the exact lifetime
-# solve.
+# The replay-free analytic engine in release mode: closed-form and lazy
+# answers (the ladder's two rungs) must be bit-identical to both simulator
+# arms across all 18 configurations, randomized iteration counts, and the
+# exact lifetime solve.
 cargo test -q --release --offline -p nvpim-core --test analytic
 
-# The per-epoch rungs at the paper's 1024×1024 dims in release mode: the
-# lazy software, lazy Hw and fallback paths stage wear in row space and
-# render lanes only when the lane table changes; they must match step
-# replay cell for cell with the lane table changing mid-run, across a
-# follow-up query, a restart from the seed, and per-epoch series samples.
+# Both rungs at the paper's 1024×1024 dims in release mode: the lazy
+# software and lazy Hw paths (every Ra-rows +Hw config among them, its one
+# kernel relabeled through a fresh row table each epoch) stage wear in row
+# space and render lanes only when the lane table changes; they and the
+# closed forms must match step replay cell for cell with the lane table
+# changing mid-run, across a follow-up query, a restart from the seed, and
+# per-epoch series samples.
 cargo test -q --release --offline -p nvpim-core --test paper_dims
 
 # The artifact-store bit-identity suite in release mode: wear identical
 # with the store off, cold, warm, and starved to a 1-byte budget (every
-# insert immediately evicted) across all 18 configurations, the blocked
-# vs scalar fold layouts, and a seeded fuzz arm over shapes, schedules,
-# and byte budgets.
+# insert immediately evicted) across all 18 configurations, and a seeded
+# fuzz arm over shapes, schedules, and byte budgets.
 cargo test -q --release --offline -p nvpim-core --test artifacts
 
 # The HTTP service end to end in release mode: concurrent byte-identical
@@ -89,6 +90,14 @@ for key in wear.max_writes wear.p99_writes wear.mean_writes wear.gini wear.remap
     grep -q "\"$key\"" "$OBS_TMP/manifest.json" ||
         { echo "ci: manifest series section is missing $key" >&2; exit 1; }
 done
+# Two rungs at paper dims: the manifest's analytic_paths object (one rung
+# label per configuration) must never name the retired fallback rung.
+paths="$(tr -d '\n' < "$OBS_TMP/manifest.json" | grep -o '"analytic_paths": *{[^}]*}' || true)"
+[ -n "$paths" ] || { echo "ci: manifest is missing analytic_paths" >&2; exit 1; }
+if grep -q '"fallback"' <<< "$paths"; then
+    echo "ci: a configuration landed on the fallback rung: $paths" >&2
+    exit 1
+fi
 echo "ci: traced smoke artifacts validated"
 
 # Cross-configuration artifact reuse end to end: renders the fig14–16
