@@ -34,9 +34,9 @@ pub struct WearMap {
     sum_reads: u64,
     /// The hottest cell's write count (Eq. 4), or `None` when unknown.
     /// Whole-plane passes (construction, [`WearMap::from_planes`],
-    /// [`WearMap::plus_full_rows`], [`WearMap::accumulate_flat_writes`],
-    /// [`WearMap::merge`]) set it in the pass they already make; scattered
-    /// adders only clear it, so their loops carry no per-cell compare.
+    /// [`WearMap::plus_full_rows`], [`WearMap::merge`]) set it in the pass
+    /// they already make; scattered adders only clear it, so their loops
+    /// carry no per-cell compare.
     /// [`WearMap::max_writes`] scans only while it is unknown.
     max_writes: Option<u64>,
 }
@@ -198,43 +198,6 @@ impl WearMap {
     pub fn add_full_row_reads(&mut self, row: usize, count: u64) {
         self.track_reads();
         add_full_row(self.dims, &mut self.reads, &mut self.sum_reads, row, count);
-    }
-
-    /// Adds a flat row-major delta plane to the write counters — the
-    /// cache-blocked analytic scatter path: one contiguous zip over both
-    /// buffers with the grand total accumulated locally, no per-cell
-    /// index arithmetic. The same pass sets the carried maximum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not exactly `cells()` long.
-    pub fn accumulate_flat_writes(&mut self, deltas: &[u64]) {
-        assert_eq!(deltas.len(), self.writes.len(), "flat write plane length mismatch");
-        let (mut sum, mut max) = (0u64, 0u64);
-        for (cell, &delta) in self.writes.iter_mut().zip(deltas) {
-            *cell += delta;
-            sum += delta;
-            max = max.max(*cell);
-        }
-        self.sum_writes += sum;
-        self.max_writes = Some(max);
-    }
-
-    /// Adds a flat row-major delta plane to the read counters (see
-    /// [`WearMap::accumulate_flat_writes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deltas` is not exactly `cells()` long.
-    pub fn accumulate_flat_reads(&mut self, deltas: &[u64]) {
-        self.track_reads();
-        assert_eq!(deltas.len(), self.reads.len(), "flat read plane length mismatch");
-        let mut sum = 0u64;
-        for (cell, &delta) in self.reads.iter_mut().zip(deltas) {
-            *cell += delta;
-            sum += delta;
-        }
-        self.sum_reads += sum;
     }
 
     /// A copy of this map with `row_writes[r]` (and `row_reads[r]`) added
@@ -692,28 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_accumulation_matches_per_cell_adds() {
-        let dims = ArrayDims::new(3, 4);
-        let deltas: Vec<u64> = (0..dims.cells() as u64).collect();
-        let mut flat = WearMap::new(dims);
-        flat.accumulate_flat_writes(&deltas);
-        flat.accumulate_flat_reads(&deltas);
-        let mut slow = WearMap::new(dims);
-        for (i, &d) in deltas.iter().enumerate() {
-            slow.add_write_at(i / 4, i % 4, d);
-            slow.add_read_at(i / 4, i % 4, d);
-        }
-        for r in 0..3 {
-            for l in 0..4 {
-                assert_eq!(flat.writes_at(r, l), slow.writes_at(r, l));
-                assert_eq!(flat.reads_at(r, l), slow.reads_at(r, l));
-            }
-        }
-        assert_eq!(flat.total_writes(), flat.recount_writes());
-        assert_eq!(flat.total_reads(), flat.recount_reads());
-    }
-
-    #[test]
     fn row_adders_match_lane_set_adds() {
         let dims = ArrayDims::new(3, 4);
         let mut rows = WearMap::new(dims);
@@ -774,8 +715,6 @@ mod tests {
         w.add_write_at(1, 2, 4);
         assert_eq!(w.max_writes, None, "a scattered add clears the carried max");
         assert_eq!(w.max_writes(), 4, "an unknown max is scanned");
-        w.accumulate_flat_writes(&[1, 0, 0, 0, 0, 2]);
-        assert_eq!(w.max_writes, Some(6));
         w.add_full_row_writes(0, 9);
         assert_eq!(w.max_writes, None);
         let mut other = WearMap::new(dims);

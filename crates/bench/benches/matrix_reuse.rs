@@ -4,12 +4,10 @@
 //! All 18 balancing configurations answer against one workload, so their
 //! analytic engines share the symbolic trace walk, the logical/prefix
 //! panels, and (for every `+Hw` cell) the trace's one compiled wear
-//! kernel. The `matrix` group times the full 18-config matrix with the
-//! content-addressed store disabled (every cell rebuilds everything),
-//! cold (first touch builds, later cells reuse), and warm (a previous
-//! matrix already populated the store). The acceptance bar is
-//! `warm_store` ≥ 2× faster than `no_store`. `scripts/bench.sh` records
-//! the group into `BENCH_sim.json`.
+//! kernel. The `matrix` group times the full 18-config matrix against a
+//! content-addressed store that is cold (first touch builds, later cells
+//! reuse) and warm (a previous matrix already populated the store).
+//! `scripts/bench.sh` records the group into `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
@@ -32,17 +30,13 @@ fn base_cfg() -> SimConfig {
     SimConfig::paper().with_iterations(1000).with_schedule(RemapSchedule::every(100))
 }
 
-/// Runs every configuration through a fresh engine against `store`
-/// (`None` = memoization off) and folds the answers so nothing is
-/// optimized away.
-fn run_matrix(wl: &Workload, cfg: SimConfig, store: Option<&ArtifactStore>) -> u64 {
+/// Runs every configuration through a fresh engine against `store` and
+/// folds the answers so nothing is optimized away.
+fn run_matrix(wl: &Workload, cfg: SimConfig, store: &ArtifactStore) -> u64 {
     BalanceConfig::all()
         .into_iter()
         .map(|balance| {
-            let mut engine = match store {
-                Some(store) => AnalyticWearEngine::new_with_store(wl, balance, cfg, store),
-                None => AnalyticWearEngine::new(wl, balance, cfg),
-            };
+            let mut engine = AnalyticWearEngine::new_with_store(wl, balance, cfg, store);
             engine.wear_at(cfg.iterations).max_writes()
         })
         .fold(0, u64::wrapping_add)
@@ -50,18 +44,15 @@ fn run_matrix(wl: &Workload, cfg: SimConfig, store: Option<&ArtifactStore>) -> u
 
 fn bench_matrix_reuse(c: &mut Criterion) {
     let wl = workload();
-    let cfg = base_cfg().with_artifact_store(false);
+    let cfg = base_cfg();
     let mut group = c.benchmark_group("matrix");
     group.sample_size(10);
-    group.bench_function("no_store", |b| {
-        b.iter(|| black_box(run_matrix(&wl, cfg, None)));
-    });
     group.bench_function("cold_store", |b| {
         // A fresh store per iteration: first-touch builds included, so
-        // the delta vs no_store is pure *intra*-matrix sharing.
+        // only *intra*-matrix sharing helps.
         b.iter(|| {
             let store = ArtifactStore::new(ROOMY);
-            black_box(run_matrix(&wl, cfg, Some(&store)))
+            black_box(run_matrix(&wl, cfg, &store))
         });
     });
     group.bench_function("warm_store", |b| {
@@ -69,8 +60,8 @@ fn bench_matrix_reuse(c: &mut Criterion) {
         // `/batch`, sweep refinement): every walk, panel, and kernel is
         // already resident.
         let store = ArtifactStore::new(ROOMY);
-        let _ = run_matrix(&wl, cfg, Some(&store));
-        b.iter(|| black_box(run_matrix(&wl, cfg, Some(&store))));
+        let _ = run_matrix(&wl, cfg, &store);
+        b.iter(|| black_box(run_matrix(&wl, cfg, &store)));
     });
     group.finish();
 }

@@ -15,11 +15,9 @@ use std::hint::black_box;
 
 fn matrix_setup() -> (nvpim_workloads::Workload, EnduranceSimulator) {
     let workload = ParallelMul::new(ArrayDims::new(256, 16), 8).build();
-    // Store off: these arms isolate execution strategy (serial vs jobs);
-    // cross-cell artifact reuse is the matrix_reuse bench's subject.
-    let sim = EnduranceSimulator::new(
-        SimConfig::default().with_iterations(60).with_artifact_store(false),
-    );
+    // The `+Hw` cells' kernel is a store hit after the first matrix, in
+    // every arm alike, so the arms differ only in execution strategy.
+    let sim = EnduranceSimulator::new(SimConfig::default().with_iterations(60));
     (workload, sim)
 }
 

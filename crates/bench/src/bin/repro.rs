@@ -37,10 +37,6 @@
 //!   --iters N       override the iteration count
 //!   --jobs N        worker threads for independent simulations
 //!                   (default 0 = auto: NVPIM_THREADS, else all cores)
-//!   --fleet ADDR    route the fig17/table3 sweep through a running
-//!                   nvpim-serve fleet member's /batch endpoint; the
-//!                   manifest records each cell's X-Cache state and hop
-//!                   count
 //!   --json          wrap each report in the machine-readable JSON envelope
 //!                   (`nvpim.report/v1`, same encoder nvpim-serve uses)
 //!   --progress      live iteration/ETA progress lines on stderr
@@ -113,6 +109,7 @@ fn main() {
         let n = args
             .get(pos + 1)
             .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
             .unwrap_or_else(|| die("--iters needs a positive integer"));
         scale = scale.with_iterations(n);
     }
@@ -133,13 +130,6 @@ fn main() {
         dir
     });
 
-    let fleet_addr: Option<String> = args
-        .iter()
-        .position(|a| a == "--fleet")
-        .map(|pos| args.get(pos + 1).cloned().unwrap_or_else(|| die("--fleet needs HOST:PORT")));
-    if fleet_addr.is_some() && !matches!(command, "fig17" | "table3") {
-        die("--fleet routes the fig17/table3 sweeps through a serve fleet; use one of those commands");
-    }
     let progress = args.iter().any(|a| a == "--progress");
     let metrics_out = flag_path(&args, "--metrics-out");
     let manifest_out = flag_path(&args, "--manifest");
@@ -168,9 +158,6 @@ fn main() {
         config: scale_config_json(scale),
     };
     let run_start = Instant::now();
-    // Filled by the `--fleet` paths: per-request cache/hop accounting that
-    // rides into the run manifest.
-    let mut fleet_section: Option<Json> = None;
 
     match command {
         "amplification" => emitter.emit("amplification", &experiments::amplification_report()),
@@ -181,34 +168,8 @@ fn main() {
         "fig14" => emitter.emit("fig14", &experiments::heatmap_report("mul", scale)),
         "fig15" => emitter.emit("fig15", &experiments::heatmap_report("conv", scale)),
         "fig16" => emitter.emit("fig16", &experiments::heatmap_report("dot", scale)),
-        "fig17" => match &fleet_addr {
-            None => emitter.emit("fig17", &experiments::fig17_report(scale)),
-            Some(addr) => match fleet_improvement_matrix(addr, scale) {
-                Ok((data, names, section)) => {
-                    let names: Vec<&str> = names.iter().map(String::as_str).collect();
-                    emitter
-                        .emit("fig17", &experiments::fig17_table(&names, &data, scale.iterations));
-                    fleet_section = Some(section);
-                }
-                Err(e) => {
-                    eprintln!("fig17 via fleet {addr} failed: {e}");
-                    exit_code = 1;
-                }
-            },
-        },
-        "table3" => match &fleet_addr {
-            None => emitter.emit("table3", &experiments::table3_report(scale)),
-            Some(addr) => match fleet_improvement_matrix(addr, scale) {
-                Ok((data, _, section)) => {
-                    emitter.emit("table3", &experiments::table3_table(scale, &data));
-                    fleet_section = Some(section);
-                }
-                Err(e) => {
-                    eprintln!("table3 via fleet {addr} failed: {e}");
-                    exit_code = 1;
-                }
-            },
-        },
+        "fig17" => emitter.emit("fig17", &experiments::fig17_report(scale)),
+        "table3" => emitter.emit("table3", &experiments::table3_report(scale)),
         "sweep" => emitter.emit("sweep", &experiments::sweep_report(scale)),
         "lanesets" => emitter.emit("lanesets", &experiments::lanesets_report()),
         "energy" => emitter.emit("energy", &experiments::energy_report(scale)),
@@ -292,10 +253,7 @@ fn main() {
     if let Some(obs) = &obs {
         obs.flush();
         if let Some(path) = &manifest_out {
-            let mut manifest = build_manifest(command, &args, scale, obs);
-            if let Some(section) = fleet_section.clone() {
-                manifest = manifest.with_config_entry("fleet", section);
-            }
+            let manifest = build_manifest(command, &args, scale, obs);
             let doc = manifest.with_wall_ns(run_start.elapsed().as_nanos() as u64).render();
             if let Err(e) = std::fs::write(path, doc) {
                 die(&format!("cannot write manifest {}: {e}", path.display()));
@@ -367,8 +325,7 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
         config = config.with("analytic_paths", paths);
     }
     // Artifact-store provenance: the store's traffic totals plus each
-    // matrix cell's own hit/miss tally (the analytic analogue of the
-    // fleet path's per-cell X-Cache records), so a manifest states not
+    // matrix cell's own hit/miss tally, so a manifest states not
     // just what numbers a figure carries but how much of their
     // computation was reused.
     let mut artifacts = nvpim_core::artifacts::global().stats().to_json();
@@ -521,132 +478,6 @@ fn serve_smoke_report(out_dir: Option<&std::path::Path>) -> Result<String, Strin
     Ok(report)
 }
 
-/// What the fleet path hands back: one improvement series per workload,
-/// the workload names, and the manifest's per-cell accounting section.
-type FleetMatrix = (Vec<Vec<(nvpim_balance::BalanceConfig, f64)>>, Vec<String>, Json);
-
-/// Routes the Fig. 17 / Table 3 improvement matrix through a serve fleet
-/// member's `/batch` endpoint instead of the local analytic engine.
-///
-/// The determinism contract (identical canonical request → identical
-/// result bytes) makes the remote matrix numerically identical to the
-/// local one regardless of which member computes each cell; what the
-/// fleet adds is sharing — cells any member already answered come back as
-/// cache hits, non-owned cells forward one hop to their owner. Returns
-/// one improvement series per workload (in [`Scale::all_workloads`]
-/// order), the workload names, and a manifest section recording each
-/// cell's `X-Cache` state and hop count.
-fn fleet_improvement_matrix(addr: &str, scale: Scale) -> Result<FleetMatrix, String> {
-    use std::net::ToSocketAddrs;
-    use std::time::Duration;
-
-    use nvpim_balance::BalanceConfig;
-    use nvpim_serve::Client;
-
-    let socket = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("{addr} resolves to no address"))?;
-    // Cold cells at full scale are minutes of simulation each: give the
-    // member a long I/O budget but still fail fast on a dead host.
-    let client =
-        Client::new(socket).with_timeouts(Duration::from_secs(5), Duration::from_secs(3600));
-
-    let cfg = scale.sim_config();
-    let period = cfg.schedule.period().unwrap_or(0);
-    let (rows, lanes) = (scale.dims.rows() as u64, scale.dims.lanes() as u64);
-    let dims = Json::object().with("rows", rows).with("lanes", lanes);
-    let configs = BalanceConfig::all();
-    let workloads: Vec<(String, Json)> = vec![
-        (
-            scale.mul_workload().name().to_owned(),
-            dims.clone().with("kind", "mul").with("width", 32u64),
-        ),
-        (
-            scale.conv_workload().name().to_owned(),
-            dims.clone()
-                .with("kind", "conv")
-                .with("filter_rows", 4u64)
-                .with("filter_cols", 3u64)
-                .with("width", 8u64),
-        ),
-        (
-            scale.dot_workload().name().to_owned(),
-            dims.with("kind", "dot").with("elements", scale.elements as u64).with("width", 32u64),
-        ),
-    ];
-
-    let mut matrix = Vec::new();
-    let mut names = Vec::new();
-    let mut cells = Vec::new();
-    let (mut hits, mut forwarded) = (0u64, 0u64);
-    for (name, wl) in &workloads {
-        let requests: Vec<Json> = configs
-            .iter()
-            .map(|config| {
-                Json::object()
-                    .with("workload", wl.clone())
-                    .with("config", config.to_string())
-                    .with("iterations", scale.iterations)
-                    .with("period", period)
-                    .with("seed", cfg.seed)
-            })
-            .collect();
-        let body = Json::object().with("requests", Json::Arr(requests)).render();
-        let reply =
-            client.post_json("/batch", &body).map_err(|e| format!("/batch on {addr}: {e}"))?;
-        if reply.status != 200 {
-            return Err(format!("/batch on {addr} answered {}: {}", reply.status, reply.text()));
-        }
-        let mut lines = reply.json_lines()?;
-        lines.sort_by_key(|l| l.get("index").and_then(Json::as_u64).unwrap_or(u64::MAX));
-        if lines.len() != configs.len() {
-            return Err(format!("{name}: expected {} cells, got {}", configs.len(), lines.len()));
-        }
-
-        let mut lifetimes = Vec::new();
-        for (config, line) in configs.iter().zip(&lines) {
-            let response = line.get("response").ok_or("batch line carries no response")?;
-            let lifetime = response
-                .get("lifetime")
-                .and_then(|l| l.get("iterations"))
-                .and_then(Json::as_f64)
-                .ok_or_else(|| {
-                    format!("{name}/{config} answered without a lifetime: {}", response.render())
-                })?;
-            let cached = matches!(line.get("cached"), Some(Json::Bool(true)));
-            let hops = line.get("hops").and_then(Json::as_u64).unwrap_or(0);
-            hits += u64::from(cached);
-            forwarded += u64::from(hops > 0);
-            cells.push(
-                Json::object()
-                    .with("workload", name.as_str())
-                    .with("config", config.to_string())
-                    .with("key", response.get("key").cloned().unwrap_or(Json::Null))
-                    .with("x_cache", if cached { "hit" } else { "miss" })
-                    .with("hops", hops),
-            );
-            lifetimes.push((*config, lifetime));
-        }
-        let baseline = lifetimes
-            .iter()
-            .find(|(config, _)| config.is_static())
-            .ok_or("StxSt missing from the matrix")?
-            .1;
-        matrix.push(lifetimes.into_iter().map(|(c, lt)| (c, lt / baseline)).collect());
-        names.push(name.clone());
-    }
-
-    let section = Json::object()
-        .with("member", addr)
-        .with("cells", cells.len() as u64)
-        .with("cache_hits", hits)
-        .with("forwarded", forwarded)
-        .with("requests", Json::Arr(cells));
-    Ok((matrix, names, section))
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
@@ -667,9 +498,6 @@ Options:
   --iters N         override iteration count (default 2 000)
   --jobs N          worker threads for independent simulations
                     (default 0 = auto: NVPIM_THREADS, else all cores)
-  --fleet ADDR      route the fig17/table3 sweep through a running
-                    nvpim-serve fleet member (/batch); the manifest
-                    records per-cell X-Cache state and hop counts
   --json            wrap each report in the nvpim.report/v1 JSON envelope
   --out DIR         also write each report to DIR/<command>.txt (.json
                     under --json)

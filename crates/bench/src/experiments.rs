@@ -279,9 +279,7 @@ pub fn fig17_report(scale: Scale) -> String {
     fig17_table(&names, &data, scale.iterations)
 }
 
-/// Renders the Fig. 17 table from an already-computed improvement matrix —
-/// shared by the local path and `repro --fleet`, which obtains the same
-/// matrix over a serve fleet's `/batch` endpoint.
+/// Renders the Fig. 17 table from an already-computed improvement matrix.
 ///
 /// # Panics
 ///
@@ -319,16 +317,8 @@ pub fn table3_report(scale: Scale) -> String {
 }
 
 /// Renders Table 3 from an already-computed improvement matrix (one series
-/// per workload, in [`Scale::all_workloads`] order) — the matrix either
-/// comes from the local analytic engine or, under `repro --fleet`, from a
-/// serve fleet's `/batch` endpoint. Lane utilization is a static workload
-/// property and is always computed locally.
-///
-/// # Panics
-///
-/// Panics if `data` has fewer series than workloads or an empty series.
-#[must_use]
-pub fn table3_table(scale: Scale, data: &[Vec<(BalanceConfig, f64)>]) -> String {
+/// per workload, in [`Scale::all_workloads`] order).
+fn table3_table(scale: Scale, data: &[Vec<(BalanceConfig, f64)>]) -> String {
     let mut out = format!(
         "== Table 3: lane utilization and best lifetime improvement ({} iterations) ==\n",
         scale.iterations

@@ -143,10 +143,11 @@ pub fn verify_conservation(
     findings
 }
 
-/// Proves the epoch-compiled `+Hw` kernel path is bit-identical to
-/// per-iteration step replay, and that the replay-free analytic engine
-/// agrees with both: the same workload and configuration run once with
-/// kernels enabled, once with them disabled, and once through
+/// Proves the production simulator (the epoch-compiled `+Hw` kernel, the
+/// flat row table) is bit-identical to the step-replay oracle, and that
+/// the replay-free analytic engine agrees with both: the same workload
+/// and configuration run once through [`EnduranceSimulator::run`], once
+/// through [`EnduranceSimulator::run_reference`], and once through
 /// [`AnalyticWearEngine::wear_at`], and every cell's write and read
 /// tallies — plus the lifetime-limiting maximum — must match exactly.
 /// Analytic findings name the engine path (`closed_form` or `lazy`) so a
@@ -159,8 +160,9 @@ pub fn verify_kernel_equivalence(
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let subject = format!("{}/{config}", workload.name());
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(workload, config);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(workload, config);
+    let sim = EnduranceSimulator::new(cfg);
+    let compiled = sim.run(workload, config);
+    let replayed = sim.run_reference(workload, config);
     let mut engine = AnalyticWearEngine::new(workload, config, cfg);
     let path = engine.path();
     let analytic = engine.wear_at(cfg.iterations);

@@ -519,8 +519,8 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
         report.bump_checks(4);
     }
 
-    // The compiled-kernel fast path must be bit-identical to per-iteration
-    // step replay, and the replay-free analytic engine to both. A period
+    // The production simulator must be bit-identical to the step-replay
+    // oracle, and the replay-free analytic engine to both. A period
     // of 5 against `conservation_iters = 24` crosses four full software
     // epochs plus a partial final one, so the cycle-power fold, the
     // short-span tail, and the analytic prefix-panel algebra are all
@@ -534,8 +534,8 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
 }
 
 /// Runs the store pass: every configured [`BalanceConfig`] cross-checked
-/// for wear bit-identity with the artifact store off (reference), on
-/// (process-wide), cold, warm, and starved to a 1-byte budget. A period
+/// for wear bit-identity against the step-replay oracle with the artifact
+/// store process-wide, cold, warm, and starved to a 1-byte budget. A period
 /// of 5 against
 /// `conservation_iters = 24` keeps several software epochs in play so
 /// panel and kernel artifacts are actually built and reused.
@@ -548,8 +548,8 @@ pub fn run_store_pass(opts: &CheckOptions, report: &mut Report) {
         .with_read_tracking(true);
     for &config in &opts.configs {
         report.extend(store::verify_store_equivalence(&workload, config, cfg));
-        // Five obligations per configuration: the simulator pair, three
-        // analytic store regimes, and the eviction-leak bound.
+        // Five obligations per configuration: the simulator vs the oracle,
+        // three analytic store regimes, and the eviction-leak bound.
         report.bump_checks(5);
     }
 }

@@ -5,11 +5,12 @@
 //! compiled `+Hw` kernels across configuration cells. That reuse is only
 //! sound if a cache hit returns *exactly* what recomputation would have
 //! produced — in every regime the store can be in. This pass pins the
-//! claim per configuration by running the same workload with the store
-//! off (the reference), cold (all misses), warm (all hits), and starved
-//! to a 1-byte budget (every insert immediately evicted), plus the
-//! simulator's own store-on/store-off pair, and demanding per-cell bit
-//! identity throughout.
+//! claim per configuration against the step-replay oracle
+//! (`EnduranceSimulator::run_reference`, which touches no store): the
+//! production simulator through the process-wide store, and the analytic
+//! engine through private stores cold (all misses), warm (all hits), and
+//! starved to a 1-byte budget (every insert immediately evicted), demanding
+//! per-cell bit identity throughout.
 
 use nvpim_array::WearMap;
 use nvpim_balance::BalanceConfig;
@@ -54,7 +55,7 @@ fn compare_maps(
             code,
             subject.to_owned(),
             format!(
-                "{divergent} cell(s) differ between the {arm} arm and the store-off reference; \
+                "{divergent} cell(s) differ between the {arm} arm and the step-replay oracle; \
                  first at ({row},{lane}): writes {cw} vs {ew}, reads {cr} vs {er}"
             ),
         ));
@@ -65,7 +66,7 @@ fn compare_maps(
             code,
             subject.to_owned(),
             format!(
-                "{arm} max-writes {} differs from store-off reference {}",
+                "{arm} max-writes {} differs from the step-replay oracle's {}",
                 candidate.max_writes(),
                 reference.max_writes()
             ),
@@ -74,15 +75,15 @@ fn compare_maps(
     findings
 }
 
-/// Cross-checks store-on against store-off wear for one configuration:
+/// Cross-checks stored wear against the oracle for one configuration:
 ///
-/// 1. the replay simulator with the process-wide store enabled vs
-///    disabled (`+Hw` cells exercise the kernel-memoization path; others
-///    prove turning the knob is inert);
+/// 1. the production simulator, whose `+Hw` cells fetch their kernel from
+///    the process-wide store;
 /// 2. the analytic engine against cold, warm, and permanently-evicting
 ///    private stores — the miss, hit, and eviction regimes in isolation.
 ///
-/// Every arm must be bit-identical, per cell, to the store-off reference.
+/// Every arm must be bit-identical, per cell, to
+/// [`EnduranceSimulator::run_reference`].
 #[must_use]
 pub fn verify_store_equivalence(
     workload: &Workload,
@@ -91,25 +92,25 @@ pub fn verify_store_equivalence(
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let subject = format!("{}/{config}", workload.name());
-    let off = cfg.with_artifact_store(false);
+    let sim = EnduranceSimulator::new(cfg);
+    let reference = sim.run_reference(workload, config).wear;
 
-    // Simulator pair: the process-wide store on vs off.
-    let plain = EnduranceSimulator::new(off).run(workload, config);
-    let stored = EnduranceSimulator::new(cfg.with_artifact_store(true)).run(workload, config);
+    // Simulator pair: production (through the process-wide store) vs the
+    // oracle.
+    let stored = sim.run(workload, config);
     findings.extend(compare_maps(
         &subject,
         "sim-store-divergence",
-        "store-on simulator",
-        &plain.wear,
+        "store-backed simulator",
+        &reference,
         &stored.wear,
     ));
 
     // Analytic arms against private stores, so each regime is exercised
     // deterministically regardless of what else ran in this process.
-    let reference = AnalyticWearEngine::new(workload, config, off).wear_at(off.iterations);
     let roomy = ArtifactStore::new(ROOMY_BUDGET);
     let cold =
-        AnalyticWearEngine::new_with_store(workload, config, off, &roomy).wear_at(off.iterations);
+        AnalyticWearEngine::new_with_store(workload, config, cfg, &roomy).wear_at(cfg.iterations);
     findings.extend(compare_maps(
         &subject,
         "store-divergence",
@@ -119,7 +120,7 @@ pub fn verify_store_equivalence(
     ));
     // Same store again: every lookup that missed above now hits.
     let warm =
-        AnalyticWearEngine::new_with_store(workload, config, off, &roomy).wear_at(off.iterations);
+        AnalyticWearEngine::new_with_store(workload, config, cfg, &roomy).wear_at(cfg.iterations);
     findings.extend(compare_maps(
         &subject,
         "store-divergence",
@@ -131,7 +132,7 @@ pub fn verify_store_equivalence(
     // to build-always and must still be invisible in the results.
     let starved = ArtifactStore::new(1);
     let evicted =
-        AnalyticWearEngine::new_with_store(workload, config, off, &starved).wear_at(off.iterations);
+        AnalyticWearEngine::new_with_store(workload, config, cfg, &starved).wear_at(cfg.iterations);
     findings.extend(compare_maps(
         &subject,
         "eviction-divergence",

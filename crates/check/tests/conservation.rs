@@ -20,7 +20,7 @@ fn representative_configs_conserve() {
     }
 }
 
-/// The compiled-kernel arm is bit-identical to step replay for dynamic
+/// The production simulator is bit-identical to the step-replay oracle for dynamic
 /// configurations across epoch boundaries (including a partial epoch),
 /// and the analytic engine agrees with both on every reducibility rung
 /// (closed-form, lazy software, and lazy hardware).

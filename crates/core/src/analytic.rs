@@ -41,7 +41,7 @@
 //!    lane-table change for partial classes (`kernel::RowAccumulator`).
 //!
 //! Every path is bit-identical to the simulator — the bit-identity suite
-//! (`tests/analytic.rs`) pins `analytic == compiled == step replay` across
+//! (`tests/analytic.rs`) pins `analytic == run == run_reference` across
 //! all 18 configurations, and each query re-asserts conservation against
 //! the trace's static counts. Answers carry no epoch series: per-epoch
 //! trajectories come from the simulator ([`crate::sim`]).
@@ -53,8 +53,9 @@
 //! closed-form backends — through [`crate::artifacts`]: a content-addressed
 //! store shared across matrix cells, sweep points, and serve requests.
 //! Sibling configurations that share a trace (all 18 do) reuse each
-//! other's work; [`SimConfig::artifact_store`] disables the store, and
-//! [`AnalyticWearEngine::artifact_use`] reports how many lookups hit.
+//! other's work; [`AnalyticWearEngine::new_with_store`] swaps in a private
+//! store, and [`AnalyticWearEngine::artifact_use`] reports how many
+//! lookups hit.
 //! Because every memoized builder is deterministic in its key, reuse is
 //! bit-identity-safe (see the `artifacts` module docs for the keying
 //! argument).
@@ -844,8 +845,7 @@ pub struct AnalyticWearEngine<'w> {
 
 impl<'w> AnalyticWearEngine<'w> {
     /// Builds the engine, choosing the strongest reducible path for
-    /// `balance` under `cfg.schedule`. With [`SimConfig::artifact_store`]
-    /// enabled (the default), intermediates are shared through
+    /// `balance` under `cfg.schedule`. Intermediates are shared through
     /// [`artifacts::global`].
     ///
     /// # Panics
@@ -854,29 +854,22 @@ impl<'w> AnalyticWearEngine<'w> {
     /// available (same contract as the simulator).
     #[must_use]
     pub fn new(workload: &'w Workload, balance: BalanceConfig, cfg: SimConfig) -> Self {
-        let store = cfg.artifact_store.then(artifacts::global);
-        Self::build_with(workload, balance, cfg, store)
+        Self::new_with_store(workload, balance, cfg, artifacts::global())
     }
 
     /// [`AnalyticWearEngine::new`] against an explicit store (the identity
     /// suite and `nvpim-check` use private stores to exercise hit, miss,
-    /// and eviction regimes in isolation). The explicit store wins over
-    /// `cfg.artifact_store`.
+    /// and eviction regimes in isolation).
+    ///
+    /// # Panics
+    ///
+    /// As [`AnalyticWearEngine::new`].
     #[must_use]
     pub fn new_with_store(
         workload: &'w Workload,
         balance: BalanceConfig,
         cfg: SimConfig,
         store: &'w ArtifactStore,
-    ) -> Self {
-        Self::build_with(workload, balance, cfg, Some(store))
-    }
-
-    fn build_with(
-        workload: &'w Workload,
-        balance: BalanceConfig,
-        cfg: SimConfig,
-        store: Option<&'w ArtifactStore>,
     ) -> Self {
         let trace = workload.trace();
         let dims = trace.dims();
@@ -889,10 +882,7 @@ impl<'w> AnalyticWearEngine<'w> {
         );
         let counts = trace.counts(cfg.arch);
         let choice = classify_inner(balance, cfg.schedule, dims, cfg.track_reads);
-        // The trace walk for the fingerprint is only worth paying when a
-        // store can reuse it; detached engines skip it — keys derived from
-        // the placeholder go unused.
-        let fp = store.map_or_else(Fingerprint::zero, |_| artifacts::trace_fingerprint(trace));
+        let fp = artifacts::trace_fingerprint(trace);
         let mut ctx = StoreCtx::new(store);
         let backend = match choice {
             PathChoice::Static => Backend::Static(build_static(trace, balance, cfg, fp, &mut ctx)),
@@ -921,8 +911,7 @@ impl<'w> AnalyticWearEngine<'w> {
     }
 
     /// How many artifact-store lookups this engine's construction answered
-    /// from cache versus built (queries issue none). All zeros when the
-    /// store is disabled.
+    /// from cache versus built (queries issue none).
     #[must_use]
     pub fn artifact_use(&self) -> ArtifactUse {
         self.usage

@@ -69,12 +69,6 @@ impl Fingerprint {
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
     }
-
-    /// A placeholder fingerprint for contexts with no store attached
-    /// (keys derived from it are never looked up).
-    pub(crate) fn zero() -> Self {
-        Fingerprint(0)
-    }
 }
 
 /// Incremental 128-bit FNV-1a-style hasher over the encodings below.
@@ -395,8 +389,9 @@ impl std::fmt::Debug for ArtifactStore {
     }
 }
 
-/// The process-wide store every engine with `SimConfig::artifact_store`
-/// enabled shares. The budget defaults to [`DEFAULT_BUDGET_BYTES`] and can
+/// The process-wide store the production engines share (private stores
+/// go through [`crate::analytic::AnalyticWearEngine::new_with_store`]).
+/// The budget defaults to [`DEFAULT_BUDGET_BYTES`] and can
 /// be overridden (in bytes) with the `NVPIM_ARTIFACT_BUDGET` environment
 /// variable, read once at first use.
 pub fn global() -> &'static ArtifactStore {
@@ -541,17 +536,17 @@ pub(crate) fn closed_form_key(
     h.finish()
 }
 
-/// A per-engine handle over an optional store: funnels lookups through
-/// [`ArtifactStore::get_or_insert`] when a store is attached, builds
-/// directly (no tallies) when not.
+/// A per-engine handle over a store: funnels lookups through
+/// [`ArtifactStore::get_or_insert`] and tallies the engine's own hits and
+/// misses.
 pub(crate) struct StoreCtx<'a> {
-    store: Option<&'a ArtifactStore>,
+    store: &'a ArtifactStore,
     hits: u64,
     misses: u64,
 }
 
 impl<'a> StoreCtx<'a> {
-    pub(crate) fn new(store: Option<&'a ArtifactStore>) -> Self {
+    pub(crate) fn new(store: &'a ArtifactStore) -> Self {
         StoreCtx { store, hits: 0, misses: 0 }
     }
 
@@ -565,18 +560,13 @@ impl<'a> StoreCtx<'a> {
         T: Send + Sync + 'static,
         F: FnOnce() -> (T, usize),
     {
-        match self.store {
-            Some(store) => {
-                let (value, hit) = store.get_or_insert(kind, key, build);
-                if hit {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
-                value
-            }
-            None => Arc::new(build().0),
+        let (value, hit) = self.store.get_or_insert(kind, key, build);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        value
     }
 
     pub(crate) fn tally(&self) -> ArtifactUse {
@@ -756,18 +746,13 @@ mod tests {
     }
 
     #[test]
-    fn store_ctx_tallies_and_none_store_builds_directly() {
+    fn store_ctx_tallies_hits_and_misses() {
         let store = ArtifactStore::new(1 << 20);
-        let mut ctx = StoreCtx::new(Some(&store));
+        let mut ctx = StoreCtx::new(&store);
         ctx.get_or_build(ArtifactKind::Panels, store_key(1), || (1u64, 8));
         ctx.get_or_build(ArtifactKind::Panels, store_key(1), || (1u64, 8));
         assert_eq!(ctx.tally(), ArtifactUse { hits: 1, misses: 1 });
-
-        let mut off = StoreCtx::new(None);
-        let v: Arc<u64> = off.get_or_build(ArtifactKind::Panels, store_key(1), || (7u64, 8));
-        assert_eq!(*v, 7);
-        assert_eq!(off.tally(), ArtifactUse::default());
-        assert_eq!(store.stats().total().entries, 1, "detached ctx must not touch the store");
+        assert_eq!(store.stats().total().entries, 1);
     }
 
     #[test]

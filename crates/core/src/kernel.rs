@@ -266,10 +266,10 @@ impl RowAccumulator {
 /// kernel plus the row-space stage, so steady-state epochs allocate
 /// nothing.
 ///
-/// With the artifact store enabled, the kernel is shared by content key —
-/// the trace fingerprint, the architecture, and read tracking — so sibling
-/// matrix cells and repeated runs skip the symbolic trace walk entirely on
-/// a hit.
+/// The kernel is shared through the global artifact store by content key
+/// — the trace fingerprint, the architecture, and read tracking — so
+/// sibling matrix cells and repeated runs skip the symbolic trace walk
+/// entirely on a hit.
 #[derive(Debug)]
 pub(crate) struct HwKernelEngine {
     kernel: Arc<WearKernel>,
@@ -278,10 +278,10 @@ pub(crate) struct HwKernelEngine {
 }
 
 impl HwKernelEngine {
-    pub(crate) fn new(trace: &Trace, arch: ArchStyle, track_reads: bool, use_store: bool) -> Self {
-        let store = use_store.then(artifacts::global);
-        let fp = store.map_or_else(Fingerprint::zero, |_| artifacts::trace_fingerprint(trace));
-        let kernel = fetch(trace, arch, track_reads, fp, &mut StoreCtx::new(store));
+    pub(crate) fn new(trace: &Trace, arch: ArchStyle, track_reads: bool) -> Self {
+        let fp = artifacts::trace_fingerprint(trace);
+        let mut ctx = StoreCtx::new(artifacts::global());
+        let kernel = fetch(trace, arch, track_reads, fp, &mut ctx);
         HwKernelEngine { kernel, rows: RowAccumulator::new(trace, track_reads) }
     }
 
@@ -297,7 +297,7 @@ impl HwKernelEngine {
 }
 
 /// Fetches the trace's one kernel from the store behind `ctx`, compiling it
-/// on a miss. `fp` is the trace's fingerprint (unused without a store).
+/// on a miss. `fp` is the trace's fingerprint.
 pub(crate) fn fetch(
     trace: &Trace,
     arch: ArchStyle,

@@ -12,6 +12,13 @@
 //! [`crate::kernel`]'s module docs). Both
 //! paths are bit-exact against naive execution (asserted by tests) and
 //! orders of magnitude faster.
+//!
+//! [`EnduranceSimulator::run_reference`] is the step-replay oracle the
+//! suites and `nvpim-check` compare production answers against: the same
+//! epoch loop, series samples and conservation asserts, but every step
+//! translated through [`CombinedMap::lookup_row`] — every iteration under
+//! `Hw`, once per epoch (scaled) otherwise — with no compiled kernel, no
+//! row table and no artifact store.
 
 use std::time::Instant;
 
@@ -50,28 +57,12 @@ pub struct SimConfig {
     /// Whether to also accumulate per-cell *read* counts (needed only for
     /// Fig. 5b; costs extra time).
     pub track_reads: bool,
-    /// Whether the static-map replay path scatters through the per-epoch
-    /// flat translation table ([`CombinedMap::row_table`]) instead of
-    /// re-translating every step. Identical results either way; off exists
-    /// only for the ablation bench.
-    pub translation_cache: bool,
-    /// Whether dynamic (`+Hw`) maps run through the compiled wear kernel
-    /// (one symbolic trace walk per run, each epoch folded in O(rows))
-    /// instead of replaying every iteration step by step. Identical results
-    /// either way; off exists only for the ablation bench.
-    pub hw_kernels: bool,
     /// Whether to sample the wear distribution at every epoch boundary
     /// into [`SimResult::series`] (max/mean/p99 writes, Gini, remap
     /// count) and emit matching [`Event::SeriesPoint`]s. The samples are
     /// pure functions of the wear map, so they are bit-identical across
     /// the replayed and compiled paths; off (the default) costs nothing.
     pub epoch_series: bool,
-    /// Whether engines consult the process-wide content-addressed
-    /// [`crate::artifacts`] store for memoized trace walks, panels, and
-    /// compiled kernels. Hits return exactly what recomputation would
-    /// have produced (keys cover all determining inputs), so results are
-    /// identical either way; off exists for ablation and purity tests.
-    pub artifact_store: bool,
 }
 
 impl SimConfig {
@@ -85,10 +76,7 @@ impl SimConfig {
             schedule: RemapSchedule::every(100),
             seed: 0xC0FFEE,
             track_reads: false,
-            translation_cache: true,
-            hw_kernels: true,
             epoch_series: false,
-            artifact_store: true,
         }
     }
 
@@ -127,36 +115,10 @@ impl SimConfig {
         self
     }
 
-    /// Enables or disables the epoch translation-cache fast path (on by
-    /// default; disabling is for the ablation bench only).
-    #[must_use]
-    pub fn with_translation_cache(mut self, enabled: bool) -> Self {
-        self.translation_cache = enabled;
-        self
-    }
-
-    /// Enables or disables the epoch-compiled wear-kernel fast path for
-    /// dynamic (`+Hw`) maps (on by default; disabling falls back to
-    /// per-iteration step replay and is for the ablation bench only).
-    #[must_use]
-    pub fn with_hw_kernels(mut self, enabled: bool) -> Self {
-        self.hw_kernels = enabled;
-        self
-    }
-
     /// Enables per-epoch wear-trajectory sampling (off by default).
     #[must_use]
     pub fn with_epoch_series(mut self, enabled: bool) -> Self {
         self.epoch_series = enabled;
-        self
-    }
-
-    /// Enables or disables the process-wide artifact store (on by
-    /// default; disabling forces every engine to rebuild its own
-    /// intermediates — for ablation and purity tests).
-    #[must_use]
-    pub fn with_artifact_store(mut self, enabled: bool) -> Self {
-        self.artifact_store = enabled;
         self
     }
 }
@@ -244,6 +206,16 @@ pub struct EnduranceSimulator {
     cfg: SimConfig,
 }
 
+/// Which replay arm the shared epoch loop runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Replay {
+    /// Static maps through the epoch's flat row table, `+Hw` maps through
+    /// the compiled kernel from the artifact store.
+    Production,
+    /// Per-step `lookup_row` replay: the oracle.
+    Reference,
+}
+
 impl EnduranceSimulator {
     /// Creates a simulator with the given parameters.
     #[must_use]
@@ -265,9 +237,26 @@ impl EnduranceSimulator {
     /// [`NullSink`], whose disabled emission sites monomorphize away.
     #[must_use]
     pub fn run(&self, workload: &Workload, balance: BalanceConfig) -> SimResult {
+        self.run_observed(workload, balance, Replay::Production)
+    }
+
+    /// The step-replay oracle: [`EnduranceSimulator::run`]'s answer
+    /// computed by translating every step through
+    /// [`CombinedMap::lookup_row`] — each iteration under `Hw`, one scaled
+    /// iteration per epoch otherwise — without the compiled kernel, the
+    /// flat row table, or the artifact store. Tests and `nvpim-check`
+    /// compare the production paths against it; it reports into the
+    /// installed observer exactly as `run` does.
+    #[must_use]
+    pub fn run_reference(&self, workload: &Workload, balance: BalanceConfig) -> SimResult {
+        self.run_observed(workload, balance, Replay::Reference)
+    }
+
+    fn run_observed(&self, workload: &Workload, balance: BalanceConfig, arm: Replay) -> SimResult {
+        let counts = workload.trace().counts(self.cfg.arch);
         match nvpim_obs::observer::current() {
-            Some(observer) => self.run_with(workload, balance, &*observer),
-            None => self.run_with(workload, balance, &NullSink),
+            Some(observer) => self.simulate(workload, balance, &*observer, counts, arm),
+            None => self.simulate(workload, balance, &NullSink, counts, arm),
         }
     }
 
@@ -301,6 +290,20 @@ impl EnduranceSimulator {
         sink: &S,
         counts: nvpim_array::trace::TraceCounts,
     ) -> SimResult {
+        self.simulate(workload, balance, sink, counts, Replay::Production)
+    }
+
+    /// The epoch loop both replay arms share: series samples, counters
+    /// and the run-end conservation asserts are common; `arm` picks how
+    /// each epoch's wear is tallied.
+    fn simulate<S: EventSink>(
+        &self,
+        workload: &Workload,
+        balance: BalanceConfig,
+        sink: &S,
+        counts: nvpim_array::trace::TraceCounts,
+        arm: Replay,
+    ) -> SimResult {
         let trace = workload.trace();
         let dims = trace.dims();
         let mut map = CombinedMap::new(balance, dims.rows(), dims.lanes(), self.cfg.seed);
@@ -333,9 +336,8 @@ impl EnduranceSimulator {
         // The compiled path's one symbolic trace walk (or its store hit)
         // happens here, booked as the run's one replay.
         let replay_timer = enabled.then(Instant::now);
-        let mut hw_engine = (map.is_dynamic() && self.cfg.hw_kernels).then(|| {
-            let cfg = self.cfg;
-            crate::kernel::HwKernelEngine::new(trace, cfg.arch, cfg.track_reads, cfg.artifact_store)
+        let mut hw_engine = (map.is_dynamic() && arm == Replay::Production).then(|| {
+            crate::kernel::HwKernelEngine::new(trace, self.cfg.arch, self.cfg.track_reads)
         });
 
         // Per-epoch tallies; cheap plain locals even on the disabled path.
@@ -366,13 +368,12 @@ impl EnduranceSimulator {
                 }
                 replays += span;
             } else if hw_engine.is_none() {
-                // Static within the epoch: one replay, scaled. With the
-                // translation cache the epoch's flat row table replaces the
-                // per-step lookup chain.
-                if self.cfg.translation_cache {
-                    acc.replay_cached(trace, map.row_table(), self.cfg.arch);
-                } else {
-                    acc.replay(trace, &mut map, self.cfg.arch);
+                // Static within the epoch: one replay, scaled. In production
+                // the epoch's flat row table replaces the per-step lookup
+                // chain.
+                match arm {
+                    Replay::Production => acc.replay_cached(trace, map.row_table(), self.cfg.arch),
+                    Replay::Reference => acc.replay(trace, &mut map, self.cfg.arch),
                 }
                 replays += 1;
             }
@@ -978,39 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn translation_cache_off_matches_on() {
-        // The cached flat-table replay is a pure strength reduction: turning
-        // it off (trait-dispatched per-step lookups) must not move a single
-        // write or read.
-        let wl = small_mul();
-        let base = SimConfig::default()
-            .with_iterations(9)
-            .with_schedule(RemapSchedule::every(4))
-            .with_read_tracking(true);
-        for config in ["StxSt", "RaxSt", "StxRa", "BsxBs", "RaxRa"] {
-            let balance: BalanceConfig = config.parse().unwrap();
-            let cached =
-                EnduranceSimulator::new(base.with_translation_cache(true)).run(&wl, balance);
-            let uncached =
-                EnduranceSimulator::new(base.with_translation_cache(false)).run(&wl, balance);
-            for row in 0..128 {
-                for lane in 0..8 {
-                    assert_eq!(
-                        cached.wear.writes_at(row, lane),
-                        uncached.wear.writes_at(row, lane),
-                        "{config} writes diverge at ({row},{lane})"
-                    );
-                    assert_eq!(
-                        cached.wear.reads_at(row, lane),
-                        uncached.wear.reads_at(row, lane),
-                        "{config} reads diverge at ({row},{lane})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_all_configs_matches_serial() {
         let wl = small_mul();
         let cfg = SimConfig::default().with_iterations(6).with_schedule(RemapSchedule::every(3));
@@ -1029,27 +997,23 @@ mod tests {
     #[test]
     fn epoch_series_is_bit_identical_across_replay_paths() {
         // The trajectory samples are pure functions of the wear map at each
-        // epoch boundary, so the compiled-kernel path and per-iteration step
-        // replay must produce the exact same Vec<EpochSample> — including
-        // the float fields, which derive from integer write counts.
+        // epoch boundary, so the production paths (compiled kernel, flat
+        // row table) and the step-replay oracle must produce the exact same
+        // Vec<EpochSample> — including the float fields, which derive from
+        // integer write counts.
         let wl = small_mul();
-        let base = SimConfig::default()
+        let cfg = SimConfig::default()
             .with_iterations(20)
             .with_schedule(RemapSchedule::every(4))
             .with_epoch_series(true);
-        for config in ["StxSt+Hw", "RaxRa+Hw", "BsxSt+Hw"] {
+        let sim = EnduranceSimulator::new(cfg);
+        for config in ["StxSt+Hw", "RaxRa+Hw", "BsxSt+Hw", "RaxRa"] {
             let balance: BalanceConfig = config.parse().unwrap();
-            let compiled = EnduranceSimulator::new(base.with_hw_kernels(true)).run(&wl, balance);
-            let replayed = EnduranceSimulator::new(base.with_hw_kernels(false)).run(&wl, balance);
-            assert_eq!(compiled.series.len(), 5, "{config}: 20 iters / period 4");
-            assert_eq!(compiled.series, replayed.series, "{config} trajectories diverge");
+            let production = sim.run(&wl, balance);
+            let reference = sim.run_reference(&wl, balance);
+            assert_eq!(production.series.len(), 5, "{config}: 20 iters / period 4");
+            assert_eq!(production.series, reference.series, "{config} trajectories diverge");
         }
-        // Static maps: translation cache on/off must agree the same way.
-        let cached = EnduranceSimulator::new(base.with_translation_cache(true))
-            .run(&wl, "RaxRa".parse().unwrap());
-        let uncached = EnduranceSimulator::new(base.with_translation_cache(false))
-            .run(&wl, "RaxRa".parse().unwrap());
-        assert_eq!(cached.series, uncached.series);
     }
 
     #[test]

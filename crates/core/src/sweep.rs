@@ -141,8 +141,7 @@ pub fn remap_frequency_sweep_parallel(
 /// simulator run, bit-identical to both (irreducible configurations fall
 /// back to the simulator inside the engine).
 ///
-/// With the artifact store on (the [`SimConfig::artifact_store`] default),
-/// the per-period engines share sub-computations through the process-wide
+/// The per-period engines share sub-computations through the process-wide
 /// [`crate::artifacts`] store: the trace walk and logical panels depend
 /// only on (trace, arch), so every sweep point past the first hits, and
 /// schedule-independent kernels are reused across periods too.

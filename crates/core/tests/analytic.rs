@@ -1,9 +1,10 @@
 //! Bit-identity of the replay-free analytic wear engine.
 //!
 //! The analytic engine answers `wear_at(N)` through closed-form prefix
-//! panels or lazy epoch enumeration depending on the configuration. These tests pin every path against both simulator arms —
-//! epoch-compiled (`with_hw_kernels(true)`) and per-iteration step replay
-//! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across all
+//! panels or lazy epoch enumeration depending on the configuration. These
+//! tests pin every path against the production simulator
+//! (`EnduranceSimulator::run`) and the step-replay oracle
+//! (`run_reference`) — cell by cell, writes and reads, across all
 //! 18 balancing configurations, never() schedules, randomized iteration
 //! counts with mid-epoch partial spans, monotone and backwards lazy
 //! queries, and the exact lifetime solve. `scripts/ci.sh` runs them in
@@ -17,7 +18,8 @@ use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 
-/// Asserts the analytic engine equals both simulator arms cell by cell.
+/// Asserts the analytic engine equals `run` and the step-replay oracle
+/// cell by cell.
 fn assert_analytic_bit_identical(
     wl: &Workload,
     cfg: SimConfig,
@@ -26,8 +28,9 @@ fn assert_analytic_bit_identical(
 ) {
     let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
     let analytic = engine.wear_at(cfg.iterations);
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+    let sim = EnduranceSimulator::new(cfg);
+    let compiled = sim.run(wl, balance);
+    let replayed = sim.run_reference(wl, balance);
     let dims = wl.trace().dims();
     let path = engine.path();
     for row in 0..dims.rows() {

@@ -3,11 +3,12 @@
 //! The store memoizes trace walks, logical panels, and compiled `+Hw`
 //! kernels so the configuration matrix shares sub-computations across
 //! cells. Reuse is only sound if a hit returns exactly what recomputation
-//! would have produced — so these tests pin every store regime (off,
-//! cold, warm, and starved to a 1-byte budget that evicts every insert)
-//! against the store-off reference, cell by cell, across all 18 balancing
-//! configurations, the replay simulator's kernel path, and a seeded fuzz
-//! arm over random shapes and schedules.
+//! would have produced — so these tests pin every store regime (the
+//! global store, and private stores cold, warm, and starved to a 1-byte
+//! budget that evicts every insert) against the step-replay oracle
+//! (`EnduranceSimulator::run_reference`, which touches no store), cell by
+//! cell, across all 18 balancing configurations, the simulator's kernel
+//! path, and a seeded fuzz arm over random shapes and schedules.
 //! `scripts/ci.sh` runs this suite in release mode.
 
 use nvpim_array::ArrayDims;
@@ -46,19 +47,21 @@ fn assert_maps_equal(
     assert_eq!(reference.total_reads(), candidate.total_reads(), "{label}: total reads diverge");
 }
 
-/// Store off vs cold vs warm vs constantly-evicting, per configuration.
-/// The warm engine must actually score hits on every path — otherwise the
-/// "warm" arm silently degenerates into a second cold run.
+/// The oracle vs the global store vs private stores cold, warm and
+/// constantly evicting, per configuration. The warm engine must actually
+/// score hits on every path — otherwise the "warm" arm silently
+/// degenerates into a second cold run.
 #[test]
 fn store_regimes_are_bit_identical_for_every_config() {
     let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
     let cfg = SimConfig::paper()
         .with_iterations(23)
         .with_schedule(RemapSchedule::every(7))
-        .with_read_tracking(true)
-        .with_artifact_store(false);
+        .with_read_tracking(true);
     for balance in BalanceConfig::all() {
-        let reference = AnalyticWearEngine::new(&wl, balance, cfg).wear_at(cfg.iterations);
+        let reference = EnduranceSimulator::new(cfg).run_reference(&wl, balance).wear;
+        let global = AnalyticWearEngine::new(&wl, balance, cfg).wear_at(cfg.iterations);
+        assert_maps_equal(&reference, &global, &format!("{balance} global"));
 
         let roomy = ArtifactStore::new(ROOMY);
         let mut cold = AnalyticWearEngine::new_with_store(&wl, balance, cfg, &roomy);
@@ -88,19 +91,23 @@ fn store_regimes_are_bit_identical_for_every_config() {
     }
 }
 
-/// The replay simulator's compiled-kernel path goes through the store
-/// when enabled; wear must not depend on the knob for any configuration.
+/// The simulator's compiled-kernel path fetches its kernel from the
+/// global store; run twice (miss, then hit) its wear must equal the
+/// oracle's for every configuration.
 #[test]
-fn simulator_store_knob_is_inert() {
+fn simulator_kernel_path_through_the_store_matches_the_oracle() {
     let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
     let cfg = SimConfig::paper()
         .with_iterations(23)
         .with_schedule(RemapSchedule::every(7))
         .with_read_tracking(true);
+    let sim = EnduranceSimulator::new(cfg);
     for balance in BalanceConfig::all() {
-        let on = EnduranceSimulator::new(cfg.with_artifact_store(true)).run(&wl, balance);
-        let off = EnduranceSimulator::new(cfg.with_artifact_store(false)).run(&wl, balance);
-        assert_maps_equal(&off.wear, &on.wear, &format!("{balance} sim store on/off"));
+        let reference = sim.run_reference(&wl, balance);
+        for pass in 0..2 {
+            let stored = sim.run(&wl, balance);
+            assert_maps_equal(&reference.wear, &stored.wear, &format!("{balance} sim pass {pass}"));
+        }
     }
 }
 
@@ -139,11 +146,10 @@ fn fuzzed_cells_are_store_invariant() {
             .with_iterations(iterations)
             .with_schedule(RemapSchedule::every(period))
             .with_read_tracking(next() % 2 == 0)
-            .with_artifact_store(false)
             .with_seed(next());
         let label = format!("trial {trial}: {balance} {rows}x{lanes} i={iterations} p={period}");
 
-        let reference = AnalyticWearEngine::new(&wl, balance, cfg).wear_at(cfg.iterations);
+        let reference = EnduranceSimulator::new(cfg).run_reference(&wl, balance).wear;
         let store = ArtifactStore::new(budget);
         // Two engines against the same store: miss-then-hit (or evict)
         // regimes both land on the reference.

@@ -3,8 +3,8 @@
 //! The `+Hw` fast path compiles one symbolic trace walk per run, relabels
 //! it through each epoch's software row table, and folds whole epochs over
 //! the resulting slot permutation. These tests
-//! pin it against the reference — per-iteration step replay
-//! (`with_hw_kernels(false)`) — cell by cell, writes and reads, across every
+//! pin `EnduranceSimulator::run` against the step-replay oracle
+//! (`run_reference`) — cell by cell, writes and reads, across every
 //! balancing configuration, multiple geometries, partial final epochs, long
 //! never-remap spans (the `q > 0` cycle-power fold), and randomized
 //! redirect-storm parameters. `scripts/ci.sh` runs them in release mode.
@@ -16,10 +16,11 @@ use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 
-/// Asserts the compiled-kernel run equals the step-replay run cell by cell.
+/// Asserts the production run equals the step-replay oracle cell by cell.
 fn assert_bit_identical(wl: &Workload, cfg: SimConfig, balance: BalanceConfig, label: &str) {
-    let compiled = EnduranceSimulator::new(cfg.with_hw_kernels(true)).run(wl, balance);
-    let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+    let sim = EnduranceSimulator::new(cfg);
+    let compiled = sim.run(wl, balance);
+    let replayed = sim.run_reference(wl, balance);
     let dims = wl.trace().dims();
     for row in 0..dims.rows() {
         for lane in 0..dims.lanes() {

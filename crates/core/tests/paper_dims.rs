@@ -8,7 +8,7 @@
 //! config — `RaxRa+Hw`, `RaxSt+Hw`, `RaxBs+Hw` — whose one kernel is
 //! relabeled through a fresh random row table every epoch), plus the two
 //! closed forms (`StxSt`, `StxSt+Hw`). Every answer is compared cell for cell against
-//! per-iteration step replay, and its hottest cell against both replay's
+//! the step-replay oracle (`run_reference`), and its hottest cell against both replay's
 //! and its own recount. 300 iterations remapped every 100 change the lane
 //! table mid-run, and the query order 200 → 300 → 100 covers a follow-up
 //! query after a flush and a restart from the seed. `scripts/ci.sh` runs
@@ -46,7 +46,7 @@ fn config() -> SimConfig {
 }
 
 fn step_replay(wl: &Workload, balance: BalanceConfig, cfg: SimConfig) -> WearMap {
-    EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance).wear
+    EnduranceSimulator::new(cfg).run_reference(wl, balance).wear
 }
 
 fn assert_same_wear(got: &WearMap, want: &WearMap, what: &str) {
@@ -121,8 +121,9 @@ fn compiled_epoch_series_matches_step_replay_at_paper_dims() {
     let cfg = config().with_epoch_series(true);
     let balance: BalanceConfig = "RaxBs+Hw".parse().unwrap();
     for (label, wl) in &paper_workloads() {
-        let compiled = EnduranceSimulator::new(cfg).run(wl, balance);
-        let replayed = EnduranceSimulator::new(cfg.with_hw_kernels(false)).run(wl, balance);
+        let sim = EnduranceSimulator::new(cfg);
+        let compiled = sim.run(wl, balance);
+        let replayed = sim.run_reference(wl, balance);
         assert_eq!(compiled.series.len(), 3, "{label}: 300 iterations / period 100");
         assert_eq!(compiled.series, replayed.series, "{label} {balance}: trajectories diverge");
         assert_same_wear(&compiled.wear, &replayed.wear, &format!("{label} {balance}"));

@@ -4,27 +4,18 @@
 //! nvpim-serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!             [--timeout-ms MS] [--cache-entries N] [--cache-dir DIR]
 //!             [--cache-max-bytes N] [--cache-max-age S]
-//!             [--peers A:P,B:P,...] [--advertise HOST:PORT]
-//!             [--replicas N] [--hot-threshold N]
 //! ```
 //!
 //! Prints one `listening on <addr>` line once bound (scripts wait for it),
-//! then serves until `POST /shutdown` drains the queue. Passing `--peers`
-//! makes this instance a fleet member: it owns a consistent-hash shard of
-//! the key space, forwards non-owned requests to their owner, and accepts
-//! hot-entry replicas from peers.
+//! then serves until `POST /shutdown` drains the queue.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nvpim_serve::{FleetConfig, Server, ServerConfig};
+use nvpim_serve::{Server, ServerConfig};
 
 fn main() -> ExitCode {
     let mut config = ServerConfig { addr: "127.0.0.1:7878".into(), ..ServerConfig::default() };
-    let mut peers: Vec<String> = Vec::new();
-    let mut advertise: Option<String> = None;
-    let mut replicas: Option<usize> = None;
-    let mut hot_threshold: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -66,51 +57,12 @@ fn main() -> ExitCode {
                 Ok(v) => config.cache_max_age_s = v as u64,
                 Err(code) => return code,
             },
-            "--peers" => match args.next() {
-                Some(v) => {
-                    peers.extend(
-                        v.split(',').map(str::trim).filter(|p| !p.is_empty()).map(String::from),
-                    );
-                }
-                None => return missing(&flag),
-            },
-            "--advertise" => match args.next() {
-                Some(v) => advertise = Some(v),
-                None => return missing(&flag),
-            },
-            "--replicas" => match parse_num(args.next(), &flag) {
-                Ok(v) if v > 0 => replicas = Some(v),
-                Ok(_) => return invalid(&flag, "must be positive"),
-                Err(code) => return code,
-            },
-            "--hot-threshold" => match parse_num(args.next(), &flag) {
-                Ok(v) if v > 0 => hot_threshold = Some(v as u64),
-                Ok(_) => return invalid(&flag, "must be positive"),
-                Err(code) => return code,
-            },
             other => {
                 eprintln!("nvpim-serve: unknown flag {other}");
                 print_help();
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    if !peers.is_empty() {
-        // The ring identity must be the address peers can actually dial:
-        // the bind address unless --advertise overrides it (wildcard binds).
-        let advertise = advertise.unwrap_or_else(|| config.addr.clone());
-        let mut fleet = FleetConfig::new(advertise, peers);
-        if let Some(replicas) = replicas {
-            fleet.replicas = replicas;
-        }
-        if let Some(hot_threshold) = hot_threshold {
-            fleet.hot_threshold = hot_threshold;
-        }
-        config.fleet = Some(fleet);
-    } else if advertise.is_some() || replicas.is_some() || hot_threshold.is_some() {
-        eprintln!("nvpim-serve: --advertise/--replicas/--hot-threshold need --peers");
-        return ExitCode::FAILURE;
     }
 
     let handle = match Server::start(config) {
@@ -165,16 +117,11 @@ OPTIONS:
     --cache-dir DIR      enable on-disk cache spill, manifests, and event log
     --cache-max-bytes N  spill-directory byte budget, 0 = unlimited (default 0)
     --cache-max-age S    spill-entry age limit in seconds, 0 = unlimited (default 0)
-    --peers LIST         comma-separated peer addresses; enables fleet mode
-    --advertise ADDR     ring identity when binding a wildcard (default --addr)
-    --replicas N         ring successors hot entries replicate to (default 1)
-    --hot-threshold N    cache hits before an entry replicates (default 3)
     -h, --help           this help
 
 ENDPOINTS:
     GET  /           service index          GET  /health    liveness + drain state
     GET  /metrics    counters + cache stats POST /simulate  one simulation (JSON body)
-    POST /batch      NDJSON-streamed sweep  POST /shutdown  graceful drain
-    GET  /fleet      ring + peer health     POST /fleet/gossip, /fleet/replicate (peer RPC)"
+    POST /batch      NDJSON-streamed sweep  POST /shutdown  graceful drain"
     );
 }

@@ -1,17 +1,14 @@
 //! A tiny std-only HTTP client for nvpim-serve.
 //!
-//! Used by the integration suite, the `repro serve-smoke`/`--fleet` paths,
-//! and — most demandingly — the fleet's peer-to-peer forwarding, so
-//! exercising the service never requires external tooling. It speaks the
-//! same one-request-per-connection subset the server does and understands
-//! both `Content-Length` bodies and close-delimited streams (`/batch`).
+//! Used by the integration suite and `repro serve-smoke`, so exercising the
+//! service never requires external tooling. It speaks the same
+//! one-request-per-connection subset the server does and understands both
+//! `Content-Length` bodies and close-delimited streams (`/batch`).
 //!
 //! Failures surface as a typed [`ClientError`] that distinguishes *refused*
-//! (the peer is down — fail fast, trip the breaker) from *timed out* (the
-//! peer is slow or wedged — equally a breaker strike, but a different
-//! operator story) from *malformed* (the peer answered garbage — a protocol
-//! bug, not a liveness signal). The fleet's circuit breakers key off this
-//! distinction; plain callers can keep treating errors as strings via the
+//! (the server is down) from *timed out* (the server is slow or wedged)
+//! from *malformed* (the server answered garbage — a protocol bug). Plain
+//! callers can keep treating errors as strings via the
 //! `From<ClientError> for String` impl.
 
 use std::io::{Read, Write};
@@ -23,13 +20,13 @@ use nvpim_obs::Json;
 /// Why a client call failed, by operational category.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClientError {
-    /// The peer actively refused the connection (nothing is listening, or
-    /// the host rejected it). The fastest failure mode — the peer is down.
+    /// The server actively refused the connection (nothing is listening,
+    /// or the host rejected it).
     Refused(String),
-    /// The connect or read deadline expired. The peer may be up but slow,
-    /// wedged, or partitioned away.
+    /// The connect or read deadline expired. The server may be up but
+    /// slow, wedged, or partitioned away.
     TimedOut(String),
-    /// The peer answered, but with bytes this client cannot parse as an
+    /// The server answered, but with bytes this client cannot parse as an
     /// HTTP response. A protocol bug, not a liveness problem.
     Malformed(String),
     /// Any other I/O failure (reset mid-stream, route errors, ...).
@@ -37,17 +34,8 @@ pub enum ClientError {
 }
 
 impl ClientError {
-    /// Whether the failure indicates the peer is unhealthy (refused, timed
-    /// out, or the connection died) as opposed to a protocol-level problem.
-    /// Circuit breakers count these; a malformed reply is debugged, not
-    /// routed around.
-    #[must_use]
-    pub fn is_liveness(&self) -> bool {
-        !matches!(self, ClientError::Malformed(_))
-    }
-
     /// Stable lowercase token (`refused` / `timed_out` / `malformed` /
-    /// `io`) for metrics labels and `/fleet` documents.
+    /// `io`) for metrics labels and error reports.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -134,36 +122,28 @@ impl HttpReply {
     }
 }
 
+/// Connect deadline for every call.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A client bound to one server address.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: SocketAddr,
-    connect_timeout: Duration,
     timeout: Duration,
 }
 
 impl Client {
     /// A client for the server at `addr` with a 5 s connect and 60 s I/O
-    /// timeout — generous defaults for interactive callers; peer-to-peer
-    /// fleet calls tighten both with [`Client::with_timeouts`].
+    /// timeout — generous defaults for interactive callers.
     #[must_use]
     pub fn new(addr: SocketAddr) -> Self {
-        Client { addr, connect_timeout: Duration::from_secs(5), timeout: Duration::from_secs(60) }
+        Client { addr, timeout: Duration::from_secs(60) }
     }
 
     /// Overrides the per-connection read/write timeout.
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Overrides both the connect and the read/write timeout — the shape a
-    /// peer call wants (fail fast on a dead host *and* on a wedged one).
-    #[must_use]
-    pub fn with_timeouts(mut self, connect: Duration, io: Duration) -> Self {
-        self.connect_timeout = connect;
-        self.timeout = io;
         self
     }
 
@@ -186,8 +166,7 @@ impl Client {
     }
 
     /// Issues `POST path` with a JSON body and extra request headers (e.g.
-    /// `X-Trace-Id` to join the request to a caller-owned trace, or the
-    /// fleet's `X-Fleet-Hop` loop guard).
+    /// `X-Trace-Id` to join the request to a caller-owned trace).
     ///
     /// # Errors
     ///
@@ -208,7 +187,7 @@ impl Client {
         body: Option<&str>,
         extra_headers: &[(&str, &str)],
     ) -> Result<HttpReply, ClientError> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)
+        let mut stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)
             .map_err(|e| ClientError::from_io(&e))?;
         stream.set_read_timeout(Some(self.timeout)).map_err(|e| ClientError::from_io(&e))?;
         stream.set_write_timeout(Some(self.timeout)).map_err(|e| ClientError::from_io(&e))?;
@@ -293,7 +272,6 @@ mod tests {
         let client = Client::new(dead_addr());
         let err = client.get("/health").expect_err("nothing listens there");
         assert_eq!(err.kind(), "refused", "{err}");
-        assert!(err.is_liveness());
     }
 
     #[test]
@@ -303,11 +281,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let hold = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let client =
-            Client::new(addr).with_timeouts(Duration::from_millis(500), Duration::from_millis(50));
+        let client = Client::new(addr).with_timeout(Duration::from_millis(50));
         let err = client.get("/health").expect_err("peer never answers");
         assert_eq!(err.kind(), "timed_out", "{err}");
-        assert!(err.is_liveness());
         drop(hold.join());
     }
 
@@ -327,7 +303,6 @@ mod tests {
         let client = Client::new(addr).with_timeout(Duration::from_secs(2));
         let err = client.get("/").expect_err("reply is not HTTP");
         assert_eq!(err.kind(), "malformed", "{err}");
-        assert!(!err.is_liveness(), "protocol bugs must not trip breakers");
         server.join().unwrap();
     }
 

@@ -17,13 +17,8 @@
 //! * [`cache`] — in-memory LRU with optional on-disk spill;
 //! * [`http`] — the minimal HTTP/1.1 reader/writer;
 //! * [`server`] — accept loop, endpoints, backpressure, timeouts, drain;
-//! * [`client`] — a std-only client used by tests, `repro serve-smoke`, and
-//!   peer-to-peer fleet calls (typed [`ClientError`] outcomes);
-//! * [`ring`] — consistent hashing with virtual nodes over canonical keys;
-//! * [`peer`] — per-peer circuit breakers and call statistics;
-//! * [`gossip`] — static-membership health gossip (generation × heartbeat);
-//! * [`fleet`] — the fleet coordinator tying ring, peers, and gossip into
-//!   forward / replicate / fall-back-local routing.
+//! * [`client`] — a std-only client used by tests and `repro serve-smoke`
+//!   (typed [`ClientError`] outcomes).
 //!
 //! [`ClientError`]: client::ClientError
 //!
@@ -49,19 +44,13 @@
 
 pub mod cache;
 pub mod client;
-pub mod fleet;
-pub mod gossip;
 pub mod hash;
 pub mod http;
-pub mod peer;
 pub mod request;
-pub mod ring;
 pub mod server;
 pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{Client, ClientError, HttpReply};
-pub use fleet::{Fleet, FleetConfig};
 pub use request::{RequestError, SimRequest, WorkloadSpec};
-pub use ring::HashRing;
 pub use server::{Server, ServerConfig, ServerHandle};

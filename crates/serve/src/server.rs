@@ -41,7 +41,6 @@ use nvpim_obs::{
 };
 
 use crate::cache::ResultCache;
-use crate::fleet::{Fleet, FleetConfig, Route};
 use crate::hash::key_hex;
 use crate::http::{self, HttpRequest};
 use crate::request::SimRequest;
@@ -77,8 +76,6 @@ pub struct ServerConfig {
     pub cache_max_bytes: u64,
     /// Age limit for spilled cache entries, in seconds (0 = unlimited).
     pub cache_max_age_s: u64,
-    /// Fleet membership; `None` runs a plain single-node server.
-    pub fleet: Option<FleetConfig>,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +90,6 @@ impl Default for ServerConfig {
             retry_after_s: 1,
             cache_max_bytes: 0,
             cache_max_age_s: 0,
-            fleet: None,
         }
     }
 }
@@ -111,8 +107,6 @@ struct ServeState {
     workers: usize,
     queue_depth: usize,
     manifest_dir: Option<PathBuf>,
-    /// Present when this instance is a fleet member.
-    fleet: Option<Arc<Fleet>>,
 }
 
 impl ServeState {
@@ -132,11 +126,6 @@ impl ServeState {
         metrics.gauge("serve.in_flight").set(self.in_flight.load(Ordering::SeqCst) as f64);
         metrics.gauge("serve.workers").set(self.workers as f64);
         metrics.gauge("serve.queue_depth").set(self.queue_depth as f64);
-        if let Some(fleet) = &self.fleet {
-            let up = fleet.gossip().members().iter().filter(|m| m.up).count();
-            metrics.gauge("fleet.peers_up").set(up as f64);
-            metrics.gauge("fleet.members").set((fleet.ring().members().len()) as f64);
-        }
         // Artifact-store size and traffic (`artifacts.*`), so `/metrics`
         // shows how much of the batch path's work is being shared.
         nvpim_core::artifacts::publish_gauges(&self.observer);
@@ -214,14 +203,6 @@ impl Server {
         if let Some(dir) = &manifest_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let fleet = match &config.fleet {
-            Some(fleet_config) => {
-                Some(Arc::new(Fleet::new(fleet_config.clone()).map_err(|message| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, message)
-                })?))
-            }
-            None => None,
-        };
         let cache = ResultCache::new(config.cache_entries, config.cache_dir.clone())?
             .with_spill_limits(config.cache_max_bytes, config.cache_max_age_s);
         let state = Arc::new(ServeState {
@@ -236,24 +217,7 @@ impl Server {
             workers,
             queue_depth: config.queue_depth,
             manifest_dir,
-            fleet,
         });
-
-        if let Some(fleet) = &state.fleet {
-            if fleet.config().gossip_interval_ms > 0 {
-                let gossip_state = Arc::clone(&state);
-                let interval = Duration::from_millis(fleet.config().gossip_interval_ms);
-                std::thread::Builder::new()
-                    .name("nvpim-serve-gossip".into())
-                    .spawn(move || {
-                        while !gossip_state.draining.load(Ordering::SeqCst) {
-                            gossip_round(&gossip_state);
-                            std::thread::sleep(interval);
-                        }
-                    })
-                    .expect("spawn gossip thread");
-            }
-        }
 
         let loop_state = Arc::clone(&state);
         let queue_depth = config.queue_depth;
@@ -453,36 +417,12 @@ fn route(
             batch(stream, request, state, ctx);
             "batch"
         }
-        ("GET", "/fleet") => {
-            match &state.fleet {
-                None => respond_error(
-                    stream,
-                    404,
-                    &th,
-                    "this instance is not part of a fleet (start with --peers)",
-                ),
-                Some(fleet) => respond_json(stream, 200, &th, &fleet.to_json()),
-            }
-            "fleet"
-        }
-        ("POST", "/fleet/gossip") => {
-            fleet_gossip(stream, request, state, ctx);
-            "fleet_gossip"
-        }
-        ("POST", "/fleet/replicate") => {
-            fleet_replicate(stream, request, state, ctx);
-            "fleet_replicate"
-        }
         ("POST", "/shutdown") => {
             state.draining.store(true, Ordering::SeqCst);
             respond_json(stream, 200, &th, &Json::object().with("status", "draining"));
             "shutdown"
         }
-        (
-            _,
-            "/" | "/health" | "/metrics" | "/simulate" | "/batch" | "/shutdown" | "/fleet"
-            | "/fleet/gossip" | "/fleet/replicate",
-        ) => {
+        (_, "/" | "/health" | "/metrics" | "/simulate" | "/batch" | "/shutdown") => {
             respond_error(stream, 405, &th, "method not allowed for this path");
             "method_not_allowed"
         }
@@ -508,9 +448,6 @@ fn index_doc() -> Json {
             Json::from("GET /trace/<id>"),
             Json::from("POST /simulate"),
             Json::from("POST /batch"),
-            Json::from("GET /fleet"),
-            Json::from("POST /fleet/gossip"),
-            Json::from("POST /fleet/replicate"),
             Json::from("POST /shutdown"),
         ],
     )
@@ -518,7 +455,7 @@ fn index_doc() -> Json {
 
 fn metrics_doc(state: &ServeState) -> Json {
     let cache_stats = state.cache.lock().expect("cache poisoned").stats();
-    let mut serve = Json::object()
+    let serve = Json::object()
         .with("cache", cache_stats.to_json())
         .with("draining", state.draining.load(Ordering::SeqCst))
         .with("in_flight", state.in_flight.load(Ordering::SeqCst))
@@ -526,9 +463,6 @@ fn metrics_doc(state: &ServeState) -> Json {
         .with("uptime_s", Json::Num(state.started.elapsed().as_secs_f64()))
         .with("version", env!("CARGO_PKG_VERSION"))
         .with("workers", state.workers);
-    if let Some(fleet) = &state.fleet {
-        serve = serve.with("fleet", fleet.to_json());
-    }
     Json::object().with("serve", serve).with("metrics", state.observer.snapshot().to_json())
 }
 
@@ -551,9 +485,7 @@ fn splice_header(mut response: Vec<u8>, name: &str, value: &str) -> Vec<u8> {
     response
 }
 
-/// `POST /simulate`: cache lookup, then — in fleet mode — the routing
-/// ladder (forward to the owner, probe replicas, fall back to a local
-/// compute), then bounded-time execution.
+/// `POST /simulate`: cache lookup, then bounded-time execution.
 fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>, ctx: &ReqCtx) {
     let th = [("X-Trace-Id", ctx.hex.as_str())];
     let text = match request.body_text() {
@@ -566,69 +498,18 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     };
     let key = sim_request.cache_key();
     let canonical = sim_request.canonical_text();
-    // Loop guard: forwarded requests are single-hop by construction, so the
-    // only legitimate value is "1". Anything else is a forwarding loop or a
-    // forged header — reject rather than amplify.
-    let hop = request.header("x-fleet-hop").map(str::to_owned);
-    if let Some(hop) = &hop {
-        if hop != "1" {
-            if let Some(fleet) = &state.fleet {
-                fleet.counters.loop_rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            state.count("fleet.loop_rejected");
-            return respond_error(
-                stream,
-                400,
-                &th,
-                "X-Fleet-Hop must be 1: fleet forwarding is single-hop",
-            );
-        }
-    }
-    let probe = request.header("x-fleet-probe").is_some();
     // Hits serve the response bytes pre-rendered at insert time: one buffer
     // clone under the lock, one write, no formatting beyond the trace echo.
     let cached = state.cache.lock().expect("cache poisoned").get_response(key, &canonical);
     if let Some(response) = cached {
         state.count("serve.cache.hits");
-        let mut response = splice_header(response, "X-Trace-Id", &ctx.hex);
-        if state.fleet.is_some() {
-            response = splice_header(response, "X-Fleet-Hops", "0");
-        }
+        let response = splice_header(response, "X-Trace-Id", &ctx.hex);
         let _ = stream.write_all(&response).and_then(|()| stream.flush());
         let micros = u64::try_from(ctx.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         state.observe("serve.latency_us.simulate|cache=hit", micros);
-        if let Some(fleet) = &state.fleet {
-            // Owner-side hot tracking: replicate once the hit count crosses
-            // the threshold. Probes and forwarded hits count too — they are
-            // real demand for this key.
-            if fleet.owns(key) && fleet.note_owned_hit(key) {
-                spawn_replication(state, key, canonical);
-            }
-        }
         return;
     }
-    if probe {
-        // Cache-only lookup on behalf of another member: a miss answers 404
-        // instead of computing, so a probing peer never makes this node do
-        // the owner's work.
-        state.count("fleet.probe_misses");
-        return respond_error(stream, 404, &th, "replica does not hold this entry");
-    }
     state.count("serve.cache.misses");
-    if hop.is_none() {
-        if let Some(fleet) = &state.fleet {
-            if let Route::Forward(owner) = fleet.route(key) {
-                if fleet_remote_answer(stream, state, fleet, &owner, key, &canonical, ctx) {
-                    return;
-                }
-                // Every remote option failed; compute here so the request
-                // still gets its (byte-identical) answer. The local insert
-                // below warms this node for the next failover too.
-                fleet.counters.fallback_local.fetch_add(1, Ordering::Relaxed);
-                state.count("fleet.fallback_local");
-            }
-        }
-    }
 
     let timeout_ms = sim_request.timeout_ms.unwrap_or(state.timeout_ms);
     let (tx, rx) = mpsc::channel::<Result<String, String>>();
@@ -651,10 +532,7 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     };
     match outcome {
         Ok(Ok(body)) => {
-            let mut headers = vec![("X-Cache", "miss"), ("X-Trace-Id", ctx.hex.as_str())];
-            if state.fleet.is_some() {
-                headers.push(("X-Fleet-Hops", "0"));
-            }
+            let headers = [("X-Cache", "miss"), ("X-Trace-Id", ctx.hex.as_str())];
             let _ = http::write_response(stream, 200, &headers, "application/json", &body);
             let micros = u64::try_from(ctx.started.elapsed().as_micros()).unwrap_or(u64::MAX);
             state.observe("serve.latency_us.simulate|cache=miss", micros);
@@ -668,283 +546,6 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
             respond_error(stream, 500, &th, "simulation worker vanished");
         }
     }
-}
-
-/// Where a remotely served answer came from.
-enum RemoteAnswer {
-    /// The key's ring owner answered; `cache` is its `X-Cache` header.
-    Owner { cache: String, body: String },
-    /// The owner was unreachable; a replica served its cached copy.
-    Replica { addr: String, body: String },
-}
-
-/// Tries to answer a non-owned key remotely: the owner first (one capped
-/// retry on a liveness failure), then cache-only probes of the replica
-/// set. `None` means every remote option failed and the caller should
-/// compute locally — the fleet never does worse than a single node.
-fn fleet_fetch_remote(
-    state: &ServeState,
-    fleet: &Fleet,
-    owner: &str,
-    key: u64,
-    canonical: &str,
-    ctx: &ReqCtx,
-) -> Option<RemoteAnswer> {
-    let mut span = state.tracer.span(ctx.span, "fleet.forward");
-    span.attr_str("owner", owner);
-    span.attr_str("key", &key_hex(key));
-    let forward_headers = [("X-Fleet-Hop", "1"), ("X-Trace-Id", ctx.hex.as_str())];
-    if let Some(peer) = fleet.peer(owner) {
-        // Two attempts: a transient connect failure (owner mid-restart, a
-        // dropped SYN) deserves one retry; anything slower falls through to
-        // the replicas rather than stalling the caller further.
-        for _attempt in 0..2 {
-            let call_started = Instant::now();
-            match peer.post_json("/simulate", canonical, &forward_headers) {
-                Ok(reply) => {
-                    let micros =
-                        u64::try_from(call_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    state.observe(&format!("fleet.peer_latency_us|peer={owner}"), micros);
-                    if reply.status == 200 {
-                        fleet.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                        state.count("fleet.forwarded");
-                        span.attr_str("outcome", "forwarded");
-                        let cache = reply.header("x-cache").unwrap_or("miss").to_owned();
-                        return Some(RemoteAnswer::Owner { cache, body: reply.text() });
-                    }
-                    // The owner is up but refusing (draining, backpressured,
-                    // timed out internally): replicas or a local compute will
-                    // serve this request better than relaying the refusal.
-                    break;
-                }
-                Err(None) => break, // breaker open: skip straight to replicas
-                Err(Some(e)) => {
-                    state.count(&format!("fleet.peer_errors|kind={}", e.kind()));
-                    if !e.is_liveness() {
-                        break;
-                    }
-                    fleet.gossip().mark_unreachable(owner);
-                }
-            }
-        }
-    }
-    let probe_headers =
-        [("X-Fleet-Hop", "1"), ("X-Fleet-Probe", "1"), ("X-Trace-Id", ctx.hex.as_str())];
-    for replica in fleet.replica_peers(key) {
-        let call_started = Instant::now();
-        match replica.post_json("/simulate", canonical, &probe_headers) {
-            Ok(reply) => {
-                let micros = u64::try_from(call_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                state.observe(&format!("fleet.peer_latency_us|peer={}", replica.addr()), micros);
-                if reply.status == 200 {
-                    fleet.counters.replica_hits.fetch_add(1, Ordering::Relaxed);
-                    state.count("fleet.replica_hits");
-                    span.attr_str("outcome", "replica_hit");
-                    span.attr_str("replica", replica.addr());
-                    return Some(RemoteAnswer::Replica {
-                        addr: replica.addr().to_owned(),
-                        body: reply.text(),
-                    });
-                }
-                // 404: this replica has not received (or has evicted) the
-                // entry — try the next one.
-            }
-            Err(None) => {}
-            Err(Some(e)) => {
-                state.count(&format!("fleet.peer_errors|kind={}", e.kind()));
-                if e.is_liveness() {
-                    fleet.gossip().mark_unreachable(replica.addr());
-                }
-            }
-        }
-    }
-    span.attr_str("outcome", "fallback_local");
-    None
-}
-
-/// The `/simulate` half of remote answering: fetches and writes the
-/// response. Returns `false` when the caller must compute locally.
-fn fleet_remote_answer(
-    stream: &mut TcpStream,
-    state: &ServeState,
-    fleet: &Fleet,
-    owner: &str,
-    key: u64,
-    canonical: &str,
-    ctx: &ReqCtx,
-) -> bool {
-    match fleet_fetch_remote(state, fleet, owner, key, canonical, ctx) {
-        Some(RemoteAnswer::Owner { cache, body }) => {
-            let _ = http::write_response(
-                stream,
-                200,
-                &[
-                    ("X-Cache", cache.as_str()),
-                    ("X-Fleet-Hops", "1"),
-                    ("X-Fleet-Owner", owner),
-                    ("X-Trace-Id", ctx.hex.as_str()),
-                ],
-                "application/json",
-                &body,
-            );
-            let micros = u64::try_from(ctx.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            state.observe("serve.latency_us.simulate|cache=forward", micros);
-            true
-        }
-        Some(RemoteAnswer::Replica { addr, body }) => {
-            let _ = http::write_response(
-                stream,
-                200,
-                &[
-                    ("X-Cache", "hit"),
-                    ("X-Fleet-Hops", "1"),
-                    ("X-Fleet-Replica", addr.as_str()),
-                    ("X-Trace-Id", ctx.hex.as_str()),
-                ],
-                "application/json",
-                &body,
-            );
-            let micros = u64::try_from(ctx.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            state.observe("serve.latency_us.simulate|cache=replica", micros);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Pushes a hot entry to its ring successors on a detached thread (the
-/// serving request never waits on replication I/O).
-fn spawn_replication(state: &Arc<ServeState>, key: u64, canonical: String) {
-    let Some(fleet) = state.fleet.clone() else { return };
-    let state = Arc::clone(state);
-    let spawned =
-        std::thread::Builder::new().name("nvpim-serve-replicate".into()).spawn(move || {
-            // Fetch the body now, off the hit path.
-            let body = state.cache.lock().expect("cache poisoned").get(key, &canonical);
-            let Some(body) = body else { return };
-            let request_doc = match nvpim_obs::json::parse(&canonical) {
-                Ok(doc) => doc,
-                Err(_) => return,
-            };
-            let doc =
-                Json::object().with("request", request_doc).with("body", body.as_str()).render();
-            for peer in fleet.replica_peers(key) {
-                match peer.post_json("/fleet/replicate", &doc, &[]) {
-                    Ok(reply) if reply.status == 200 => {
-                        fleet.counters.replicated.fetch_add(1, Ordering::Relaxed);
-                        state.count("fleet.replicated");
-                    }
-                    Ok(_) | Err(None) => {}
-                    Err(Some(e)) => {
-                        if e.is_liveness() {
-                            fleet.gossip().mark_unreachable(peer.addr());
-                        }
-                    }
-                }
-            }
-        });
-    if let Err(e) = spawned {
-        eprintln!("nvpim-serve: replication thread spawn failed: {e}");
-    }
-}
-
-/// One round of the gossip driver: advance the local heartbeat, exchange
-/// views with the next peer (round-robin), and merge whatever it knows.
-fn gossip_round(state: &Arc<ServeState>) {
-    let Some(fleet) = &state.fleet else { return };
-    fleet.gossip().tick();
-    let Some(peer) = fleet.next_gossip_peer() else { return };
-    let doc = fleet.gossip().local_doc().render();
-    match peer.post_json("/fleet/gossip", &doc, &[]) {
-        Ok(reply) if reply.status == 200 => {
-            if let Ok(view) = reply.json() {
-                fleet.gossip().merge(&view);
-            }
-            fleet.counters.gossip_rounds.fetch_add(1, Ordering::Relaxed);
-            state.count("fleet.gossip.rounds");
-        }
-        Ok(_) | Err(None) => {}
-        Err(Some(e)) => {
-            state.count("fleet.gossip.failures");
-            if e.is_liveness() {
-                fleet.gossip().mark_unreachable(peer.addr());
-            }
-        }
-    }
-}
-
-/// `POST /fleet/gossip`: merge the sender's view, answer with ours — one
-/// round trip moves both sides forward.
-fn fleet_gossip(
-    stream: &mut TcpStream,
-    request: &HttpRequest,
-    state: &Arc<ServeState>,
-    ctx: &ReqCtx,
-) {
-    let th = [("X-Trace-Id", ctx.hex.as_str())];
-    let Some(fleet) = &state.fleet else {
-        return respond_error(stream, 404, &th, "this instance is not part of a fleet");
-    };
-    let text = match request.body_text() {
-        Ok(text) => text,
-        Err(e) => return respond_error(stream, e.status, &th, &e.message),
-    };
-    let doc = match nvpim_obs::json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return respond_error(stream, 400, &th, &format!("invalid gossip document: {e}")),
-    };
-    fleet.gossip().merge(&doc);
-    respond_json(stream, 200, &th, &fleet.gossip().local_doc());
-}
-
-/// `POST /fleet/replicate`: store a pushed hot entry. Content addressing
-/// makes this safe to accept from any member at any time — the key is
-/// recomputed from the canonical request, so a corrupt or stale push can
-/// at worst occupy a cache slot, never serve wrong bytes.
-fn fleet_replicate(
-    stream: &mut TcpStream,
-    request: &HttpRequest,
-    state: &Arc<ServeState>,
-    ctx: &ReqCtx,
-) {
-    let th = [("X-Trace-Id", ctx.hex.as_str())];
-    let Some(fleet) = &state.fleet else {
-        return respond_error(stream, 404, &th, "this instance is not part of a fleet");
-    };
-    let text = match request.body_text() {
-        Ok(text) => text,
-        Err(e) => return respond_error(stream, e.status, &th, &e.message),
-    };
-    let doc = match nvpim_obs::json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return respond_error(stream, 400, &th, &format!("invalid JSON body: {e}")),
-    };
-    let Some(request_doc) = doc.get("request") else {
-        return respond_error(stream, 400, &th, "replicate document needs a `request` field");
-    };
-    let sim_request = match SimRequest::from_json(request_doc) {
-        Ok(r) => r,
-        Err(e) => {
-            return respond_error(stream, 400, &th, &format!("bad request field: {}", e.message))
-        }
-    };
-    let Some(body) = doc.get("body").and_then(Json::as_str) else {
-        return respond_error(stream, 400, &th, "replicate document needs a string `body` field");
-    };
-    let key = sim_request.cache_key();
-    state.cache.lock().expect("cache poisoned").insert(
-        key,
-        sim_request.canonical_text(),
-        body.to_owned(),
-    );
-    fleet.counters.replica_received.fetch_add(1, Ordering::Relaxed);
-    state.count("fleet.replica_received");
-    respond_json(
-        stream,
-        200,
-        &th,
-        &Json::object().with("status", "stored").with("key", key_hex(key)),
-    );
 }
 
 /// Runs one simulation to completion, populates the cache, absorbs the
@@ -1076,66 +677,36 @@ fn batch(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>,
     if http::write_stream_head(stream, "application/x-ndjson", &th).is_err() {
         return;
     }
-    // A batch that already hopped once is served entirely locally — the
-    // same single-hop guarantee forwarded `/simulate` calls have.
-    let forwarding_allowed = request.header("x-fleet-hop").is_none();
     let out = Mutex::new(&mut *stream);
     let pool = JobPool::new(state.workers);
     pool.map(parsed, |(index, cell)| {
         let key = cell.cache_key();
         let canonical = cell.canonical_text();
         let cached = state.cache.lock().expect("cache poisoned").get(key, &canonical);
-        let (was_cached, hops, line) = match cached {
+        let (was_cached, line) = match cached {
             Some(body) => {
                 state.count("serve.cache.hits");
-                if let Some(fleet) = &state.fleet {
-                    if fleet.owns(key) && fleet.note_owned_hit(key) {
-                        spawn_replication(state, key, canonical.clone());
-                    }
-                }
-                (true, 0u64, body)
+                (true, body)
             }
             None => {
                 state.count("serve.cache.misses");
-                let remote = match &state.fleet {
-                    Some(fleet) if forwarding_allowed => match fleet.route(key) {
-                        Route::Forward(owner) => {
-                            let fetched =
-                                fleet_fetch_remote(state, fleet, &owner, key, &canonical, ctx);
-                            if fetched.is_none() {
-                                fleet.counters.fallback_local.fetch_add(1, Ordering::Relaxed);
-                                state.count("fleet.fallback_local");
-                            }
-                            fetched
-                        }
-                        Route::Local => None,
-                    },
-                    _ => None,
-                };
-                match remote {
-                    Some(RemoteAnswer::Owner { cache, body }) => (cache == "hit", 1, body),
-                    Some(RemoteAnswer::Replica { body, .. }) => (true, 1, body),
-                    None => match execute(&cell, state, Some(ctx.span)) {
-                        Ok(body) => (false, 0, body),
-                        Err(message) => {
-                            let doc =
-                                Json::object().with("index", index).with("error", message).render();
-                            let mut w = out.lock().expect("batch stream poisoned");
-                            let _ = writeln!(w, "{doc}");
-                            return;
-                        }
-                    },
+                match execute(&cell, state, Some(ctx.span)) {
+                    Ok(body) => (false, body),
+                    Err(message) => {
+                        let doc =
+                            Json::object().with("index", index).with("error", message).render();
+                        let mut w = out.lock().expect("batch stream poisoned");
+                        let _ = writeln!(w, "{doc}");
+                        return;
+                    }
                 }
             }
         };
         let response = nvpim_obs::json::parse(&line).unwrap_or(Json::Str(line));
-        let mut doc = Json::object()
+        let doc = Json::object()
             .with("index", index)
             .with("cached", was_cached)
             .with("response", response);
-        if state.fleet.is_some() {
-            doc = doc.with("hops", hops);
-        }
         let mut w = out.lock().expect("batch stream poisoned");
         let _ = writeln!(w, "{}", doc.render());
     });

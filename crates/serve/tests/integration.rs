@@ -50,6 +50,10 @@ fn index_health_and_unknown_routes() {
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
 
     assert_eq!(client.get("/nope").unwrap().status, 404);
+    // The retired multi-node routes are unknown endpoints like any other.
+    assert_eq!(client.get("/fleet").unwrap().status, 404);
+    assert_eq!(client.post_json("/fleet/gossip", "{}").unwrap().status, 404);
+    assert_eq!(client.post_json("/fleet/replicate", "{}").unwrap().status, 404);
     assert_eq!(client.post_json("/health", "{}").unwrap().status, 405);
     assert_eq!(client.post_json("/simulate", "not json").unwrap().status, 400);
     let bad = client.post_json("/simulate", r#"{"workload": "warp-drive"}"#).unwrap();
@@ -341,7 +345,7 @@ fn trace_ids_echo_propagate_and_fetch_as_chrome_json() {
 }
 
 #[test]
-fn metrics_expose_fleet_fields_and_prometheus_text() {
+fn metrics_expose_server_fields_and_prometheus_text() {
     let (handle, client) = start(ServerConfig::default());
     assert_eq!(client.post_json("/simulate", &small_request(5)).unwrap().status, 200);
     assert_eq!(client.post_json("/simulate", &small_request(5)).unwrap().status, 200);

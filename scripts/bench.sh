@@ -17,10 +17,8 @@
 #   { "group/name": 1300.0, ... }
 #
 # The `serve_throughput` bench (HTTP round-trip cost cold vs cache-hit,
-# plus request canonicalization) and the `fleet_forward` bench (local hit
-# vs one-hop forwarded hit vs replica failover hit across a three-member
-# in-process fleet) are additionally recorded the same way into
-# BENCH_serve.json next to OUT.json.
+# plus request canonicalization) is additionally recorded the same way
+# into BENCH_serve.json next to OUT.json.
 #
 # Before overwriting, each baseline is captured and the new medians are
 # compared against it: any benchmark that slowed down by more than 25%
@@ -135,9 +133,7 @@ for bench in sim_engine parallel_matrix matrix_reuse writes_per_op; do
 done
 report "$raw" "$out"
 
-for bench in serve_throughput fleet_forward; do
-    cargo bench --offline -p nvpim-bench --bench "$bench" "$@" | tee -a "$raw_serve"
-done
+cargo bench --offline -p nvpim-bench --bench serve_throughput "$@" | tee -a "$raw_serve"
 report "$raw_serve" "$serve_out"
 
 printf '  %-44s %14s %14s %9s\n' benchmark "baseline ns" "current ns" delta

@@ -18,40 +18,35 @@ cargo test -q --release --offline -p nvpim-core --test parallel
 cargo test -q --release --offline -p nvpim-exec
 
 # The compiled-kernel bit-identity suite in release mode: the +Hw fast
-# path must match per-iteration step replay cell for cell under the same
+# path must match the step-replay oracle cell for cell under the same
 # optimization level the benchmarks and the repro binary run at.
 cargo test -q --release --offline -p nvpim-core --test kernels
 
 # The replay-free analytic engine in release mode: closed-form and lazy
-# answers (the ladder's two rungs) must be bit-identical to both simulator
-# arms across all 18 configurations, randomized iteration counts, and the
-# exact lifetime solve.
+# answers (the ladder's two rungs) must be bit-identical to the production
+# simulator and the step-replay oracle across all 18 configurations,
+# randomized iteration counts, and the exact lifetime solve.
 cargo test -q --release --offline -p nvpim-core --test analytic
 
 # Both rungs at the paper's 1024×1024 dims in release mode: the lazy
 # software and lazy Hw paths (every Ra-rows +Hw config among them, its one
 # kernel relabeled through a fresh row table each epoch) stage wear in row
 # space and render lanes only when the lane table changes; they and the
-# closed forms must match step replay cell for cell with the lane table
-# changing mid-run, across a follow-up query, a restart from the seed, and
-# per-epoch series samples.
+# closed forms must match the step-replay oracle cell for cell with the
+# lane table changing mid-run, across a follow-up query, a restart from
+# the seed, and per-epoch series samples.
 cargo test -q --release --offline -p nvpim-core --test paper_dims
 
 # The artifact-store bit-identity suite in release mode: wear identical
-# with the store off, cold, warm, and starved to a 1-byte budget (every
-# insert immediately evicted) across all 18 configurations, and a seeded
-# fuzz arm over shapes, schedules, and byte budgets.
+# to the step-replay oracle with the store global, cold, warm, and starved
+# to a 1-byte budget (every insert immediately evicted) across all 18
+# configurations, and a seeded fuzz arm over shapes, schedules, and byte
+# budgets.
 cargo test -q --release --offline -p nvpim-core --test artifacts
 
 # The HTTP service end to end in release mode: concurrent byte-identical
 # responses, cache hits, 429 backpressure, 504 timeouts, graceful drain.
 cargo test -q --release --offline -p nvpim-serve --test integration
-
-# The multi-node fleet suite in release mode: three in-process members
-# exchanging forwards, hot-entry replicas, and gossip over real sockets —
-# ring ownership, the single-hop loop guard, replica failover after an
-# owner shutdown, and byte-identity of fleet vs single-node answers.
-cargo test -q --release --offline -p nvpim-serve --test fleet
 
 # The end-to-end benchmark package (its own workspace under e2ebench/) at
 # tiny scale: every workload in both modes, with each output digest checked
