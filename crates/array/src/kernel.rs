@@ -178,6 +178,13 @@ impl PermFolder {
         assert!(width > 0, "row width must be positive");
         assert_eq!(panel.len(), self.perm.len() * width, "panel length mismatch");
         assert_eq!(out.len(), self.perm.len() * width, "output length mismatch");
+        if self.identity {
+            // Every row is a fixed point and keeps its own values.
+            for (o, &v) in out.iter_mut().zip(panel) {
+                *o = span * v;
+            }
+            return;
+        }
         scratch.clear();
         scratch.resize(2 * width, 0);
         let (cycle_sum, window) = scratch.split_at_mut(width);

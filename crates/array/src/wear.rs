@@ -34,7 +34,7 @@ pub struct WearMap {
     sum_reads: u64,
     /// The hottest cell's write count (Eq. 4), or `None` when unknown.
     /// Whole-plane passes (construction, [`WearMap::from_planes`],
-    /// [`WearMap::plus_full_rows`], [`WearMap::merge`]) set it in the pass
+    /// [`WearMap::add_full_rows`], [`WearMap::merge`]) set it in the pass
     /// they already make; scattered adders only clear it, so their loops
     /// carry no per-cell compare.
     /// [`WearMap::max_writes`] scans only while it is unknown.
@@ -72,6 +72,20 @@ impl WearMap {
         let (sum_writes, max) = sum_and_max(&writes);
         let sum_reads = reads.iter().sum();
         WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
+    }
+
+    /// The row-major write and read planes (`reads` is empty until a read
+    /// is booked).
+    #[must_use]
+    pub fn planes(&self) -> (&[u64], &[u64]) {
+        (&self.writes, &self.reads)
+    }
+
+    /// The row-major write and read planes by value, for reuse as another
+    /// map's storage.
+    #[must_use]
+    pub fn into_planes(self) -> (Vec<u64>, Vec<u64>) {
+        (self.writes, self.reads)
     }
 
     /// The dimensions this map covers.
@@ -200,27 +214,23 @@ impl WearMap {
         add_full_row(self.dims, &mut self.reads, &mut self.sum_reads, row, count);
     }
 
-    /// A copy of this map with `row_writes[r]` (and `row_reads[r]`) added
-    /// to every cell of row `r`, in one fused pass that writes each cell of
-    /// the fresh planes once and sets the sums and the carried maximum.
-    /// A plane whose running sum is 0 is allocated zeroed and only the rows
-    /// with a nonzero count are filled, so untouched pages stay unmapped.
-    /// `row_reads` is `None` when reads are not tracked.
+    /// Adds `row_writes[r]` (and `row_reads[r]`) to every cell of row `r`
+    /// in place, in one pass that also sets the carried maximum. A plane
+    /// whose running sum is 0 only has its counted rows written (`fill`,
+    /// not `+=`), so untouched pages are first touched by a write and the
+    /// rest stay unmapped. `row_reads` is `None` when reads are not
+    /// tracked.
     ///
     /// # Panics
     ///
     /// Panics if a row-count slice is not `rows()` long.
-    #[must_use]
-    pub fn plus_full_rows(&self, row_writes: &[u64], row_reads: Option<&[u64]>) -> WearMap {
-        let (writes, sum_writes, max) =
-            plane_plus_rows(self.dims, &self.writes, self.sum_writes, row_writes);
-        let (reads, sum_reads, _) = match row_reads {
-            Some(rows) if !self.reads.is_empty() || rows.iter().any(|&c| c > 0) => {
-                plane_plus_rows(self.dims, &self.reads, self.sum_reads, rows)
-            }
-            _ => (clone_plane(&self.reads, self.sum_reads), self.sum_reads, 0),
-        };
-        WearMap { dims: self.dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
+    pub fn add_full_rows(&mut self, row_writes: &[u64], row_reads: Option<&[u64]>) {
+        let max = add_rows_in_place(self.dims, &mut self.writes, &mut self.sum_writes, row_writes);
+        self.max_writes = Some(max);
+        if let Some(rows) = row_reads.filter(|rows| rows.iter().any(|&c| c > 0)) {
+            self.track_reads();
+            add_rows_in_place(self.dims, &mut self.reads, &mut self.sum_reads, rows);
+        }
     }
 
     /// Maximum writes over all cells (the lifetime-limiting cell, Eq. 4).
@@ -436,33 +446,30 @@ fn clone_plane(cells: &[u64], sum: u64) -> Vec<u64> {
     }
 }
 
-/// `cells + rows[r]` at every cell of each row `r`, into a fresh plane:
-/// returns the plane, its sum and its maximum. `sum` is the running sum of
-/// `cells` (an empty `cells` is an untracked, all-zero plane).
-fn plane_plus_rows(dims: ArrayDims, cells: &[u64], sum: u64, rows: &[u64]) -> (Vec<u64>, u64, u64) {
+/// Adds `rows[r]` to every cell of row `r` (see [`WearMap::add_full_rows`])
+/// and returns the plane's maximum.
+fn add_rows_in_place(dims: ArrayDims, plane: &mut [u64], sum: &mut u64, rows: &[u64]) -> u64 {
     let lanes = dims.lanes();
     assert_eq!(rows.len(), dims.rows(), "row count length mismatch");
-    let added = rows.iter().sum::<u64>() * lanes as u64;
-    if sum == 0 {
-        let mut out = vec![0; dims.cells()];
-        let mut max = 0;
-        for (row, &count) in out.chunks_exact_mut(lanes).zip(rows).filter(|&(_, &c)| c > 0) {
-            row.fill(count);
-            max = max.max(count);
-        }
-        return (out, added, max);
-    }
-    let mut out = Vec::with_capacity(cells.len());
+    let zero = *sum == 0;
     let mut max = 0;
-    for (src, &count) in cells.chunks_exact(lanes).zip(rows) {
-        if count == 0 {
-            out.extend_from_slice(src);
-        } else {
-            out.extend(src.iter().map(|&w| w + count));
+    for (cells, &count) in plane.chunks_exact_mut(lanes).zip(rows) {
+        if zero {
+            if count > 0 {
+                cells.fill(count);
+                max = max.max(count);
+            }
+            continue;
         }
-        max = max.max(sum_and_max(src).1 + count);
+        max = max.max(sum_and_max(cells).1 + count);
+        if count > 0 {
+            for cell in cells {
+                *cell += count;
+            }
+        }
     }
-    (out, sum + added, max)
+    *sum += rows.iter().sum::<u64>() * lanes as u64;
+    max
 }
 
 /// Sum and maximum of `cells` in one pass. Four independent running sums
@@ -750,12 +757,13 @@ mod tests {
     }
 
     #[test]
-    fn plus_full_rows_matches_clone_and_full_row_adds() {
+    fn add_full_rows_matches_full_row_adds() {
         let dims = ArrayDims::new(3, 4);
         let rows_w = [2u64, 0, 5];
         let rows_r = [0u64, 1, 0];
         let check = |base: &WearMap| {
-            let fused = base.plus_full_rows(&rows_w, Some(&rows_r));
+            let mut fused = base.clone();
+            fused.add_full_rows(&rows_w, Some(&rows_r));
             let mut slow = base.clone();
             for (row, (&w, &r)) in rows_w.iter().zip(&rows_r).enumerate() {
                 slow.add_full_row_writes(row, w);
@@ -778,7 +786,8 @@ mod tests {
         w.add_read_at(0, 0, 2);
         check(&w);
         // Untracked reads stay unallocated.
-        let untracked = WearMap::new(dims).plus_full_rows(&rows_w, None);
+        let mut untracked = WearMap::new(dims);
+        untracked.add_full_rows(&rows_w, None);
         assert!(untracked.reads.is_empty());
         assert_eq!(untracked.max_writes(), 5);
     }

@@ -86,7 +86,7 @@ proptest! {
                 }
                 6 => {
                     let counts: Vec<u64> = (0..rows).map(|i| if i == r { n } else { 0 }).collect();
-                    wear = wear.plus_full_rows(&counts, None);
+                    wear.add_full_rows(&counts, None);
                 }
                 _ => wear = wear.clone(),
             }

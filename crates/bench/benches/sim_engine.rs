@@ -71,14 +71,17 @@ fn bench_hw_replay(c: &mut Criterion) {
 }
 
 fn bench_analytic_query(c: &mut Criterion) {
-    // The replay-free engine ablation: a closed-form query is O(cells)
-    // arithmetic over prefix panels regardless of the iteration count,
-    // while compiled replay folds every epoch (O(N/period)) and step
-    // replay walks the trace every iteration (O(N)). Construction — the
-    // symbolic trace walk and prefix-panel build — is timed separately
-    // (`build/*`): a lifetime solve pays it once and then issues dozens
-    // of point queries, so `analytic/*` times the query on a built
-    // engine, the shape the solve's bisection loop sees.
+    // The replay-free engine ablation: a periodic config's query folds
+    // whole super-cycles of its walked answer in O(cells), plus at most
+    // one super-cycle's remainder of epochs walked once, while compiled
+    // replay folds every epoch (O(N/period)) and step replay walks the
+    // trace every iteration (O(N)). Construction — the symbolic trace
+    // walk, plus one walked super-cycle when the configured count spans
+    // it (100 000 iterations do) — is timed separately (`build/*`), and
+    // `analytic/*` times repeated queries on a built engine. A repeat
+    // walks no epochs when its count spans a super-cycle; below one
+    // (`BsxBs(+Hw)/1000`, 10 of 64 epochs) each answer takes the
+    // walker's plane, so each repeat walks its epochs again.
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
     // Engines built inside the timed loop get a fresh private store, so
     // they pay a real symbolic walk + panel build every iteration;

@@ -523,7 +523,8 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
     // oracle, and the replay-free analytic engine to both. A period
     // of 5 against `conservation_iters = 24` crosses four full software
     // epochs plus a partial final one, so the cycle-power fold, the
-    // short-span tail, and the analytic prefix-panel algebra are all
+    // short-span tail, and the analytic super-cycle fold (four one-epoch
+    // super-cycles of `StxSt`/`StxSt+Hw` plus a remainder) are all
     // exercised. Every configuration runs — non-Hw maps skip the kernel
     // engine but still pin the analytic closed-form/lazy paths.
     let kernel_cfg = cfg.with_schedule(RemapSchedule::every(5)).with_read_tracking(true);

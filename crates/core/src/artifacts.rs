@@ -3,10 +3,9 @@
 //! The paper's headline artifacts (Figs. 14–17, Table 3) are *matrices* of
 //! balancing configurations over a handful of workload traces. The expensive
 //! parts of evaluating one matrix cell — walking the symbolic trace into
-//! logical panels, building a closed-form prefix table, compiling a +Hw wear
-//! kernel — depend on far fewer inputs than the full `(workload, config,
-//! schedule, seed)` tuple, so sibling cells recompute byte-identical
-//! intermediates over and over. This module is the shared cache that removes
+//! logical panels, compiling a +Hw wear kernel — depend on far fewer inputs
+//! than the full `(workload, config, schedule, seed)` tuple, so sibling
+//! cells recompute byte-identical intermediates over and over. This module is the shared cache that removes
 //! that redundancy.
 //!
 //! # Keying discipline
@@ -19,10 +18,6 @@
 //! * compiled kernels — the trace fingerprint plus the arch/reads flags
 //!   (one kernel per trace serves every software row table, relabeled per
 //!   epoch — see [`crate::kernel`]);
-//! * closed-form backends — the trace fingerprint plus the balancing
-//!   strategies, remap-schedule period, and arch/reads flags. The seed is
-//!   deliberately excluded: closed forms are only ever built for periodic
-//!   (St/Bs) axes whose epoch tables are pure functions of the epoch index.
 //!
 //! Because every builder in `analytic`/`kernel` is deterministic in those
 //! inputs, a hit returns exactly what recomputation would have produced:
@@ -41,7 +36,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nvpim_array::{ArchStyle, Step, Trace, WriteSource};
-use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_obs::{Json, Observer};
 
 /// 128-bit FNV-1a offset basis.
@@ -51,11 +45,12 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Default store budget: 64 MiB of resident artifact bytes.
 ///
-/// Measured on a traced `paper-matrix` benchmark round (the Fig. 17
-/// matrix at 1024×1024, three workloads × 18 configurations, 2-vCPU Intel
-/// Xeon): the round ends with 50.9 MB resident after 5 evictions (medians
-/// over the run's traced rounds; panels, one kernel per workload, and the
-/// closed forms).
+/// Measured on the Fig. 17 matrix at 1024×1024 (three workloads × 18
+/// configurations, 2 500 iterations, 2-vCPU Intel Xeon): the store ends
+/// with 0.5 MB resident (three panel sets, three kernels) and no
+/// evictions, and a `serve-mix` benchmark round with 32 KB. The budget is
+/// a ceiling for long-running servers that see many traces, not a size
+/// any measured run approaches.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
 /// A 128-bit content fingerprint (FNV-1a-style, word-folded) over the
@@ -120,8 +115,11 @@ pub enum ArtifactKind {
     Panels,
     /// The compiled +Hw wear kernel of one trace (`kernel::compile`).
     Kernel,
-    /// A fully built closed-form backend (static prefix tables or the +Hw
-    /// cycle-algebra form).
+    /// No artifact is stored under this kind any more: periodic
+    /// configurations fold their own walked super-cycle instead of a
+    /// stored closed form. The variant is kept only because the `e2ebench`
+    /// package, which indexes [`ArtifactKind::ALL`], must keep building
+    /// unchanged.
     ClosedForm,
 }
 
@@ -506,36 +504,6 @@ pub(crate) fn kernel_key(trace_fp: Fingerprint, arch: ArchStyle, track_reads: bo
     h.finish()
 }
 
-/// Key for a fully built closed-form backend. Seed-free by design: closed
-/// forms exist only for periodic (St/Bs) axes whose epoch tables are pure
-/// functions of the epoch index.
-pub(crate) fn closed_form_key(
-    tag: u8,
-    trace_fp: Fingerprint,
-    balance: BalanceConfig,
-    schedule: RemapSchedule,
-    arch: ArchStyle,
-    track_reads: bool,
-) -> Fingerprint {
-    let mut h = Fnv::new();
-    h.byte(b'C');
-    h.byte(tag);
-    h.fingerprint(trace_fp);
-    h.byte(balance.row as u8);
-    h.byte(balance.col as u8);
-    h.bool(balance.hw);
-    match schedule.period() {
-        Some(p) => {
-            h.byte(1);
-            h.u64(p);
-        }
-        None => h.byte(0),
-    }
-    h.byte(arch_tag(arch));
-    h.bool(track_reads);
-    h.finish()
-}
-
 /// A per-engine handle over a store: funnels lookups through
 /// [`ArtifactStore::get_or_insert`] and tallies the engine's own hits and
 /// misses.
@@ -725,24 +693,6 @@ mod tests {
         assert_eq!(a, kernel_key(fp, ArchStyle::PresetOutput, false));
         let other = trace_fingerprint(&sample_trace(32));
         assert_ne!(a, kernel_key(other, ArchStyle::PresetOutput, false));
-    }
-
-    #[test]
-    fn closed_form_keys_separate_configs_and_schedules() {
-        let fp = trace_fingerprint(&sample_trace(16));
-        let base: BalanceConfig = "StxBs".parse().unwrap();
-        let other: BalanceConfig = "BsxBs".parse().unwrap();
-        let a =
-            closed_form_key(1, fp, base, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        let b =
-            closed_form_key(1, fp, other, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        let c =
-            closed_form_key(1, fp, base, RemapSchedule::every(20), ArchStyle::PresetOutput, false);
-        let d =
-            closed_form_key(2, fp, base, RemapSchedule::every(10), ArchStyle::PresetOutput, false);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
     }
 
     #[test]

@@ -37,28 +37,29 @@
 //! or the map is read ([`RowAccumulator`]): a class spanning every lane
 //! once per read as full-row adds, a partial class once per lane-table
 //! change or read (once per run for `St` lanes). The analytic engine's
-//! lazy backends stage their epochs through the same accumulator.
+//! epoch walker stages its epochs through the same accumulator.
 
 use std::sync::Arc;
 
-use nvpim_array::{ArchStyle, Step, Trace, WearKernel, WearMap};
+use nvpim_array::{ArchStyle, ArrayDims, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{CombinedMap, HwRemapper};
 
 use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
 
 /// Row-space wear staging shared by every per-epoch path: the simulator's
-/// compiled `+Hw` path and the analytic engine's lazy backends.
+/// compiled `+Hw` path and the analytic engine's epoch walker.
 ///
 /// An epoch books its deposits per (lane class, physical row) in O(rows);
 /// lanes are rendered only when the wear map needs them. This is exact
 /// because wear is `Σ_class Σ_epoch (T_e·v_c) ⊗ P_e(1_c)` and `P_e(1_c)`
 /// is all ones for a class spanning every lane under any lane permutation
 /// `P_e`: such classes share one bucket, rendered as contiguous full-row
-/// adds only at a read ([`RowAccumulator::flush`] or
-/// [`RowAccumulator::snapshot`]), however many permutations its deposits
-/// were booked under. A partial class is rendered under the permutation
-/// its deposits were booked under — when [`RowAccumulator::set_lanes`]
-/// sees the permutation change, or at a read. Every render goes through
+/// adds only at a read ([`RowAccumulator::flush`],
+/// [`RowAccumulator::finish`] or [`RowAccumulator::staged`]), however
+/// many permutations its deposits were booked under. A partial class is
+/// rendered under the permutation its deposits were booked under — when
+/// [`RowAccumulator::set_lanes`] sees the permutation change, or at a
+/// read. Every render goes through
 /// the wear map's own adders or fused passes, so its running sums (and
 /// every conservation assert built on them) stay exact.
 #[derive(Debug)]
@@ -111,6 +112,23 @@ impl RowAccumulator {
             arrangement: Vec::new(),
             cycle_scratch: Vec::new(),
         }
+    }
+
+    /// A zeroed cumulative map for this stage to render into. With partial
+    /// classes its write plane is zeroed by writing it, so each page is
+    /// first touched by a write fault here instead of by a read fault and
+    /// then a copy-on-write fault in the first render (DESIGN.md §"Answers
+    /// take the walker's plane"). Without them nothing renders into the
+    /// plane before the full-lane bucket writes its rows.
+    pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> WearMap {
+        if self.logical.len() == 1 {
+            return WearMap::new(dims);
+        }
+        // An opaque zero keeps the compiler from turning the fill into a
+        // zeroed allocation, which would leave the pages untouched.
+        let mut writes = Vec::with_capacity(dims.cells());
+        writes.resize(dims.cells(), std::hint::black_box(0));
+        WearMap::from_planes(dims, writes, Vec::new())
     }
 
     /// Declares the lane permutation the next deposits are booked under.
@@ -210,15 +228,23 @@ impl RowAccumulator {
         }
     }
 
-    /// A lazy backend's read: renders the staged partial classes into
-    /// `wear`, the backend's cumulative map, and returns a copy of it with
-    /// the full-lane bucket added, built in one fused pass that also
-    /// carries the copy's maximum ([`WearMap::plus_full_rows`]). That
-    /// bucket stays staged across queries, so a full class's cumulative
-    /// wear lives only in the returned copy.
-    pub(crate) fn snapshot(&mut self, wear: &mut WearMap) -> WearMap {
+    /// The analytic walker's answer: renders the staged partial classes
+    /// into `wear`, the walker's cumulative map, then adds the full-lane
+    /// bucket in place in one fused pass that also sets the map's maximum
+    /// ([`WearMap::add_full_rows`]). The map becomes the answer, so the
+    /// stage is spent; returns its partial-class renders.
+    pub(crate) fn finish(mut self, wear: &mut WearMap) -> u64 {
         self.render_partial(wear);
-        wear.plus_full_rows(&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]))
+        wear.add_full_rows(&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]));
+        self.lane_renders
+    }
+
+    /// Renders the staged partial classes into `wear` and returns the
+    /// full-lane bucket's per-row writes (and reads), which stay staged: the
+    /// wear so far is `wear` plus those rows across every lane.
+    pub(crate) fn staged(&mut self, wear: &mut WearMap) -> (&[u64], Option<&[u64]>) {
+        self.render_partial(wear);
+        (&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]))
     }
 
     fn render_full(&self, wear: &mut WearMap) {

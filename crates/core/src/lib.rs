@@ -8,14 +8,13 @@
 //!   under a load-balancing configuration, counting every cell write
 //!   (epoch-factorized for speed, bit-exact against naive execution);
 //! * [`analytic`] — replay-free wear evaluation: per-cell wear as a
-//!   closed-form (or lazily enumerated) function of the iteration count,
-//!   bit-identical to [`sim`], with O(cells) lifetime queries;
+//!   function of the iteration count from one epoch walker, folding whole
+//!   super-cycles of periodic configurations, bit-identical to [`sim`];
 //! * [`artifacts`] — content-addressed memoization of trace walks, logical
 //!   panels, and compiled kernels, shared across matrix/sweep/serve cells;
 //! * [`lifetime`] — Eq. 4: expected array lifetime from the hottest cell's
-//!   write rate, improvement ratios between strategies (Fig. 17,
-//!   Table 3), and the analytic failure-iteration solver
-//!   ([`lifetime::solve`]);
+//!   write rate and improvement ratios between strategies (Fig. 17,
+//!   Table 3);
 //! * [`limits`] — the closed-form §3.1 bounds (Eqs. 1–2, the 35.56-day MTJ
 //!   and ~5-minute RRAM examples);
 //! * [`failure`] — §3.3: usable cells in the presence of failed devices
@@ -63,6 +62,6 @@ pub mod system;
 
 pub use analytic::{run_configs_analytic, AnalyticPath, AnalyticWearEngine};
 pub use artifacts::{ArtifactKind, ArtifactStore, ArtifactUse, StoreStats};
-pub use lifetime::{solve, Lifetime, LifetimeModel, SolveOutcome};
+pub use lifetime::{Lifetime, LifetimeModel};
 pub use parallel::{fan_out, run_matrix, MatrixPoint};
 pub use sim::{EnduranceSimulator, EpochSample, SimConfig, SimResult};

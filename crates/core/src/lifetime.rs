@@ -10,7 +10,6 @@
 
 use nvpim_nvm::{DeviceParams, Technology};
 
-use crate::analytic::{AnalyticPath, AnalyticWearEngine};
 use crate::SimResult;
 
 /// A lifetime estimate in the paper's units.
@@ -151,82 +150,6 @@ impl LifetimeModel {
 impl Default for LifetimeModel {
     fn default() -> Self {
         LifetimeModel::mtj()
-    }
-}
-
-/// Result of an analytic lifetime solve ([`solve`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOutcome {
-    /// The lifetime estimate (iterations survived, wall-clock seconds).
-    pub lifetime: Lifetime,
-    /// First iteration count at which the hottest cell exceeds the cell
-    /// endurance — `lifetime.iterations + 1` when `exact`.
-    pub failure_iteration: u64,
-    /// Whether the failure iteration was located exactly (closed-form
-    /// engines) or extrapolated via Eq. 4 from a sampled run.
-    pub exact: bool,
-    /// Which reducibility rung answered the queries.
-    pub path: AnalyticPath,
-}
-
-/// Finds the array's failure iteration without replaying the trace.
-///
-/// On [`AnalyticPath::ClosedForm`] engines, the hottest cell's cumulative
-/// write count is a cheap monotone function of the iteration count, so the
-/// exact failure iteration (the first `N` whose max write count exceeds
-/// the model's endurance) is located by exponential growth plus binary
-/// search — O(cells · log N) total, no replay, no Eq. 4 rate averaging.
-/// Lazy engines answer one query at `sample_iterations` and
-/// extrapolate through Eq. 4 exactly like [`LifetimeModel::lifetime`]
-/// (`exact` is `false`).
-///
-/// # Panics
-///
-/// Panics if the workload performs no writes (lifetime undefined), or if
-/// the failure horizon exceeds 2⁶² iterations.
-#[must_use]
-pub fn solve(
-    engine: &mut AnalyticWearEngine<'_>,
-    model: LifetimeModel,
-    sample_iterations: u64,
-) -> SolveOutcome {
-    let path = engine.path();
-    if path != AnalyticPath::ClosedForm {
-        let result = engine.result_at(sample_iterations);
-        let lifetime = model.lifetime(&result);
-        return SolveOutcome {
-            lifetime,
-            failure_iteration: lifetime.iterations as u64,
-            exact: false,
-            path,
-        };
-    }
-    assert!(engine.max_writes_at(1) > 0, "no writes recorded; lifetime undefined");
-    let endurance = model.endurance();
-    // Exponential growth to bracket the failure iteration, then binary
-    // search: `lo` always survives, `hi` always fails.
-    let mut lo = 0u64;
-    let mut hi = 1u64;
-    while engine.max_writes_at(hi) <= endurance {
-        lo = hi;
-        hi = hi.checked_mul(2).expect("failure horizon overflow");
-        assert!(hi <= 1 << 62, "failure horizon exceeds 2^62 iterations");
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if engine.max_writes_at(mid) <= endurance {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let iterations = lo as f64;
-    let seconds = iterations * engine.steps_per_iteration() as f64 * model.op_latency_ns() * 1e-9;
-    SolveOutcome {
-        lifetime: Lifetime { iterations, seconds },
-        failure_iteration: hi,
-        exact: true,
-        path,
     }
 }
 

@@ -1,19 +1,18 @@
 //! Bit-identity of the replay-free analytic wear engine.
 //!
-//! The analytic engine answers `wear_at(N)` through closed-form prefix
-//! panels or lazy epoch enumeration depending on the configuration. These
-//! tests pin every path against the production simulator
-//! (`EnduranceSimulator::run`) and the step-replay oracle
-//! (`run_reference`) — cell by cell, writes and reads, across all
-//! 18 balancing configurations, never() schedules, randomized iteration
-//! counts with mid-epoch partial spans, monotone and backwards lazy
-//! queries, and the exact lifetime solve. `scripts/ci.sh` runs them in
-//! release mode.
+//! The analytic engine answers `wear_at(N)` with one epoch walker, folding
+//! whole super-cycles of periodic configurations. These tests pin every
+//! path against the production simulator (`EnduranceSimulator::run`) and
+//! the step-replay oracle (`run_reference`) — cell by cell, writes and
+//! reads, across all 18 balancing configurations, never() schedules,
+//! randomized iteration counts with mid-epoch partial spans, monotone and
+//! backwards queries, and super-cycles longer than either table period.
+//! `scripts/ci.sh` runs them in release mode.
 
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{classify, AnalyticPath, AnalyticWearEngine};
-use nvpim_core::{lifetime, EnduranceSimulator, LifetimeModel, SimConfig};
+use nvpim_core::{EnduranceSimulator, SimConfig};
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
@@ -213,41 +212,55 @@ fn lazy_engines_answer_monotone_and_backwards_queries() {
 }
 
 #[test]
-fn solve_locates_the_exact_failure_iteration() {
-    let cfg = SimConfig::default().with_iterations(0).with_schedule(RemapSchedule::every(7));
-    let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
-    // Endurance small enough that the horizon stays test-sized but large
-    // enough to span many epochs and several super-cycles.
-    let model = LifetimeModel::new(50_000, 3.0);
-    for name in ["StxSt", "BsxBs", "StxBs", "StxSt+Hw", "BsxBs+Hw"] {
-        let balance: BalanceConfig = name.parse().unwrap();
-        let mut engine = AnalyticWearEngine::new(&wl, balance, cfg);
-        let outcome = lifetime::solve(&mut engine, model, 1_000);
-        assert!(outcome.exact, "{balance} should solve exactly");
-        assert_eq!(outcome.path, AnalyticPath::ClosedForm);
-        let survived = outcome.lifetime.iterations as u64;
-        assert_eq!(outcome.failure_iteration, survived + 1, "{balance}");
-        // The bracket must hold against the *simulator*, not just the
-        // engine's own arithmetic.
-        let at_lo = EnduranceSimulator::new(cfg.with_iterations(survived)).run(&wl, balance);
-        let at_hi = EnduranceSimulator::new(cfg.with_iterations(outcome.failure_iteration))
-            .run(&wl, balance);
-        assert!(
-            at_lo.wear.max_writes() <= model.endurance(),
-            "{balance}: survived iteration already exceeds endurance"
-        );
-        assert!(
-            at_hi.wear.max_writes() > model.endurance(),
-            "{balance}: failure iteration does not exceed endurance"
-        );
+fn super_cycles_longer_than_either_period_fold_exactly() {
+    // 104×24: a byte-shift row period of 13 (103 software rows under Hw
+    // still round up to 13) and a lane period of 3, so a super-cycle is
+    // L = 39 epochs — longer than either period, which the fuzz shapes
+    // above never produce. mul's one class spans every lane, so under Hw
+    // its redirects move the arrangement and the fold's F is not the
+    // identity; dot's partial classes render under every lane phase.
+    // Queries span two whole super-cycles plus a mid-epoch partial, go
+    // back inside the first super-cycle, then forward again.
+    let period = 2;
+    let cycle = 39 * period;
+    let dims = ArrayDims::new(104, 24);
+    let workloads = [
+        ("mul-104x24", ParallelMul::new(dims, 8).build()),
+        ("dot-104x24", DotProduct::new(dims, 16, 8).build()),
+    ];
+    let base = SimConfig::default()
+        .with_schedule(RemapSchedule::every(period))
+        .with_read_tracking(true)
+        .with_seed(7);
+    for (label, wl) in &workloads {
+        for name in ["BsxBs", "StxBs", "BsxSt", "BsxBs+Hw", "StxBs+Hw", "BsxSt+Hw"] {
+            let balance: BalanceConfig = name.parse().unwrap();
+            // Built at a count past one super-cycle, so construction walks it.
+            let mut engine = AnalyticWearEngine::new(wl, balance, base.with_iterations(cycle + 1));
+            assert_eq!(engine.path(), AnalyticPath::ClosedForm, "{label} {balance}");
+            for n in [2 * cycle + 3, 2 * cycle + 3, cycle - 1, 3 * cycle, 2 * cycle + 3] {
+                let analytic = engine.wear_at(n);
+                let replayed =
+                    EnduranceSimulator::new(base.with_iterations(n)).run_reference(wl, balance);
+                let replayed = replayed.wear;
+                for row in 0..dims.rows() {
+                    for lane in 0..dims.lanes() {
+                        assert_eq!(
+                            (analytic.writes_at(row, lane), analytic.reads_at(row, lane)),
+                            (replayed.writes_at(row, lane), replayed.reads_at(row, lane)),
+                            "{label} {balance} at n={n}: wear diverges from step replay at \
+                             ({row},{lane})"
+                        );
+                    }
+                }
+                assert_eq!(
+                    (analytic.max_writes(), analytic.recount_max_writes()),
+                    (replayed.max_writes(), replayed.max_writes()),
+                    "{label} {balance} at n={n}: carried max writes"
+                );
+            }
+        }
     }
-    // Lazy configs (here `Ra` rows under `+Hw`) still answer, flagged as
-    // extrapolations.
-    let mut lazy = AnalyticWearEngine::new(&wl, "RaxSt+Hw".parse().unwrap(), cfg);
-    let outcome = lifetime::solve(&mut lazy, model, 1_000);
-    assert!(!outcome.exact);
-    assert_eq!(outcome.path, AnalyticPath::Lazy);
-    assert!(outcome.lifetime.iterations > 0.0);
 }
 
 #[test]

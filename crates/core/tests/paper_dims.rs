@@ -6,13 +6,15 @@
 //! when the lane table changes: the lazy software rung (`RaxRa`, `StxRa`)
 //! and the lazy hardware rung (`BsxRa+Hw`, plus every `Ra`-rows `+Hw`
 //! config — `RaxRa+Hw`, `RaxSt+Hw`, `RaxBs+Hw` — whose one kernel is
-//! relabeled through a fresh random row table every epoch), plus the two
-//! closed forms (`StxSt`, `StxSt+Hw`). Every answer is compared cell for cell against
-//! the step-replay oracle (`run_reference`), and its hottest cell against both replay's
-//! and its own recount. 300 iterations remapped every 100 change the lane
-//! table mid-run, and the query order 200 → 300 → 100 covers a follow-up
-//! query after a flush and a restart from the seed. `scripts/ci.sh` runs
-//! it in release mode.
+//! relabeled through a fresh random row table every epoch), plus the
+//! super-cycle fold of the periodic configs (`StxSt`, `StxSt+Hw`, and
+//! byte-shift configs whose 128-epoch super-cycles wrap). Every answer is
+//! compared cell for cell against the step-replay oracle
+//! (`run_reference`), and its hottest cell against both replay's and its
+//! own recount. 300 iterations remapped every 100 change the lane table
+//! mid-run, and the query order 200 → 300 → 100 covers a follow-up query
+//! after a flush and a restart from the seed. `scripts/ci.sh` runs it in
+//! release mode.
 
 use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
@@ -70,19 +72,20 @@ fn assert_same_wear(got: &WearMap, want: &WearMap, what: &str) {
     assert_eq!(got.max_writes(), got.recount_max_writes(), "{what}: carried max writes");
 }
 
-/// Queries each rung at 200 → 300 → 100 iterations and compares every
-/// answer with step replay.
-fn assert_rungs_match_step_replay(rungs: &[(&str, AnalyticPath)]) {
-    let cfg = config();
+/// Queries each rung at `queries` (under `cfg`) and compares every answer
+/// with step replay.
+fn assert_rungs_match_step_replay(cfg: SimConfig, queries: &[u64], rungs: &[(&str, AnalyticPath)]) {
     for (label, wl) in &paper_workloads() {
         for &(config, path) in rungs {
             let balance: BalanceConfig = config.parse().unwrap();
             let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
             assert_eq!(engine.path(), path, "{label} {config}");
-            let replay: Vec<WearMap> =
-                [100, 200, 300].map(|n| step_replay(wl, balance, cfg.with_iterations(n))).into();
-            for n in [200u64, 300, 100] {
-                let want = &replay[(n / 100 - 1) as usize];
+            let mut replay: Vec<(u64, WearMap)> = Vec::new();
+            for &n in queries {
+                if !replay.iter().any(|&(m, _)| m == n) {
+                    replay.push((n, step_replay(wl, balance, cfg.with_iterations(n))));
+                }
+                let want = &replay.iter().find(|&&(m, _)| m == n).expect("replayed above").1;
                 let what = format!("{label} {config} [{path}] at {n}");
                 assert_same_wear(&engine.wear_at(n), want, &what);
             }
@@ -92,25 +95,52 @@ fn assert_rungs_match_step_replay(rungs: &[(&str, AnalyticPath)]) {
 
 #[test]
 fn per_epoch_rungs_match_step_replay_at_paper_dims() {
-    assert_rungs_match_step_replay(&[
-        ("RaxRa", AnalyticPath::Lazy),
-        ("StxRa", AnalyticPath::Lazy),
-        ("BsxRa+Hw", AnalyticPath::Lazy),
-        ("RaxRa+Hw", AnalyticPath::Lazy),
-        ("RaxSt+Hw", AnalyticPath::Lazy),
-        ("RaxBs+Hw", AnalyticPath::Lazy),
-    ]);
+    assert_rungs_match_step_replay(
+        config(),
+        &[200, 300, 100],
+        &[
+            ("RaxRa", AnalyticPath::Lazy),
+            ("StxRa", AnalyticPath::Lazy),
+            ("BsxRa+Hw", AnalyticPath::Lazy),
+            ("RaxRa+Hw", AnalyticPath::Lazy),
+            ("RaxSt+Hw", AnalyticPath::Lazy),
+            ("RaxBs+Hw", AnalyticPath::Lazy),
+        ],
+    );
 }
 
 #[test]
 fn closed_form_rungs_match_step_replay_at_paper_dims() {
-    // The only closed forms at paper dims (a byte-shift period of 128
-    // epochs overflows the prefix-panel ceiling). Both evaluate each
-    // answer straight into fresh planes that carry the hottest cell.
-    assert_rungs_match_step_replay(&[
-        ("StxSt", AnalyticPath::ClosedForm),
-        ("StxSt+Hw", AnalyticPath::ClosedForm),
-    ]);
+    // One-epoch super-cycles: 300 iterations fold three of them, 200 two,
+    // and 100 one. Each answer is written straight into fresh planes that
+    // carry the hottest cell.
+    assert_rungs_match_step_replay(
+        config(),
+        &[200, 300, 100],
+        &[("StxSt", AnalyticPath::ClosedForm), ("StxSt+Hw", AnalyticPath::ClosedForm)],
+    );
+}
+
+#[test]
+fn byte_shift_super_cycles_wrap_at_paper_dims() {
+    // Remapping every iteration, a byte shift over 1024 lanes, 1024 rows,
+    // or the 1023 software rows under Hw has 128 phases, so 300 iterations
+    // are two whole 128-epoch super-cycles plus a 44-epoch remainder.
+    // Construction walks one super-cycle; 300 folds it twice over the
+    // arrangement it ends in (under Hw the 1023-row shift wraps from 1016
+    // back to 0, which no single epoch permutation describes), 100 restarts
+    // inside the first super-cycle, and 300 again folds from that restart.
+    let cfg = config().with_schedule(RemapSchedule::every(1));
+    assert_rungs_match_step_replay(
+        cfg,
+        &[300, 100, 300],
+        &[
+            ("BsxBs", AnalyticPath::ClosedForm),
+            ("StxBs", AnalyticPath::ClosedForm),
+            ("BsxSt+Hw", AnalyticPath::ClosedForm),
+            ("BsxBs+Hw", AnalyticPath::ClosedForm),
+        ],
+    );
 }
 
 #[test]

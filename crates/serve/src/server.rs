@@ -555,12 +555,12 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
 /// a `/batch` pool worker), so the trace shows real lanes.
 ///
 /// Requests that do not ask for the per-epoch wear series are answered by
-/// the replay-free [`AnalyticWearEngine`] — a closed-form or lazy query
-/// whose `SimResult` is bit-identical to a full replay (irreducible
-/// configurations fall back to the simulator inside the engine). The body
-/// bytes are therefore identical either way, so analytic answers share
-/// cache identity with simulated ones; the manifest records which engine
-/// path produced the numbers.
+/// the replay-free [`AnalyticWearEngine`] — every configuration, on its
+/// closed-form or lazy rung — whose `SimResult` is bit-identical to a full
+/// replay; requests for the series run the simulator. The body bytes are
+/// therefore identical either way, so analytic answers share cache
+/// identity with simulated ones; the manifest records which engine path
+/// produced the numbers.
 fn execute(
     request: &SimRequest,
     state: &ServeState,

@@ -86,13 +86,20 @@ for key in wear.max_writes wear.p99_writes wear.mean_writes wear.gini wear.remap
         { echo "ci: manifest series section is missing $key" >&2; exit 1; }
 done
 # Two rungs at paper dims: the manifest's analytic_paths object (one rung
-# label per configuration) must never name the retired fallback rung.
+# label per configuration) must label every configuration without `Ra`
+# closed_form and every configuration with `Ra` lazy, all 18 of them.
 paths="$(tr -d '\n' < "$OBS_TMP/manifest.json" | grep -o '"analytic_paths": *{[^}]*}' || true)"
 [ -n "$paths" ] || { echo "ci: manifest is missing analytic_paths" >&2; exit 1; }
-if grep -q '"fallback"' <<< "$paths"; then
-    echo "ci: a configuration landed on the fallback rung: $paths" >&2
-    exit 1
-fi
+labels="$(grep -o '"[A-Za-z+]*": *"[a-z_]*"' <<< "$paths" | tr -d ' ')"
+[ "$(wc -l <<< "$labels")" -eq 18 ] ||
+    { echo "ci: analytic_paths does not label 18 configurations: $paths" >&2; exit 1; }
+while IFS= read -r label; do
+    config="${label%%:*}"
+    want='"closed_form"'
+    [[ "$config" == *Ra* ]] && want='"lazy"'
+    [ "${label#*:}" = "$want" ] ||
+        { echo "ci: $config should be $want in $paths" >&2; exit 1; }
+done <<< "$labels"
 echo "ci: traced smoke artifacts validated"
 
 # Cross-configuration artifact reuse end to end: renders the fig14–16
