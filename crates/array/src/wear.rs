@@ -200,6 +200,60 @@ impl WearMap {
         add_row_list(self.dims, &mut self.reads, &mut self.sum_reads, row, lanes, count);
     }
 
+    /// Adds `count × weights[i]` writes (or reads) at lane `lanes[i]` of
+    /// `row` — the render of a lane class whose per-lane occupancy was
+    /// counted over many epochs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` and `weights` differ in length.
+    pub fn add_row_weighted(
+        &mut self,
+        row: usize,
+        lanes: &[usize],
+        weights: &[u64],
+        count: u64,
+        reads: bool,
+    ) {
+        assert_eq!(lanes.len(), weights.len(), "one weight per lane");
+        let (cells, sum) = self.row_plane(row, reads);
+        let mut added = 0;
+        for (&lane, &weight) in lanes.iter().zip(weights) {
+            cells[lane] += count * weight;
+            added += weight;
+        }
+        *sum += count * added;
+    }
+
+    /// Adds `per_lane[l]` writes (or reads) at lane `l` of `row`, for
+    /// every lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_lane` is not `lanes()` long.
+    pub fn add_row_per_lane(&mut self, row: usize, per_lane: &[u64], reads: bool) {
+        let (cells, sum) = self.row_plane(row, reads);
+        assert_eq!(cells.len(), per_lane.len(), "one count per lane");
+        for (cell, &count) in cells.iter_mut().zip(per_lane) {
+            *cell += count;
+        }
+        *sum += per_lane.iter().sum::<u64>();
+    }
+
+    /// One row of the write (or read) plane and that plane's running sum;
+    /// a write clears the carried maximum.
+    fn row_plane(&mut self, row: usize, reads: bool) -> (&mut [u64], &mut u64) {
+        let lanes = self.dims.lanes();
+        let (plane, sum) = if reads {
+            self.track_reads();
+            (&mut self.reads, &mut self.sum_reads)
+        } else {
+            self.max_writes = None;
+            (&mut self.writes, &mut self.sum_writes)
+        };
+        (&mut plane[row * lanes..(row + 1) * lanes], sum)
+    }
+
     /// Adds `count` writes at every cell of `row` — the render of a lane
     /// class that spans every lane, as one contiguous slice pass.
     pub fn add_full_row_writes(&mut self, row: usize, count: u64) {

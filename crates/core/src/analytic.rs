@@ -16,7 +16,10 @@
 //! trace's one kernel relabeled through the row table and folded (`+Hw`,
 //! see [`crate::kernel`]) — never a trace walk. Lanes render into the cell
 //! map once per answer for classes spanning every lane, and once per
-//! lane-table change for partial classes (`kernel::RowAccumulator`).
+//! distinct lane set or row phase for partial classes
+//! (`kernel::RowAccumulator`; the walker picks the staging from the
+//! configuration, `kernel::LaneStage::of`). With no partial class the
+//! walker keeps `St` lanes, as lanes cannot affect wear.
 //!
 //! An answer is the walker's own cell plane with its stage rendered in
 //! place, not a copy, so the walker is spent and the next query walks a
@@ -96,7 +99,7 @@ use std::sync::Arc;
 
 use nvpim_array::trace::TraceCounts;
 use nvpim_array::{ArchStyle, ArrayDims, PermFolder, Step, Trace, WearKernel, WearMap};
-use nvpim_balance::{BalanceConfig, CombinedMap, HwRemapper, RemapSchedule};
+use nvpim_balance::{BalanceConfig, CombinedMap, HwRemapper, RemapSchedule, Strategy};
 use nvpim_obs::{Event, EventSink, NullSink};
 use nvpim_workloads::Workload;
 
@@ -279,6 +282,8 @@ struct Walker {
     map: CombinedMap,
     wear: WearMap,
     rows: kernel::RowAccumulator,
+    /// The row period, when partial classes stage by row phase.
+    row_period: Option<u64>,
     done: u64,
 }
 
@@ -287,11 +292,25 @@ impl Walker {
     /// construction pays the plane's page faults (`zeroed_map`).
     fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
         let dims = trace.dims();
-        let rows = kernel::RowAccumulator::new(trace, cfg.track_reads);
+        // With every class spanning every lane, lanes cannot affect wear:
+        // the map keeps `St` lanes instead of drawing tables nothing reads.
+        // Its row tables are unchanged, because `CombinedMap::new` seeds
+        // the row mapper independently of the lane mapper.
+        let balance = if trace.classes().iter().all(|c| c.count() == dims.lanes()) {
+            BalanceConfig::new(balance.row, Strategy::Static, balance.hw)
+        } else {
+            balance
+        };
+        let stage = kernel::LaneStage::of(balance, dims, &cfg);
+        let rows = kernel::RowAccumulator::new(trace, cfg.track_reads, stage);
         Walker {
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
             wear: rows.zeroed_map(dims),
             rows,
+            row_period: match stage {
+                kernel::LaneStage::RowPhases { period } => Some(period),
+                kernel::LaneStage::LaneSets { .. } => None,
+            },
             done: 0,
         }
     }
@@ -313,7 +332,11 @@ impl Walker {
     fn book_epoch(&mut self, booking: &Booking, span: u64) {
         match booking {
             Booking::Sw(panels) => {
-                self.rows.set_lanes(self.map.lane_permutation(), &mut self.wear);
+                let lanes = self.map.lane_permutation();
+                match self.row_period {
+                    Some(period) => self.rows.set_row_phase(lanes, self.map.epoch() % period, span),
+                    None => self.rows.set_lanes(lanes, &mut self.wear),
+                }
                 let table = self.map.row_table();
                 for (class, writes) in panels.writes.iter().enumerate() {
                     self.rows.book(class, table, writes, span, false);
@@ -710,7 +733,6 @@ pub fn run_configs_analytic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvpim_balance::Strategy;
 
     #[test]
     fn periodic_configs_are_closed_form_at_every_dims() {

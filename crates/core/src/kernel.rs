@@ -33,18 +33,138 @@
 //!    redirects, so the renaming state and the observability tally are
 //!    bit-identical to having replayed every iteration.
 //!
-//! Lanes are rendered into the wear map only when the lane table changes
-//! or the map is read ([`RowAccumulator`]): a class spanning every lane
-//! once per read as full-row adds, a partial class once per lane-table
-//! change or read (once per run for `St` lanes). The analytic engine's
-//! epoch walker stages its epochs through the same accumulator.
+//! Lanes are rendered into the wear map only when the map is read or a
+//! stage fills ([`RowAccumulator`]): a class spanning every lane once per
+//! read as full-row adds, a partial class once per distinct lane set its
+//! deposits were booked under, or once per row phase from span-weighted
+//! lane counts ([`LaneStage`]). So `St` lanes render a partial class once
+//! per run, `Bs` lanes once per shifted lane set (once in all for a class
+//! the shift maps onto itself), and only `Ra` lanes under `+Hw` or `Ra`
+//! rows once per epoch. The analytic engine's epoch walker stages its
+//! epochs through the same accumulator.
 
 use std::sync::Arc;
 
 use nvpim_array::{ArchStyle, ArrayDims, Step, Trace, WearKernel, WearMap};
-use nvpim_balance::{CombinedMap, HwRemapper};
+use nvpim_balance::{BalanceConfig, CombinedMap, HwRemapper, Strategy};
 
 use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
+use crate::sim::SimConfig;
+
+/// How a [`RowAccumulator`] stages its partial lane classes between
+/// renders. Both stages are exact because wear is
+/// `Σ_c Σ_e (T_e·v_c) ⊗ P_e(1_c)`: deposits booked under the same lane set
+/// share a row vector, and deposits booked under the same row table share
+/// a lane-count vector (DESIGN.md §"Lane staging").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneStage {
+    /// Each partial class keys its staged row vector by its own sorted
+    /// physical lane set, holding up to `keys` sets before every staged
+    /// class renders.
+    LaneSets { keys: usize },
+    /// Each partial class books its row vector once per row phase
+    /// (`epoch mod period`) at unit scale, and counts span-weighted lane
+    /// occupancy per phase; it renders `v ⊗ counts` once per phase.
+    RowPhases { period: u64 },
+}
+
+/// Distinct lane sets (or row phases) a partial class stages before it
+/// renders: one byte-shift period over the paper's 1024 lanes or rows, as
+/// a smaller cap would evict every key before its set recurs. At
+/// 1024×1024 a key costs 8 KiB of row vector per written class (plus its
+/// lanes), a phase 16 KiB (row vector and lane counts, plus its weights
+/// at render), so the cap bounds a `dot1024x32` stage at about 11 MiB
+/// keyed and 28 MiB phased, as measured (DESIGN.md §"Lane staging").
+pub(crate) const MAX_STAGE_KEYS: usize = 128;
+
+impl LaneStage {
+    /// The staging for `balance` at `dims`, for a walk of `cfg`'s
+    /// iterations:
+    ///
+    /// - row phases without `Hw` when rows are periodic, lanes move and the
+    ///   walk revisits a row phase: `St` rows have one phase (so one render
+    ///   per class, whatever the lanes do), and `Ra` lanes under `Bs` rows
+    ///   render once per phase instead of once per epoch;
+    /// - otherwise lane-set keys: one key under `Ra` lanes, whose sets
+    ///   never repeat (so one render per lane-set change), up to
+    ///   [`MAX_STAGE_KEYS`] under `Bs` or `St` lanes.
+    ///
+    /// Either staging is exact for any walk; the choice only sets how
+    /// often a class renders.
+    pub(crate) fn of(balance: BalanceConfig, dims: ArrayDims, cfg: &SimConfig) -> Self {
+        let random_lanes = balance.col == Strategy::Random;
+        let epochs = cfg.schedule.period().map_or(1, |p| cfg.iterations.div_ceil(p));
+        // Row phases pay only when the configured walk revisits one.
+        let row_period = if balance.hw { None } else { balance.row.epoch_period(dims.rows()) }
+            .filter(|&period| period < epochs);
+        match row_period {
+            Some(1) if balance.col != Strategy::Static => LaneStage::RowPhases { period: 1 },
+            Some(period) if random_lanes && period <= MAX_STAGE_KEYS as u64 => {
+                LaneStage::RowPhases { period }
+            }
+            _ if random_lanes => LaneStage::LaneSets { keys: 1 },
+            _ => LaneStage::LaneSets { keys: MAX_STAGE_KEYS },
+        }
+    }
+}
+
+/// One partial class's deposits under one key: a lane set, or a row phase.
+#[derive(Debug)]
+struct Slot {
+    /// The lane set's fingerprint, or the row phase.
+    key: u64,
+    /// Physical lanes, ascending: the key's lane set, or (row phases) the
+    /// lanes with a nonzero count, gathered at render.
+    lanes: Vec<usize>,
+    /// The key's lane set as half-open runs of consecutive lanes, when it
+    /// has few enough runs to render through a difference array; else
+    /// empty.
+    runs: Vec<(usize, usize)>,
+    /// Row phases only: span-weighted occupancy per physical lane, and at
+    /// render the nonzero counts in `lanes` order.
+    counts: Vec<u64>,
+    weights: Vec<u64>,
+    /// Staged writes and reads per physical row; empty until booked.
+    writes: Vec<u64>,
+    reads: Vec<u64>,
+}
+
+/// A lane class that does not span every lane.
+#[derive(Debug)]
+struct PartialClass {
+    logical: Vec<usize>,
+    /// Physical lanes under the current permutation, ascending, and their
+    /// fingerprint.
+    lanes: Vec<usize>,
+    fingerprint: u64,
+    /// The slot this epoch's deposits go to, once booked.
+    current: Option<usize>,
+    slots: Vec<Slot>,
+}
+
+/// The half-open runs of consecutive lanes in an ascending lane set, if
+/// there are at most a quarter as many runs as lanes (a byte-shifted block
+/// has one or two); else none, and the set renders lane by lane.
+fn lane_runs(lanes: &[usize]) -> Vec<(usize, usize)> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for &lane in lanes {
+        match runs.last_mut() {
+            Some((_, end)) if *end == lane => *end += 1,
+            _ => runs.push((lane, lane + 1)),
+        }
+        if 4 * runs.len() > lanes.len() {
+            return Vec::new();
+        }
+    }
+    runs
+}
+
+/// FNV-1a over a sorted lane set.
+fn lane_set_key(lanes: &[usize]) -> u64 {
+    lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &lane| {
+        (h ^ lane as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Row-space wear staging shared by every per-epoch path: the simulator's
 /// compiled `+Hw` path and the analytic engine's epoch walker.
@@ -53,31 +173,37 @@ use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
 /// lanes are rendered only when the wear map needs them. This is exact
 /// because wear is `Σ_class Σ_epoch (T_e·v_c) ⊗ P_e(1_c)` and `P_e(1_c)`
 /// is all ones for a class spanning every lane under any lane permutation
-/// `P_e`: such classes share one bucket, rendered as contiguous full-row
-/// adds only at a read ([`RowAccumulator::flush`],
+/// `P_e`: such classes share one row vector, rendered as contiguous
+/// full-row adds only at a read ([`RowAccumulator::flush`],
 /// [`RowAccumulator::finish`] or [`RowAccumulator::staged`]), however
-/// many permutations its deposits were booked under. A partial class is
-/// rendered under the permutation its deposits were booked under — when
-/// [`RowAccumulator::set_lanes`] sees the permutation change, or at a
-/// read. Every render goes through
-/// the wear map's own adders or fused passes, so its running sums (and
-/// every conservation assert built on them) stay exact.
+/// many permutations its deposits were booked under. A partial class
+/// stages per [`LaneStage`] key — its lane set, or the row phase — and
+/// each (class, key) renders once, at a read or when a class runs out of
+/// keys. Every render is one row-major pass over the plane through the
+/// wear map's own adders, so its running sums (and every conservation
+/// assert built on them) stay exact.
 #[derive(Debug)]
 pub(crate) struct RowAccumulator {
-    /// Class → bucket: every full-lane class shares bucket 0, each partial
-    /// class owns one of the rest.
+    stage: LaneStage,
+    /// Class → 0 for a full-lane class, else 1 + its index in `partial`.
     bucket: Vec<usize>,
-    /// Per bucket: logical lanes, and physical lanes under `perm` (both
-    /// empty for the full bucket).
-    logical: Vec<Vec<usize>>,
-    physical: Vec<Vec<usize>>,
-    /// Per bucket: staged writes (and reads, when tracked) per physical row.
-    writes: Vec<Vec<u64>>,
-    reads: Option<Vec<Vec<u64>>>,
-    /// The lane permutation the staged partial deposits were booked under.
+    /// Every full-lane class's staged writes (and reads) per physical row.
+    full_writes: Vec<u64>,
+    full_reads: Option<Vec<u64>>,
+    partial: Vec<PartialClass>,
+    /// The lane permutation the partial classes' `lanes` were resolved
+    /// under.
     perm: Vec<usize>,
-    partial_pending: bool,
-    /// Partial-class renders since the last [`RowAccumulator::take_lane_renders`].
+    /// The current epoch's row phase and span (row-phase staging).
+    phase: u64,
+    span: u64,
+    /// Zeroed row vectors from rendered slots.
+    spare_rows: Vec<Vec<u64>>,
+    /// Render scratch: a difference array per plane (empty until a
+    /// run-shaped slot renders).
+    diff: [Vec<u64>; 2],
+    /// (Class, key) renders since the last
+    /// [`RowAccumulator::take_lane_renders`].
     lane_renders: u64,
     /// Kernel-epoch scratch: one class's folded per-slot totals, and the
     /// relabeled arrangement (B = A₀ ∘ T', advanced in place).
@@ -87,26 +213,35 @@ pub(crate) struct RowAccumulator {
 }
 
 impl RowAccumulator {
-    pub(crate) fn new(trace: &Trace, track_reads: bool) -> Self {
+    pub(crate) fn new(trace: &Trace, track_reads: bool, stage: LaneStage) -> Self {
         let (rows, lanes) = (trace.dims().rows(), trace.dims().lanes());
         let mut bucket = Vec::new();
-        let mut logical = vec![Vec::new()];
+        let mut partial = Vec::new();
         for class in trace.classes() {
             if class.count() == lanes {
                 bucket.push(0);
             } else {
-                bucket.push(logical.len());
-                logical.push(class.iter().collect());
+                partial.push(PartialClass {
+                    logical: class.iter().collect(),
+                    lanes: Vec::new(),
+                    fingerprint: 0,
+                    current: None,
+                    slots: Vec::new(),
+                });
+                bucket.push(partial.len());
             }
         }
         RowAccumulator {
+            stage,
             bucket,
-            physical: vec![Vec::new(); logical.len()],
-            writes: vec![vec![0; rows]; logical.len()],
-            reads: track_reads.then(|| vec![vec![0; rows]; logical.len()]),
-            logical,
+            full_writes: vec![0; rows],
+            full_reads: track_reads.then(|| vec![0; rows]),
+            partial,
             perm: Vec::new(),
-            partial_pending: false,
+            phase: 0,
+            span: 0,
+            spare_rows: Vec::new(),
+            diff: [Vec::new(), Vec::new()],
             lane_renders: 0,
             totals: vec![0; rows],
             arrangement: Vec::new(),
@@ -121,7 +256,7 @@ impl RowAccumulator {
     /// take the walker's plane"). Without them nothing renders into the
     /// plane before the full-lane bucket writes its rows.
     pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> WearMap {
-        if self.logical.len() == 1 {
+        if self.partial.is_empty() {
             return WearMap::new(dims);
         }
         // An opaque zero keeps the compiler from turning the fill into a
@@ -131,26 +266,70 @@ impl RowAccumulator {
         WearMap::from_planes(dims, writes, Vec::new())
     }
 
-    /// Declares the lane permutation the next deposits are booked under.
-    /// If it differs from the one staged partial deposits were booked
-    /// under, those are rendered into `wear` first.
-    pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: &mut WearMap) {
+    /// Resolves every partial class's physical lanes under `perm`, if it
+    /// differs from the permutation they were resolved under; returns
+    /// whether it did.
+    fn resolve_lanes(&mut self, perm: &[usize]) -> bool {
         if self.perm == perm {
-            return;
+            return false;
         }
-        self.render_partial(wear);
         self.perm.clear();
         self.perm.extend_from_slice(perm);
-        for (physical, logical) in self.physical.iter_mut().zip(&self.logical) {
-            physical.clear();
-            physical.extend(logical.iter().map(|&l| perm[l]));
+        for class in &mut self.partial {
+            class.lanes.clear();
+            class.lanes.extend(class.logical.iter().map(|&l| perm[l]));
             // Ascending lanes walk each row front to back when rendered.
-            physical.sort_unstable();
+            class.lanes.sort_unstable();
+            class.fingerprint = lane_set_key(&class.lanes);
+        }
+        true
+    }
+
+    /// Declares the lane permutation the next deposits are booked under
+    /// (lane-set staging). Each partial class's deposits go to the slot
+    /// keyed by its new physical lane set; if a class has no such slot and
+    /// already holds its `keys`, every staged partial class renders into
+    /// `wear` first.
+    pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: &mut WearMap) {
+        let LaneStage::LaneSets { keys } = self.stage else {
+            unreachable!("set_lanes under row-phase staging");
+        };
+        if !self.resolve_lanes(perm) {
+            return;
+        }
+        let mut full = false;
+        for class in &mut self.partial {
+            let (key, lanes) = (class.fingerprint, &class.lanes);
+            class.current = class.slots.iter().position(|s| s.key == key && s.lanes == *lanes);
+            full |= class.current.is_none() && class.slots.len() >= keys;
+        }
+        if full {
+            self.render_partial(wear);
+        }
+    }
+
+    /// Declares the lane permutation and row phase of the next epoch of
+    /// `span` iterations (row-phase staging): a partial class already
+    /// staged under `phase` adds `span` to the count of each lane it now
+    /// occupies, and its booking this epoch is a no-op.
+    pub(crate) fn set_row_phase(&mut self, perm: &[usize], phase: u64, span: u64) {
+        debug_assert!(matches!(self.stage, LaneStage::RowPhases { period } if phase < period));
+        self.resolve_lanes(perm);
+        (self.phase, self.span) = (phase, span);
+        for class in &mut self.partial {
+            class.current = class.slots.iter().position(|s| s.key == phase);
+            if let Some(slot) = class.current.map(|i| &mut class.slots[i]) {
+                for &lane in &class.lanes {
+                    slot.counts[lane] += span;
+                }
+            }
         }
     }
 
     /// Books `deltas[i] × scale` at physical row `rows[i]` for `class`
-    /// (writes, or reads when `reads` is set).
+    /// (writes, or reads when `reads` is set). Under row-phase staging a
+    /// partial class books its phase's deltas once, at unit scale, and
+    /// `scale` (the epoch's span) goes to its lane counts instead.
     pub(crate) fn book(
         &mut self,
         class: usize,
@@ -161,15 +340,67 @@ impl RowAccumulator {
     ) {
         debug_assert_eq!(rows.len(), deltas.len(), "row table and deltas disagree");
         let bucket = self.bucket[class];
-        let staged = if reads {
-            &mut self.reads.as_mut().expect("accumulator built without read tracking")[bucket]
-        } else {
-            &mut self.writes[bucket]
+        if bucket == 0 {
+            let staged = if reads {
+                self.full_reads.as_mut().expect("accumulator built without read tracking")
+            } else {
+                &mut self.full_writes
+            };
+            for (&row, &delta) in rows.iter().zip(deltas) {
+                staged[row] += delta * scale;
+            }
+            return;
+        }
+        let phased = matches!(self.stage, LaneStage::RowPhases { .. });
+        let class = &mut self.partial[bucket - 1];
+        let slot = match class.current {
+            Some(i) => &mut class.slots[i],
+            // A class that deposits nothing never holds a slot.
+            None if deltas.iter().all(|&d| d == 0) => return,
+            None => {
+                let mut slot = Slot {
+                    key: class.fingerprint,
+                    lanes: Vec::new(),
+                    runs: Vec::new(),
+                    counts: Vec::new(),
+                    weights: Vec::new(),
+                    writes: Vec::new(),
+                    reads: Vec::new(),
+                };
+                if phased {
+                    debug_assert_eq!(scale, self.span, "booked at another span than declared");
+                    slot.key = self.phase;
+                    let lanes = self.perm.len();
+                    slot.counts = vec![0; lanes];
+                    for &lane in &class.lanes {
+                        slot.counts[lane] += scale;
+                    }
+                } else {
+                    slot.lanes.extend_from_slice(&class.lanes);
+                    slot.runs = lane_runs(&slot.lanes);
+                }
+                class.current = Some(class.slots.len());
+                class.slots.push(slot);
+                class.slots.last_mut().expect("pushed above")
+            }
         };
+        let staged = if reads { &mut slot.reads } else { &mut slot.writes };
+        let scale = if phased {
+            if !staged.is_empty() || deltas.iter().all(|&d| d == 0) {
+                // Booked at an earlier epoch of this phase, or nothing to book.
+                return;
+            }
+            1
+        } else {
+            scale
+        };
+        if staged.is_empty() {
+            let rows = self.full_writes.len();
+            *staged = self.spare_rows.pop().unwrap_or_else(|| vec![0; rows]);
+        }
         for (&row, &delta) in rows.iter().zip(deltas) {
             staged[row] += delta * scale;
         }
-        self.partial_pending |= bucket != 0;
     }
 
     /// Folds one epoch of `span` iterations of `kernel` into the stage and
@@ -221,10 +452,15 @@ impl RowAccumulator {
     /// Renders every staged deposit into `wear` and empties the stage.
     pub(crate) fn flush(&mut self, wear: &mut WearMap) {
         self.render_partial(wear);
-        self.render_full(wear);
-        self.writes[0].fill(0);
-        if let Some(reads) = &mut self.reads {
-            reads[0].fill(0);
+        for (row, &count) in self.full_writes.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            wear.add_full_row_writes(row, count);
+        }
+        self.full_writes.fill(0);
+        if let Some(reads) = &mut self.full_reads {
+            for (row, &count) in reads.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                wear.add_full_row_reads(row, count);
+            }
+            reads.fill(0);
         }
     }
 
@@ -232,10 +468,10 @@ impl RowAccumulator {
     /// into `wear`, the walker's cumulative map, then adds the full-lane
     /// bucket in place in one fused pass that also sets the map's maximum
     /// ([`WearMap::add_full_rows`]). The map becomes the answer, so the
-    /// stage is spent; returns its partial-class renders.
+    /// stage is spent; returns its (class, key) renders.
     pub(crate) fn finish(mut self, wear: &mut WearMap) -> u64 {
         self.render_partial(wear);
-        wear.add_full_rows(&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]));
+        wear.add_full_rows(&self.full_writes, self.full_reads.as_deref());
         self.lane_renders
     }
 
@@ -244,47 +480,98 @@ impl RowAccumulator {
     /// wear so far is `wear` plus those rows across every lane.
     pub(crate) fn staged(&mut self, wear: &mut WearMap) -> (&[u64], Option<&[u64]>) {
         self.render_partial(wear);
-        (&self.writes[0], self.reads.as_ref().map(|reads| &reads[0][..]))
+        (&self.full_writes, self.full_reads.as_deref())
     }
 
-    fn render_full(&self, wear: &mut WearMap) {
-        for (row, &count) in self.writes[0].iter().enumerate().filter(|&(_, &c)| c > 0) {
-            wear.add_full_row_writes(row, count);
-        }
-        let reads = self.reads.iter().flat_map(|reads| reads[0].iter().enumerate());
-        for (row, &count) in reads.filter(|&(_, &c)| c > 0) {
-            wear.add_full_row_reads(row, count);
-        }
-    }
-
-    /// Partial-class renders since the last call (the `sim.lane_renders`
-    /// counter): one per partial class per lane-table change or read.
+    /// (Class, key) renders since the last call (the `sim.lane_renders`
+    /// counter): one per lane set or row phase a class deposited under.
     pub(crate) fn take_lane_renders(&mut self) -> u64 {
         std::mem::take(&mut self.lane_renders)
     }
 
+    /// Renders every staged (class, key) into `wear` and empties the
+    /// partial stage: lane-set keys in one row-major pass, so each cell row
+    /// is rendered while it is cache-resident; row phases in one row-major
+    /// pass per phase, so each pass's lane weights stay cache-resident too.
     fn render_partial(&mut self, wear: &mut WearMap) {
-        if !self.partial_pending {
+        let mut slots: Vec<Slot> = Vec::new();
+        for class in &mut self.partial {
+            class.current = None;
+            slots.append(&mut class.slots);
+        }
+        if slots.is_empty() {
             return;
         }
-        // Row-major across classes, so each cell row is rendered while it
-        // is cache-resident.
-        for row in 0..self.writes[0].len() {
-            for (bucket, lanes) in self.physical.iter().enumerate().skip(1) {
-                let count = std::mem::take(&mut self.writes[bucket][row]);
-                if count > 0 {
-                    wear.add_row_writes(row, lanes, count);
-                }
-                if let Some(reads) = &mut self.reads {
-                    let count = std::mem::take(&mut reads[bucket][row]);
-                    if count > 0 {
-                        wear.add_row_reads(row, lanes, count);
+        for slot in slots.iter_mut().filter(|s| !s.counts.is_empty()) {
+            for (lane, &count) in slot.counts.iter().enumerate().filter(|&(_, &c)| c > 0) {
+                slot.lanes.push(lane);
+                slot.weights.push(count);
+            }
+        }
+        if slots.iter().any(|s| !s.runs.is_empty()) && self.diff[0].is_empty() {
+            self.diff = [vec![0; self.perm.len() + 1], vec![0; self.perm.len() + 1]];
+        }
+        let phased = matches!(self.stage, LaneStage::RowPhases { .. });
+        if phased {
+            slots.sort_by_key(|s| s.key);
+        }
+        let mut rest = &slots[..];
+        while let Some(first) = rest.first() {
+            let len = if phased {
+                rest.iter().take_while(|s| s.key == first.key).count()
+            } else {
+                rest.len()
+            };
+            let (pass, tail) = rest.split_at(len);
+            render_pass(pass, self.full_writes.len(), &mut self.diff, wear);
+            rest = tail;
+        }
+        self.lane_renders += slots.len() as u64;
+        for slot in slots {
+            for mut rows in [slot.writes, slot.reads].into_iter().filter(|v| !v.is_empty()) {
+                rows.fill(0);
+                self.spare_rows.push(rows);
+            }
+        }
+    }
+}
+
+/// Renders `slots` into `wear` in one row-major pass. Run-shaped slots add
+/// into a difference array per plane (`diff`, one entry past the last
+/// lane, all zero between rows), which renders as one per-lane add per
+/// row.
+fn render_pass(slots: &[Slot], rows: usize, diff: &mut [Vec<u64>; 2], wear: &mut WearMap) {
+    for row in 0..rows {
+        let mut ran = [false; 2];
+        for slot in slots {
+            for (plane, staged) in [&slot.writes, &slot.reads].into_iter().enumerate() {
+                let Some(&count) = staged.get(row).filter(|&&c| c > 0) else { continue };
+                let reads = plane == 1;
+                if !slot.runs.is_empty() {
+                    for &(start, end) in &slot.runs {
+                        diff[plane][start] = diff[plane][start].wrapping_add(count);
+                        diff[plane][end] = diff[plane][end].wrapping_sub(count);
                     }
+                    ran[plane] = true;
+                } else if !slot.weights.is_empty() {
+                    wear.add_row_weighted(row, &slot.lanes, &slot.weights, count, reads);
+                } else if reads {
+                    wear.add_row_reads(row, &slot.lanes, count);
+                } else {
+                    wear.add_row_writes(row, &slot.lanes, count);
                 }
             }
         }
-        self.lane_renders += (self.physical.len() - 1) as u64;
-        self.partial_pending = false;
+        for (plane, diff) in diff.iter_mut().enumerate().filter(|&(p, _)| ran[p]) {
+            let lanes = diff.len() - 1;
+            let mut running = 0u64;
+            for d in diff.iter_mut() {
+                running = running.wrapping_add(*d);
+                *d = running;
+            }
+            wear.add_row_per_lane(row, &diff[..lanes], plane == 1);
+            diff.fill(0);
+        }
     }
 }
 
@@ -304,11 +591,13 @@ pub(crate) struct HwKernelEngine {
 }
 
 impl HwKernelEngine {
-    pub(crate) fn new(trace: &Trace, arch: ArchStyle, track_reads: bool) -> Self {
+    pub(crate) fn new(trace: &Trace, balance: BalanceConfig, cfg: &SimConfig) -> Self {
+        let (arch, track_reads) = (cfg.arch, cfg.track_reads);
         let fp = artifacts::trace_fingerprint(trace);
         let mut ctx = StoreCtx::new(artifacts::global());
         let kernel = fetch(trace, arch, track_reads, fp, &mut ctx);
-        HwKernelEngine { kernel, rows: RowAccumulator::new(trace, track_reads) }
+        let stage = LaneStage::of(balance, trace.dims(), cfg);
+        HwKernelEngine { kernel, rows: RowAccumulator::new(trace, track_reads, stage) }
     }
 
     /// Folds one epoch of `span` iterations into the stage and advances the

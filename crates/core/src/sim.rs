@@ -336,9 +336,8 @@ impl EnduranceSimulator {
         // The compiled path's one symbolic trace walk (or its store hit)
         // happens here, booked as the run's one replay.
         let replay_timer = enabled.then(Instant::now);
-        let mut hw_engine = (map.is_dynamic() && arm == Replay::Production).then(|| {
-            crate::kernel::HwKernelEngine::new(trace, self.cfg.arch, self.cfg.track_reads)
-        });
+        let mut hw_engine = (map.is_dynamic() && arm == Replay::Production)
+            .then(|| crate::kernel::HwKernelEngine::new(trace, balance, &self.cfg));
 
         // Per-epoch tallies; cheap plain locals even on the disabled path.
         let mut replays = u64::from(hw_engine.is_some());
@@ -723,6 +722,7 @@ pub fn single_iteration_profile(workload: &Workload, arch: ArchStyle) -> (Vec<u6
 mod tests {
     use super::*;
     use nvpim_array::ArrayDims;
+    use nvpim_workloads::convolution::Convolution;
     use nvpim_workloads::dot_product::DotProduct;
     use nvpim_workloads::parallel_mul::ParallelMul;
 
@@ -925,35 +925,66 @@ mod tests {
         assert!(observer.spans().phase("sim.scatter").is_some());
     }
 
+    /// Partial lane classes of `wl` that some step writes.
+    fn written_partial_classes(wl: &Workload) -> u64 {
+        let trace = wl.trace();
+        let lanes = trace.dims().lanes();
+        let mut written = vec![false; trace.classes().len()];
+        for step in trace.steps() {
+            if let Some(class) = step.written_class() {
+                written[class] = true;
+            }
+        }
+        trace.classes().iter().zip(&written).filter(|&(c, &w)| w && c.count() < lanes).count()
+            as u64
+    }
+
+    /// `sim.lane_renders` of a simulator run and of an analytic query.
+    fn lane_renders(wl: &Workload, cfg: SimConfig, config: &str) -> (Option<u64>, Option<u64>) {
+        let observer = nvpim_obs::Observer::collecting();
+        let _ = EnduranceSimulator::new(cfg).run_with(wl, config.parse().unwrap(), &observer);
+        let run = observer.snapshot().counter("sim.lane_renders");
+        let observer = nvpim_obs::Observer::collecting();
+        let mut engine = crate::analytic::AnalyticWearEngine::new(wl, config.parse().unwrap(), cfg);
+        let _ = engine.wear_at_with(cfg.iterations, &observer);
+        (run, observer.snapshot().counter("sim.lane_renders"))
+    }
+
     #[test]
     fn lanes_render_once_per_lane_table_change() {
-        // dot-256x16 has partial lane classes; its Hw runs stage wear in
-        // row space. St lanes never move, so the partial classes render
-        // once (at the final flush); Ra lanes render them every epoch.
+        // dot-256x16 has 9 partial lane classes, of which 4 are written.
+        // The counter books one render per (class, lane set or row phase)
+        // a class actually deposited under. St lanes never move, so each
+        // written class renders once (at the final flush); Ra lanes move
+        // every epoch, so each renders once per epoch (4 × 4 here; an epoch
+        // whose draw kept a class's lane set would save that render).
         let wl = DotProduct::new(ArrayDims::new(256, 16), 16, 8).build();
         let lanes = wl.trace().dims().lanes();
-        let partial = wl.trace().classes().iter().filter(|c| c.count() < lanes).count() as u64;
-        assert!(partial > 0);
+        let partial = wl.trace().classes().iter().filter(|c| c.count() < lanes).count();
+        assert_eq!(partial, 9);
+        assert_eq!(written_partial_classes(&wl), 4);
         let cfg = SimConfig::default().with_iterations(20).with_schedule(RemapSchedule::every(5));
-        let renders = |config: &str| {
-            let observer = nvpim_obs::Observer::collecting();
-            let _ = EnduranceSimulator::new(cfg).run_with(&wl, config.parse().unwrap(), &observer);
-            observer.snapshot().counter("sim.lane_renders")
-        };
-        assert_eq!(renders("RaxSt+Hw"), Some(partial));
-        assert_eq!(renders("RaxRa+Hw"), Some(4 * partial), "one render per epoch");
-        assert_eq!(renders("RaxRa"), None, "only the staged Hw path books renders");
-        // The analytic lazy rung stages the same way, per query.
-        let lazy_renders = |config: &str| {
-            let observer = nvpim_obs::Observer::collecting();
-            let mut engine =
-                crate::analytic::AnalyticWearEngine::new(&wl, config.parse().unwrap(), cfg);
-            let _ = engine.wear_at_with(20, &observer);
-            observer.snapshot().counter("sim.lane_renders")
-        };
-        assert_eq!(lazy_renders("RaxSt"), Some(partial));
-        assert_eq!(lazy_renders("StxRa"), Some(4 * partial));
-        assert_eq!(lazy_renders("BsxRa+Hw"), Some(4 * partial));
+        assert_eq!(lane_renders(&wl, cfg, "RaxSt+Hw"), (Some(4), Some(4)));
+        assert_eq!(lane_renders(&wl, cfg, "RaxRa+Hw"), (Some(16), Some(16)), "once per epoch");
+        // Only the staged Hw path books renders in the simulator.
+        assert_eq!(lane_renders(&wl, cfg, "RaxSt"), (None, Some(4)));
+        assert_eq!(lane_renders(&wl, cfg, "BsxRa+Hw").1, Some(16));
+        // St rows stage lane counts under one row phase: one render per
+        // written class, however often the Ra lanes move.
+        assert_eq!(lane_renders(&wl, cfg, "StxRa").1, Some(4));
+    }
+
+    #[test]
+    fn lanes_render_once_per_distinct_lane_set() {
+        // conv4x3w8's partial classes are the lanes ≡ k (mod 4), and only
+        // the first is written. An 8-lane byte shift maps each onto itself,
+        // so under Bs lanes its one lane set renders once per run, however
+        // many epochs permute it.
+        let wl = Convolution::new(ArrayDims::new(640, 16), 4, 3, 8).build();
+        assert_eq!(written_partial_classes(&wl), 1);
+        let cfg = SimConfig::default().with_iterations(20).with_schedule(RemapSchedule::every(5));
+        assert_eq!(lane_renders(&wl, cfg, "RaxBs+Hw"), (Some(1), Some(1)));
+        assert_eq!(lane_renders(&wl, cfg, "RaxBs").1, Some(1));
     }
 
     #[test]

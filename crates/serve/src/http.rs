@@ -76,28 +76,41 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
+/// Bytes asked of the stream per `read` while the head is incomplete.
+const READ_CHUNK: usize = 4096;
+
 /// Reads one request from the stream.
 ///
-/// I/O failures surface as `Err(Err(io))`; protocol violations as
-/// `Err(Ok(HttpError))` so the caller can still answer with a status code.
-pub fn read_request(
-    stream: &mut TcpStream,
+/// The head is read in chunks until its blank line; bytes read past it
+/// are the start of the body. I/O failures surface as `Err(Err(io))`;
+/// protocol violations as `Err(Ok(HttpError))` so the caller can still
+/// answer with a status code (400, 413 or 431).
+pub fn read_request<R: Read>(
+    stream: &mut R,
 ) -> Result<HttpRequest, Result<HttpError, std::io::Error>> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Single-byte reads keep this simple and cannot over-read into the
-    // body; the stream is buffered by the kernel and requests are tiny.
-    while !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(Ok(HttpError::bad("connection closed mid-request"))),
-            Ok(_) => head.push(byte[0]),
-            Err(e) => return Err(Err(e)),
+    let mut buf = Vec::with_capacity(READ_CHUNK);
+    let mut searched = 0;
+    let head_len = loop {
+        // A head may end at byte MAX_HEAD at the latest.
+        let window = &buf[..buf.len().min(MAX_HEAD)];
+        if let Some(at) = window[searched..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break searched + at + 4;
         }
-        if head.len() > MAX_HEAD {
+        if buf.len() > MAX_HEAD {
             return Err(Ok(HttpError { status: 431, message: "header block too large".into() }));
         }
-    }
-    let head_text = std::str::from_utf8(&head).map_err(|_| Ok(HttpError::bad("non-UTF-8 head")))?;
+        // The terminator may straddle the next read.
+        searched = window.len().saturating_sub(3);
+        let filled = buf.len();
+        buf.resize(filled + READ_CHUNK, 0);
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => return Err(Ok(HttpError::bad("connection closed mid-request"))),
+            Ok(n) => buf.truncate(filled + n),
+            Err(e) => return Err(Err(e)),
+        }
+    };
+    let head = &buf[..head_len];
+    let head_text = std::str::from_utf8(head).map_err(|_| Ok(HttpError::bad("non-UTF-8 head")))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -133,12 +146,13 @@ pub fn read_request(
     if content_length > MAX_BODY {
         return Err(Ok(HttpError { status: 413, message: "request body too large".into() }));
     }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        if let Err(e) = stream.read_exact(&mut body) {
-            return Err(Err(e));
-        }
-    }
+    // Bytes read past the head start the body; any past the body are
+    // ignored, as one request is served per connection.
+    let mut body = buf.split_off(head_len);
+    body.truncate(content_length);
+    let received = body.len();
+    body.resize(content_length, 0);
+    stream.read_exact(&mut body[received..]).map_err(Err)?;
     Ok(HttpRequest { method, path, query, headers, body })
 }
 

@@ -31,9 +31,11 @@ cargo test -q --release --offline -p nvpim-core --test analytic
 # Both rungs at the paper's 1024×1024 dims in release mode: the lazy
 # software and lazy Hw paths (every Ra-rows +Hw config among them, its one
 # kernel relabeled through a fresh row table each epoch) stage wear in row
-# space and render lanes only when the lane table changes; they and the
-# closed forms must match the step-replay oracle cell for cell with the
-# lane table changing mid-run, across a follow-up query, a restart from
+# space and render each partial lane class once per distinct lane set, or
+# once per row phase from span-weighted lane counts; they and the closed
+# forms must match the step-replay oracle cell for cell on mul32, conv4x3w8
+# and dot1024x32, with the lane table changing mid-run, byte-shift lane and
+# row phases wrapping, a short last epoch, a follow-up query, a restart from
 # the seed, and per-epoch series samples.
 cargo test -q --release --offline -p nvpim-core --test paper_dims
 
@@ -47,6 +49,12 @@ cargo test -q --release --offline -p nvpim-core --test artifacts
 # The HTTP service end to end in release mode: concurrent byte-identical
 # responses, cache hits, 429 backpressure, 504 timeouts, graceful drain.
 cargo test -q --release --offline -p nvpim-serve --test integration
+
+# Seeded fuzzing of the service boundary in release mode: request framing
+# over arbitrary bytes never panics and answers only 400/413/431, rendered
+# requests parse back to their fields, and canonical JSON round-trips with
+# a stable cache key.
+cargo test -q --release --offline -p nvpim-serve --test fuzz
 
 # The end-to-end benchmark package (its own workspace under e2ebench/) at
 # tiny scale: every workload in both modes, with each output digest checked
