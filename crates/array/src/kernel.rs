@@ -153,75 +153,6 @@ impl PermFolder {
         }
     }
 
-    /// Row-blocked variant of [`PermFolder::fold_into`] for panels whose
-    /// elements are contiguous rows of `width` values (row-major
-    /// `slot * width + lane` layout): `out[s·W..s·W+W] = Σᵢ
-    /// panel[P⁻ⁱ[s]·W..]`, element-wise. Identical cycle algebra, but the
-    /// inner loops are exact-size slice zips over whole lane rows —
-    /// branch-free, autovectorization-friendly, and cache-linear instead
-    /// of one strided column gather per lane. `out` is fully overwritten;
-    /// `scratch` is reused storage for the running cycle-sum and window
-    /// rows (resized to `2 × width`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0` or `panel`/`out` differ in length from
-    /// `len() × width`.
-    pub fn fold_rows_into(
-        &self,
-        span: u64,
-        panel: &[u64],
-        width: usize,
-        out: &mut [u64],
-        scratch: &mut Vec<u64>,
-    ) {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(panel.len(), self.perm.len() * width, "panel length mismatch");
-        assert_eq!(out.len(), self.perm.len() * width, "output length mismatch");
-        if self.identity {
-            // Every row is a fixed point and keeps its own values.
-            for (o, &v) in out.iter_mut().zip(panel) {
-                *o = span * v;
-            }
-            return;
-        }
-        scratch.clear();
-        scratch.resize(2 * width, 0);
-        let (cycle_sum, window) = scratch.split_at_mut(width);
-        for cycle in &self.cycles {
-            let len = cycle.len() as u64;
-            let q = span / len;
-            let r = (span % len) as usize;
-            let l = cycle.len();
-            cycle_sum.fill(0);
-            for &slot in cycle {
-                let row = &panel[slot * width..(slot + 1) * width];
-                for (acc, &v) in cycle_sum.iter_mut().zip(row.iter()) {
-                    *acc += v;
-                }
-            }
-            window.fill(0);
-            for i in 0..r {
-                let slot = cycle[(l - i) % l];
-                let row = &panel[slot * width..(slot + 1) * width];
-                for (acc, &v) in window.iter_mut().zip(row.iter()) {
-                    *acc += v;
-                }
-            }
-            for (j, &slot) in cycle.iter().enumerate() {
-                let dst = &mut out[slot * width..(slot + 1) * width];
-                for i in 0..width {
-                    dst[i] = q * cycle_sum[i] + window[i];
-                }
-                let next = &panel[cycle[(j + 1) % l] * width..];
-                let drop = &panel[cycle[(j + 1 + l - r) % l] * width..];
-                for i in 0..width {
-                    window[i] = window[i] + next[i] - drop[i];
-                }
-            }
-        }
-    }
-
     /// Advances a permutation-valued state by `span` applications in place:
     /// `arr ← arr ∘ P^span` (`arr[s] ← arr[P^span[s]]`), O(len) for any
     /// `span`. `scratch` is reused storage for one cycle's values.
@@ -475,38 +406,6 @@ mod tests {
                 let mut out = vec![u64::MAX; n]; // must be fully overwritten
                 kernel.fold_epoch_into(span, &panel, &mut out);
                 assert_eq!(out, brute_fold(&end, span, &panel), "n={n} span={span}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_rows_matches_columnwise_fold() {
-        let mut seed = 0x5EEDu64;
-        for n in [1usize, 3, 8, 13] {
-            for width in [1usize, 2, 7] {
-                for span in [0u64, 1, 5, 42, 100] {
-                    let end = random_perm(n, &mut seed);
-                    let panel: Vec<u64> =
-                        (0..n * width).map(|_| xorshift(&mut seed) % 50).collect();
-                    let folder = PermFolder::new(end.clone());
-                    let mut out = vec![u64::MAX; n * width]; // must be fully overwritten
-                    let mut scratch = Vec::new();
-                    folder.fold_rows_into(span, &panel, width, &mut out, &mut scratch);
-                    // Reference: fold each lane column independently with the
-                    // scalar path.
-                    for c in 0..width {
-                        let col: Vec<u64> = (0..n).map(|s| panel[s * width + c]).collect();
-                        let mut col_out = vec![0u64; n];
-                        folder.fold_into(span, &col, &mut col_out);
-                        for s in 0..n {
-                            assert_eq!(
-                                out[s * width + c],
-                                col_out[s],
-                                "n={n} width={width} span={span} slot={s} lane={c}"
-                            );
-                        }
-                    }
-                }
             }
         }
     }

@@ -74,20 +74,6 @@ impl WearMap {
         WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
     }
 
-    /// The row-major write and read planes (`reads` is empty until a read
-    /// is booked).
-    #[must_use]
-    pub fn planes(&self) -> (&[u64], &[u64]) {
-        (&self.writes, &self.reads)
-    }
-
-    /// The row-major write and read planes by value, for reuse as another
-    /// map's storage.
-    #[must_use]
-    pub fn into_planes(self) -> (Vec<u64>, Vec<u64>) {
-        (self.writes, self.reads)
-    }
-
     /// The dimensions this map covers.
     #[must_use]
     pub fn dims(&self) -> ArrayDims {

@@ -71,17 +71,19 @@ fn bench_hw_replay(c: &mut Criterion) {
 }
 
 fn bench_analytic_query(c: &mut Criterion) {
-    // The replay-free engine ablation: a periodic config's query folds
-    // whole super-cycles of its walked answer in O(cells), plus at most
-    // one super-cycle's remainder of epochs walked once, while compiled
-    // replay folds every epoch (O(N/period)) and step replay walks the
-    // trace every iteration (O(N)). Construction — the symbolic trace
-    // walk, plus one walked super-cycle when the configured count spans
-    // it (100 000 iterations do) — is timed separately (`build/*`), and
-    // `analytic/*` times repeated queries on a built engine. A repeat
-    // walks no epochs when its count spans a super-cycle; below one
-    // (`BsxBs(+Hw)/1000`, 10 of 64 epochs) each answer takes the
-    // walker's plane, so each repeat walks its epochs again.
+    // The replay-free engine ablation: a periodic config's query walks
+    // at most one super-cycle's remainder of epochs and folds whole
+    // super-cycles of its walked stage into it in row space (O(rows ×
+    // staged vectors)), then renders once; compiled replay folds every
+    // epoch (O(N/period)) and step replay walks the trace every iteration
+    // (O(N)). Construction — the symbolic trace walk, plus one walked
+    // super-cycle when the configured count spans it (100 000 iterations
+    // do) — is timed separately (`build/*`), and `analytic/*` times
+    // repeated queries on a built engine. Each answer takes the walker's
+    // plane, so each repeat walks its remainder again: none for `StxSt`
+    // (one-epoch super-cycles), 36 and 40 of 64 epochs for
+    // `BsxBs(+Hw)/10000` and `/100000`, and all 10 epochs below one
+    // super-cycle (`BsxBs(+Hw)/1000`).
     let workload = ParallelMul::new(ArrayDims::new(512, 32), 16).build();
     // Engines built inside the timed loop get a fresh private store, so
     // they pay a real symbolic walk + panel build every iteration;

@@ -5,6 +5,7 @@ use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule, Strategy, StrategyMapper};
 use nvpim_core::SimConfig;
 use nvpim_logic::{circuits, Circuit, CircuitBuilder};
+use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::parallel_mul::ParallelMul;
 
 use nvpim_logic::opt::{PassManager, PassStatus};
@@ -527,10 +528,18 @@ pub fn run_conservation_pass(opts: &CheckOptions, report: &mut Report) {
     // super-cycles of `StxSt`/`StxSt+Hw` plus a remainder) are all
     // exercised. Every configuration runs — non-Hw maps skip the kernel
     // engine but still pin the analytic closed-form/lazy paths.
+    // mul has no partial lane class, so conv 4x3w8 runs too: its first
+    // stride-4 class is written, so each fold merges that class's stage
+    // into a remainder that ends mid-epoch — a lane-set key under
+    // `StxSt(+Hw)`, and under `StxBs` (two-epoch super-cycles over 16
+    // lanes: two folded, plus 4 iterations) a row phase's lane counts.
     let kernel_cfg = cfg.with_schedule(RemapSchedule::every(5)).with_read_tracking(true);
-    for &config in &opts.configs {
-        report.extend(conservation::verify_kernel_equivalence(&workload, config, kernel_cfg));
-        report.bump_checks(4);
+    let conv = Convolution::new(ArrayDims::new(640, 16), 4, 3, 8).build();
+    for workload in [&workload, &conv] {
+        for &config in &opts.configs {
+            report.extend(conservation::verify_kernel_equivalence(workload, config, kernel_cfg));
+            report.bump_checks(4);
+        }
     }
 }
 

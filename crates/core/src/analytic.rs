@@ -41,20 +41,29 @@
 //! epoch's tables and span (`D_{j+1} = D_j ∘ G_j`, `D_0` the identity), so
 //! `D_{L+j} = F ∘ D_j` with `F = D_L` (the identity without `Hw`): epoch
 //! `L + j` deposits exactly what epoch `j` did, each row `r` moved to
-//! `F[r]`. With `SC` the walker's answer after one super-cycle of `L·p`
+//! `F[r]`. With `SC` the walker's stage after one super-cycle of `L·p`
 //! iterations, the answer at `n = k·L·p + m` (`m < L·p`) is
 //!
 //! ```text
 //! wear(n) = Σ_{i<k} Fⁱ(SC) + Fᵏ(wear(m))
 //! ```
 //!
-//! where the sum is one [`PermFolder::fold_rows_into`] over `F`'s cycles
-//! (O(cells) for any `k`) and `wear(m)` is the walker's own answer. Only
-//! whole super-cycles compose to a fixed permutation: under `+Hw` the
-//! software row table covers `rows − 1` rows, so a byte shift is not a
-//! power of one epoch's rotation. The engine walks the super-cycle once
-//! (at construction when the configured count spans one), keeps `SC` and
-//! `F`, and stores nothing sized `L × cells`.
+//! computed in row space, on the stage rather than on cells. A stage under
+//! periodic lanes never renders before it is read (`kernel::LaneStage::of`
+//! keys it by lane set, one key per lane phase), so `SC` and the walker's
+//! stage at `m` are all of their wear: the full-lane row vectors plus the
+//! partial (class, key) slots. Each of `SC`'s row vectors folds through
+//! [`PermFolder::fold_into`] over `F`'s cycles (`k ×` the vector without
+//! `Hw`; a row phase scales its lane counts instead of its once-booked
+//! row vector). The remainder's rows move through `Fᵏ`, the two stages
+//! merge key by key, and the merged stage renders once into the walker's
+//! plane, writing only the rows it counts: O(rows × staged vectors) plus
+//! one render for any `k`. Only whole super-cycles
+//! compose to a fixed permutation: under `+Hw` the software row table
+//! covers `rows − 1` rows, so a byte shift is not a power of one epoch's
+//! rotation. The engine walks the super-cycle once (at construction when
+//! the configured count spans one) on a walker whose plane it never
+//! touches, keeps `SC` and `F`, and stores no cell plane for them.
 //!
 //! [`AnalyticPath::Lazy`] configurations (`Ra` on an axis under a remap
 //! schedule) have no period and walk every epoch.
@@ -288,9 +297,11 @@ struct Walker {
 }
 
 impl Walker {
-    /// A walker at iteration 0. Its plane becomes an answer, so
-    /// construction pays the plane's page faults (`zeroed_map`).
-    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig) -> Self {
+    /// A walker at iteration 0. An `answer` walker's plane becomes an
+    /// answer, so construction pays the plane's page faults (`zeroed_map`);
+    /// a super-cycle walk is all stage, so its plane stays an untouched
+    /// zeroed allocation.
+    fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, answer: bool) -> Self {
         let dims = trace.dims();
         // With every class spanning every lane, lanes cannot affect wear:
         // the map keeps `St` lanes instead of drawing tables nothing reads.
@@ -305,7 +316,7 @@ impl Walker {
         let rows = kernel::RowAccumulator::new(trace, cfg.track_reads, stage);
         Walker {
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
-            wear: rows.zeroed_map(dims),
+            wear: if answer { rows.zeroed_map(dims) } else { WearMap::new(dims) },
             rows,
             row_period: match stage {
                 kernel::LaneStage::RowPhases { period } => Some(period),
@@ -358,75 +369,16 @@ impl Walker {
         let renders = self.rows.finish(&mut self.wear);
         (self.wear, renders)
     }
-
-    /// The wear walked so far, without taking it.
-    fn staged(&mut self) -> Staged<'_> {
-        let (rows_w, rows_r) = self.rows.staged(&mut self.wear);
-        Staged { wear: &self.wear, rows_w, rows_r }
-    }
-}
-
-/// A walker's wear without its stage spent: its plane plus the full-lane
-/// bucket's per-row writes (and reads) across every lane.
-#[derive(Debug, Clone, Copy)]
-struct Staged<'a> {
-    wear: &'a WearMap,
-    rows_w: &'a [u64],
-    rows_r: Option<&'a [u64]>,
 }
 
 /// One walked super-cycle of a periodic configuration (module docs).
 #[derive(Debug)]
 struct SuperCycle {
-    /// The walker's answer after it (`SC`).
-    wear: WearMap,
+    /// The walker's stage after it (`SC`), never rendered.
+    stage: kernel::RowAccumulator,
     /// The hardware arrangement the walker then holds (`F`; the identity
     /// without `Hw`).
     f: PermFolder,
-}
-
-impl SuperCycle {
-    /// `Σ_{i<k} Fⁱ(SC) + Fᵏ(tail)` for `k` whole super-cycles. The fold
-    /// overwrites every cell of its write plane: `spare` when given, else a
-    /// fresh plane (each page then first touched by a write).
-    fn fold(
-        &self,
-        k: u64,
-        tail: Option<Staged<'_>>,
-        spare: Option<Vec<u64>>,
-        scratch: &mut Vec<u64>,
-    ) -> WearMap {
-        let dims = self.wear.dims();
-        let lanes = dims.lanes();
-        let fk = tail.map(|_| self.f.power(k));
-        let mut plane = |sc: &[u64], tail: Option<(&[u64], &[u64])>, spare: Option<Vec<u64>>| {
-            if sc.is_empty() {
-                // No read was ever booked, so no tail holds one either.
-                return Vec::new();
-            }
-            let mut acc = spare.unwrap_or_else(|| vec![0; sc.len()]);
-            self.f.fold_rows_into(k, sc, lanes, &mut acc, scratch);
-            if let (Some((cells, counts)), Some(fk)) = (tail, &fk) {
-                for (row, (&to, &count)) in fk.iter().zip(counts).enumerate() {
-                    let dst = &mut acc[to * lanes..][..lanes];
-                    if cells.is_empty() {
-                        dst.iter_mut().for_each(|d| *d += count);
-                    } else {
-                        for (d, &v) in dst.iter_mut().zip(&cells[row * lanes..][..lanes]) {
-                            *d += v + count;
-                        }
-                    }
-                }
-            }
-            acc
-        };
-        let (sc_w, sc_r) = self.wear.planes();
-        let tail_w = tail.map(|t| (t.wear.planes().0, t.rows_w));
-        let tail_r = tail.and_then(|t| Some((t.wear.planes().1, t.rows_r?)));
-        let writes = plane(sc_w, tail_w, spare);
-        let reads = plane(sc_r, tail_r, None);
-        WearMap::from_planes(dims, writes, reads)
-    }
 }
 
 /// Replay-free per-cell wear as a function of the iteration count, for one
@@ -435,10 +387,12 @@ impl SuperCycle {
 ///
 /// Construction fetches the trace's logical panels or `+Hw` kernel (at most
 /// one trace walk) and, for a periodic configuration whose configured
-/// count spans a super-cycle, walks that super-cycle once; an answer at
-/// that count then folds it in O(cells), and a repeated query at the same
-/// count walks no epochs. Any other answer takes the walker's plane, so a
-/// later query walks again from the seed. See the [module docs](self).
+/// count spans a super-cycle, walks that super-cycle's stage once; an
+/// answer at that count then folds it in row space into the walk of its
+/// remainder (none at a multiple of the super-cycle). Every answer takes
+/// the walker's plane, so a later query walks again from the seed, at most
+/// one super-cycle's remainder for a folded count. See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct AnalyticWearEngine<'w> {
     workload: &'w Workload,
@@ -447,17 +401,14 @@ pub struct AnalyticWearEngine<'w> {
     counts: TraceCounts,
     path: AnalyticPath,
     booking: Booking,
-    /// The walker, until an answer takes its plane.
+    /// A fresh walker built with the engine, until an answer takes it.
     walker: Option<Walker>,
-    /// Partial-class renders of walkers already taken.
-    lane_renders: u64,
     /// Iterations per super-cycle, for a periodic config under a remap
     /// schedule.
     cycle_iterations: Option<u64>,
     /// That super-cycle, walked the first time an answer spans it.
     cycle: Option<SuperCycle>,
     usage: ArtifactUse,
-    fold_scratch: Vec<u64>,
 }
 
 impl<'w> AnalyticWearEngine<'w> {
@@ -505,7 +456,7 @@ impl<'w> AnalyticWearEngine<'w> {
             Booking::Sw(fetch_panels(trace, cfg, fp, &mut ctx))
         };
         let usage = ctx.tally();
-        let walker = Walker::new(trace, balance, cfg);
+        let walker = Walker::new(trace, balance, cfg, true);
         let mut engine = AnalyticWearEngine {
             workload,
             balance,
@@ -514,11 +465,9 @@ impl<'w> AnalyticWearEngine<'w> {
             path: classify(balance, cfg.schedule, dims, cfg.track_reads),
             booking,
             walker: Some(walker),
-            lane_renders: 0,
             cycle_iterations: super_cycle_iterations(balance, cfg.schedule, dims),
             cycle: None,
             usage,
-            fold_scratch: Vec::new(),
         };
         if let Some(len) = engine.cycle_iterations.filter(|&len| cfg.iterations >= len) {
             engine.walk_super_cycle(len);
@@ -584,10 +533,12 @@ impl<'w> AnalyticWearEngine<'w> {
     /// [`AnalyticWearEngine::result_at`] with an explicit event sink. Each
     /// call bumps the `sim.analytic_queries` counter and books the
     /// iteration and cell-traffic counters the simulator would have, so
-    /// dashboards stay comparable.
+    /// dashboards stay comparable, plus the answer's (class, key) renders
+    /// (`sim.lane_renders`) and the whole super-cycles it folded
+    /// (`sim.super_cycles_folded`, 0 when walked).
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
-        let wear = self.answer(iterations);
+        let (wear, lane_renders, folded) = self.answer(iterations);
         // Same conservation cross-check as the simulator: the walker's
         // bookings (and the super-cycle fold) and the trace's static counts
         // tally the same traffic independently.
@@ -605,9 +556,6 @@ impl<'w> AnalyticWearEngine<'w> {
                 self.balance
             );
         }
-        // Partial-class lane renders of this query's walk.
-        let lane_renders = std::mem::take(&mut self.lane_renders)
-            + self.walker.as_mut().map_or(0, |w| w.rows.take_lane_renders());
         if sink.enabled() {
             sink.record(&Event::CounterAdd { name: "sim.analytic_queries", delta: 1 });
             sink.record(&Event::CounterAdd { name: "sim.iterations", delta: iterations });
@@ -617,6 +565,7 @@ impl<'w> AnalyticWearEngine<'w> {
             });
             sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: wear.total_reads() });
             sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta: lane_renders });
+            sink.record(&Event::CounterAdd { name: "sim.super_cycles_folded", delta: folded });
             sink.flush();
         }
         SimResult {
@@ -629,69 +578,37 @@ impl<'w> AnalyticWearEngine<'w> {
         }
     }
 
-    /// The walker positioned at `n` iterations: the current one walked
-    /// forward, or a fresh one from the seed when there is none or it is
-    /// past `n` (backwards queries are rare — sweeps ascend).
-    fn walker_at(&mut self, n: u64) -> &mut Walker {
-        if self.walker.as_ref().map_or(true, |w| w.done > n) {
-            if let Some(mut old) = self.walker.take() {
-                self.lane_renders += old.rows.take_lane_renders();
-            }
-            self.walker = Some(Walker::new(self.workload.trace(), self.balance, self.cfg));
-        }
-        let walker = self.walker.as_mut().expect("walker created above");
-        walker.walk_to(&self.booking, self.cfg.schedule, n);
-        walker
-    }
-
-    /// The walker's answer at `n`, taking its plane.
-    fn take_answer(&mut self, n: u64) -> WearMap {
-        self.walker_at(n);
-        let (wear, renders) = self.walker.take().expect("walker positioned above").into_answer();
-        self.lane_renders += renders;
-        wear
-    }
-
-    /// Walks one super-cycle of `len` iterations and keeps its answer and
-    /// the arrangement it ends in. The fresh walker it leaves lends its
-    /// zeroed plane to the next fold.
+    /// Walks one super-cycle of `len` iterations on a walker of its own and
+    /// keeps its stage and the arrangement it ends in.
     fn walk_super_cycle(&mut self, len: u64) {
         let trace = self.workload.trace();
+        let mut walker = Walker::new(trace, self.balance, self.cfg, false);
+        walker.walk_to(&self.booking, self.cfg.schedule, len);
         let rows = trace.dims().rows();
-        let f = self
-            .walker_at(len)
-            .map
-            .hw()
-            .map_or_else(|| (0..rows).collect(), HwRemapper::arrangement);
-        let wear = self.take_answer(len);
-        self.cycle = Some(SuperCycle { wear, f: PermFolder::new(f) });
-        self.walker = Some(Walker::new(trace, self.balance, self.cfg));
+        let f = walker.map.hw().map_or_else(|| (0..rows).collect(), HwRemapper::arrangement);
+        self.cycle = Some(SuperCycle { stage: walker.rows, f: PermFolder::new(f) });
     }
 
-    /// The answer at `n`: the walker's own, or whole super-cycles folded
-    /// with the walker's remainder when `n` spans one.
-    fn answer(&mut self, n: u64) -> WearMap {
-        let Some(len) = self.cycle_iterations.filter(|&len| n >= len) else {
-            return self.take_answer(n);
-        };
-        if self.cycle.is_none() {
+    /// The answer at `n`, taking the walker (the fresh one built with the
+    /// engine, or a new one from the seed) and its plane: the walker's own
+    /// answer, or, when `n` spans `k` super-cycles, the walker's remainder
+    /// stage with them folded into it, rendered once. Returns the answer,
+    /// its (class, key) renders, and `k` (0 when walked).
+    fn answer(&mut self, n: u64) -> (WearMap, u64, u64) {
+        let fold = self.cycle_iterations.filter(|&len| n >= len);
+        if let Some(len) = fold.filter(|_| self.cycle.is_none()) {
             self.walk_super_cycle(len);
         }
-        let (k, m) = (n / len, n % len);
-        if m > 0 {
-            self.walker_at(m);
+        let (k, m) = fold.map_or((0, n), |len| (n / len, n % len));
+        let trace = self.workload.trace();
+        let fresh = || Walker::new(trace, self.balance, self.cfg, true);
+        let mut walker = self.walker.take().unwrap_or_else(fresh);
+        walker.walk_to(&self.booking, self.cfg.schedule, m);
+        if let Some(cycle) = self.cycle.as_ref().filter(|_| k > 0) {
+            walker.rows.fold_cycles(&cycle.stage, &cycle.f, k);
         }
-        // With no remainder, a walker still at iteration 0 has no use for
-        // its zeroed plane: the fold writes into it instead of a fresh one.
-        let spare = match &self.walker {
-            Some(walker) if m == 0 && walker.done == 0 => {
-                self.walker.take().map(|walker| walker.wear.into_planes().0)
-            }
-            _ => None,
-        };
-        let tail = self.walker.as_mut().filter(|_| m > 0).map(Walker::staged);
-        let cycle = self.cycle.as_ref().expect("super-cycle walked above");
-        cycle.fold(k, tail, spare, &mut self.fold_scratch)
+        let (wear, renders) = walker.into_answer();
+        (wear, renders, k)
     }
 }
 

@@ -45,7 +45,7 @@
 
 use std::sync::Arc;
 
-use nvpim_array::{ArchStyle, ArrayDims, Step, Trace, WearKernel, WearMap};
+use nvpim_array::{ArchStyle, ArrayDims, PermFolder, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{BalanceConfig, CombinedMap, HwRemapper, Strategy};
 
 use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
@@ -68,13 +68,11 @@ pub(crate) enum LaneStage {
     RowPhases { period: u64 },
 }
 
-/// Distinct lane sets (or row phases) a partial class stages before it
-/// renders: one byte-shift period over the paper's 1024 lanes or rows, as
-/// a smaller cap would evict every key before its set recurs. At
-/// 1024×1024 a key costs 8 KiB of row vector per written class (plus its
-/// lanes), a phase 16 KiB (row vector and lane counts, plus its weights
-/// at render), so the cap bounds a `dot1024x32` stage at about 11 MiB
-/// keyed and 28 MiB phased, as measured (DESIGN.md §"Lane staging").
+/// Row phases a partial class may stage: one byte-shift period over the
+/// paper's 1024 rows. At 1024×1024 a phase costs 16 KiB (row vector and
+/// lane counts, plus its weights at render), so the cap bounds a
+/// `dot1024x32` phased stage at about 28 MiB, as measured (DESIGN.md
+/// §"Lane staging").
 pub(crate) const MAX_STAGE_KEYS: usize = 128;
 
 impl LaneStage {
@@ -84,10 +82,13 @@ impl LaneStage {
     /// - row phases without `Hw` when rows are periodic, lanes move and the
     ///   walk revisits a row phase: `St` rows have one phase (so one render
     ///   per class, whatever the lanes do), and `Ra` lanes under `Bs` rows
-    ///   render once per phase instead of once per epoch;
+    ///   render once per phase instead of once per epoch, up to
+    ///   [`MAX_STAGE_KEYS`] phases;
     /// - otherwise lane-set keys: one key under `Ra` lanes, whose sets
-    ///   never repeat (so one render per lane-set change), up to
-    ///   [`MAX_STAGE_KEYS`] under `Bs` or `St` lanes.
+    ///   never repeat (so one render per lane-set change), and one per lane
+    ///   phase under `Bs` or `St` lanes. A class meets at most one lane set
+    ///   per lane phase, so such a stage never renders before it is read:
+    ///   a walked super-cycle is all stage, which the analytic fold needs.
     ///
     /// Either staging is exact for any walk; the choice only sets how
     /// often a class renders.
@@ -102,14 +103,15 @@ impl LaneStage {
             Some(period) if random_lanes && period <= MAX_STAGE_KEYS as u64 => {
                 LaneStage::RowPhases { period }
             }
-            _ if random_lanes => LaneStage::LaneSets { keys: 1 },
-            _ => LaneStage::LaneSets { keys: MAX_STAGE_KEYS },
+            _ => LaneStage::LaneSets {
+                keys: balance.col.epoch_period(dims.lanes()).map_or(1, |p| p as usize),
+            },
         }
     }
 }
 
 /// One partial class's deposits under one key: a lane set, or a row phase.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     /// The lane set's fingerprint, or the row phase.
     key: u64,
@@ -174,14 +176,13 @@ fn lane_set_key(lanes: &[usize]) -> u64 {
 /// because wear is `Σ_class Σ_epoch (T_e·v_c) ⊗ P_e(1_c)` and `P_e(1_c)`
 /// is all ones for a class spanning every lane under any lane permutation
 /// `P_e`: such classes share one row vector, rendered as contiguous
-/// full-row adds only at a read ([`RowAccumulator::flush`],
-/// [`RowAccumulator::finish`] or [`RowAccumulator::staged`]), however
-/// many permutations its deposits were booked under. A partial class
-/// stages per [`LaneStage`] key — its lane set, or the row phase — and
-/// each (class, key) renders once, at a read or when a class runs out of
-/// keys. Every render is one row-major pass over the plane through the
-/// wear map's own adders, so its running sums (and every conservation
-/// assert built on them) stay exact.
+/// full-row adds only at a read ([`RowAccumulator::flush`] or
+/// [`RowAccumulator::finish`]), however many permutations its deposits
+/// were booked under. A partial class stages per [`LaneStage`] key — its
+/// lane set, or the row phase — and each (class, key) renders once, at a
+/// read or when a class runs out of keys. Every render is one row-major
+/// pass over the plane through the wear map's own adders, so its running
+/// sums (and every conservation assert built on them) stay exact.
 #[derive(Debug)]
 pub(crate) struct RowAccumulator {
     stage: LaneStage,
@@ -358,15 +359,7 @@ impl RowAccumulator {
             // A class that deposits nothing never holds a slot.
             None if deltas.iter().all(|&d| d == 0) => return,
             None => {
-                let mut slot = Slot {
-                    key: class.fingerprint,
-                    lanes: Vec::new(),
-                    runs: Vec::new(),
-                    counts: Vec::new(),
-                    weights: Vec::new(),
-                    writes: Vec::new(),
-                    reads: Vec::new(),
-                };
+                let mut slot = Slot { key: class.fingerprint, ..Slot::default() };
                 if phased {
                     debug_assert_eq!(scale, self.span, "booked at another span than declared");
                     slot.key = self.phase;
@@ -475,12 +468,82 @@ impl RowAccumulator {
         self.lane_renders
     }
 
-    /// Renders the staged partial classes into `wear` and returns the
-    /// full-lane bucket's per-row writes (and reads), which stay staged: the
-    /// wear so far is `wear` plus those rows across every lane.
-    pub(crate) fn staged(&mut self, wear: &mut WearMap) -> (&[u64], Option<&[u64]>) {
-        self.render_partial(wear);
-        (&self.full_writes, self.full_reads.as_deref())
+    /// Moves this stage, a walk from the seed shorter than `cycle`, `k`
+    /// whole super-cycles later: each staged row `r` moves to `Fᵏ[r]`, and
+    /// `Σ_{i<k} Fⁱ(cycle)` merges in key by key, where `cycle` is the stage
+    /// of one super-cycle and `f` the arrangement `F` it ends in (`analytic`
+    /// module docs). This stage's keys are among `cycle`'s, as its epochs
+    /// book what `cycle`'s first ones did. The full-lane bucket and each
+    /// lane-set key fold their row vector over `F`'s cycles (`k ×` it when
+    /// `F` is the identity). Row phases occur only then, and scale their
+    /// lane counts instead of their once-booked row vectors. O(rows ×
+    /// staged vectors) for any `k`; nothing renders until
+    /// [`RowAccumulator::finish`].
+    pub(crate) fn fold_cycles(&mut self, cycle: &RowAccumulator, f: &PermFolder, k: u64) {
+        // A stage that rendered a key has wear outside its vectors.
+        assert_eq!(self.lane_renders + cycle.lane_renders, 0, "a folded stage rendered early");
+        let rows = self.full_writes.len();
+        let sources: Vec<&Vec<u64>> = cycle.scaled_rows().collect();
+        let fk = f.power(k);
+        let (mut column, mut moved, mut folded) = (0, vec![0; rows], vec![0; rows]);
+        // Replaces `staged` (this stage's vector, or empty) by itself moved
+        // through `Fᵏ` plus the next source, folded; the swap hands its old
+        // buffer, `rows` long, back as scratch.
+        let mut add = |staged: &mut Vec<u64>| {
+            moved.fill(0);
+            for (&count, &to) in staged.iter().zip(&fk) {
+                moved[to] = count;
+            }
+            f.fold_into(k, sources[column], &mut folded);
+            for (count, &cycles) in moved.iter_mut().zip(&folded) {
+                *count += cycles;
+            }
+            staged.resize(rows, 0);
+            std::mem::swap(staged, &mut moved);
+            column += 1;
+        };
+        add(&mut self.full_writes);
+        if let Some(reads) = &mut self.full_reads {
+            add(reads);
+        }
+        for (class, theirs) in self.partial.iter_mut().zip(&cycle.partial) {
+            for slot in &theirs.slots {
+                let at =
+                    class.slots.iter().position(|s| s.key == slot.key && s.lanes == slot.lanes);
+                let at = at.unwrap_or_else(|| {
+                    let (key, lanes, runs) = (slot.key, slot.lanes.clone(), slot.runs.clone());
+                    let counts = vec![0; slot.counts.len()];
+                    class.slots.push(Slot { key, lanes, runs, counts, ..Slot::default() });
+                    class.slots.len() - 1
+                });
+                let mine = &mut class.slots[at];
+                let pairs = [(&mut mine.writes, &slot.writes), (&mut mine.reads, &slot.reads)];
+                if slot.counts.is_empty() {
+                    for (staged, _) in pairs.into_iter().filter(|(_, theirs)| !theirs.is_empty()) {
+                        add(staged);
+                    }
+                    continue;
+                }
+                // The phase's row vector, booked once by either walk.
+                for (count, &theirs) in mine.counts.iter_mut().zip(&slot.counts) {
+                    *count += k * theirs;
+                }
+                for (staged, theirs) in pairs {
+                    staged.clone_from(theirs);
+                }
+            }
+        }
+    }
+
+    /// The staged row vectors whose counts scale with the iterations
+    /// booked: the full-lane bucket's, then each lane-set key's in class
+    /// and slot order. A row phase's vector is booked once at unit scale,
+    /// so it is not among them.
+    fn scaled_rows(&self) -> impl Iterator<Item = &Vec<u64>> {
+        let keys = self.partial.iter().flat_map(|c| &c.slots).filter(|s| s.counts.is_empty());
+        std::iter::once(&self.full_writes)
+            .chain(&self.full_reads)
+            .chain(keys.flat_map(|s| [&s.writes, &s.reads]).filter(|v| !v.is_empty()))
     }
 
     /// (Class, key) renders since the last call (the `sim.lane_renders`
@@ -509,7 +572,8 @@ impl RowAccumulator {
             }
         }
         if slots.iter().any(|s| !s.runs.is_empty()) && self.diff[0].is_empty() {
-            self.diff = [vec![0; self.perm.len() + 1], vec![0; self.perm.len() + 1]];
+            let lanes = wear.dims().lanes();
+            self.diff = [vec![0; lanes + 1], vec![0; lanes + 1]];
         }
         let phased = matches!(self.stage, LaneStage::RowPhases { .. });
         if phased {

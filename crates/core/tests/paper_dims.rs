@@ -9,9 +9,11 @@
 //! `RaxRa+Hw`, `RaxSt+Hw`, `RaxBs+Hw` — whose one kernel is relabeled
 //! through a fresh random row table every epoch), plus the super-cycle fold
 //! of the periodic configs (`StxSt`, `StxSt+Hw`, and byte-shift configs
-//! whose 128-epoch super-cycles wrap). The workloads are mul32 (no partial
-//! class), conv4x3w8 (stride-4 partial classes, which a byte shift maps
-//! onto themselves) and dot1024x32 (block partial classes, which it does
+//! whose 128-epoch super-cycles wrap), which merges whole super-cycles'
+//! stages into a remainder that ends mid-epoch and renders each staged
+//! (class, key) once. The workloads are mul32 (no partial class),
+//! conv4x3w8 (stride-4 partial classes, which a byte shift maps onto
+//! themselves) and dot1024x32 (block partial classes, which it does
 //! not). Every answer is compared cell for cell against the step-replay
 //! oracle (`run_reference`), and its hottest cell against both replay's
 //! and its own recount. 300 iterations remapped every 100 change the lane
@@ -25,6 +27,7 @@ use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{AnalyticPath, AnalyticWearEngine};
 use nvpim_core::{EnduranceSimulator, SimConfig};
+use nvpim_obs::Observer;
 use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
 use nvpim_workloads::parallel_mul::ParallelMul;
@@ -91,9 +94,22 @@ fn assert_same_wear(got: &WearMap, want: &WearMap, what: &str) {
     assert_eq!(got.max_writes(), got.recount_max_writes(), "{what}: carried max writes");
 }
 
-/// Queries each rung at `queries` (under `cfg`) and compares every answer
-/// with step replay.
-fn assert_rungs_match_step_replay(cfg: SimConfig, queries: &[u64], rungs: &[(&str, AnalyticPath)]) {
+/// One answer's `sim.lane_renders` and `sim.super_cycles_folded`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counters {
+    lane_renders: u64,
+    folded: u64,
+}
+
+/// Queries each rung at `queries` (under `cfg`), compares every answer
+/// with step replay, and returns each answer's counters by workload,
+/// configuration and query, in that order.
+fn assert_rungs_match_step_replay(
+    cfg: SimConfig,
+    queries: &[u64],
+    rungs: &[(&str, AnalyticPath)],
+) -> Vec<(&'static str, String, u64, Counters)> {
+    let mut counters = Vec::new();
     for (label, wl) in &paper_workloads() {
         for &(config, path) in rungs {
             let balance: BalanceConfig = config.parse().unwrap();
@@ -106,10 +122,20 @@ fn assert_rungs_match_step_replay(cfg: SimConfig, queries: &[u64], rungs: &[(&st
                 }
                 let want = &replay.iter().find(|&&(m, _)| m == n).expect("replayed above").1;
                 let what = format!("{label} {config} [{path}] at {n}");
-                assert_same_wear(&engine.wear_at(n), want, &what);
+                let observer = Observer::collecting();
+                assert_same_wear(&engine.wear_at_with(n, &observer), want, &what);
+                let snapshot = observer.snapshot();
+                let counter =
+                    |name| snapshot.counter(name).unwrap_or_else(|| panic!("{what}: {name}"));
+                let answer = Counters {
+                    lane_renders: counter("sim.lane_renders"),
+                    folded: counter("sim.super_cycles_folded"),
+                };
+                counters.push((*label, config.to_owned(), n, answer));
             }
         }
     }
+    counters
 }
 
 #[test]
@@ -193,6 +219,72 @@ fn lane_counts_weight_a_short_last_epoch_at_paper_dims() {
         &[250, 150, 250],
         &[("StxRa", AnalyticPath::Lazy), ("StxBs", AnalyticPath::ClosedForm)],
     );
+}
+
+/// Partial lane classes of `wl` that some step writes: the classes that
+/// hold a stage.
+fn written_partial_classes(wl: &Workload) -> u64 {
+    let trace = wl.trace();
+    let mut written = vec![false; trace.classes().len()];
+    for class in trace.steps().iter().filter_map(|step| step.written_class()) {
+        written[class] = true;
+    }
+    let partial = trace.classes().iter().map(|c| c.count() < dims().lanes());
+    partial.zip(written).filter(|&(p, w)| p && w).count() as u64
+}
+
+#[test]
+fn folds_with_mid_epoch_tails_match_step_replay_at_paper_dims() {
+    // Every 100 iterations, `StxSt(+Hw)`'s super-cycle is one epoch: 250
+    // folds two and walks a 50-iteration tail that ends mid-epoch, 100
+    // folds one with no tail after a restart from the seed, and 250 folds
+    // again from that restart. `St` lanes stage one lane set per written
+    // partial class, and a folded answer renders each (class, key) once:
+    // none for mul32, one for conv4x3w8 (of its four stride-4 classes,
+    // only the first is written).
+    let cfg = config().with_iterations(250);
+    let queries = [250, 100, 250];
+    let rungs = [("StxSt", AnalyticPath::ClosedForm), ("StxSt+Hw", AnalyticPath::ClosedForm)];
+    let workloads = paper_workloads();
+    for (label, _, n, counters) in assert_rungs_match_step_replay(cfg, &queries, &rungs) {
+        let wl = &workloads.iter().find(|(name, _)| *name == label).expect("a paper workload").1;
+        let want = Counters { lane_renders: written_partial_classes(wl), folded: n / 100 };
+        assert_eq!(counters, want, "{label} at {n}");
+    }
+    let written: Vec<u64> = workloads.iter().map(|(_, wl)| written_partial_classes(wl)).collect();
+    assert_eq!(written[..2], [0, 1], "mul32 and conv4x3w8 stage 0 and 1 partial classes");
+
+    // Every 2 iterations, `StxBs` (one row phase per class, without Hw)
+    // and `BsxBs+Hw` (a lane set per byte shift, rows folded over the
+    // arrangement F) have 128-epoch super-cycles of 256 iterations. 557
+    // folds two and 301 one, each with a 45-iteration tail that ends
+    // mid-epoch, merged key by key into the cycles' phases or lane sets;
+    // `StxBs` needs two cycles to tell a scaled lane count from an unscaled
+    // one, and `BsxBs+Hw`'s step replay walks the trace every iteration, so
+    // it takes the shorter count alone.
+    let cfg = config().with_iterations(557).with_schedule(RemapSchedule::every(2));
+    let mut answers =
+        assert_rungs_match_step_replay(cfg, &[557, 301], &[("StxBs", AnalyticPath::ClosedForm)]);
+    answers.extend(assert_rungs_match_step_replay(
+        cfg,
+        &[301],
+        &[("BsxBs+Hw", AnalyticPath::ClosedForm)],
+    ));
+    // Each fold renders every (class, key) of its cycles once: one phase
+    // per written class under `St` rows; under `Bs` lanes conv4x3w8's
+    // written stride-4 class keeps one lane set, and each of dot1024x32's
+    // written block classes takes all 128 shifted sets.
+    let dot = written_partial_classes(&workloads[2].1);
+    for (label, config, n, counters) in answers {
+        let lane_renders = match (label, config.as_str()) {
+            ("mul32", _) => 0,
+            ("conv4x3w8", _) => 1,
+            (_, "StxBs") => dot,
+            _ => 128 * dot,
+        };
+        let want = Counters { lane_renders, folded: n / 256 };
+        assert_eq!(counters, want, "{label} {config} at {n}");
+    }
 }
 
 #[test]

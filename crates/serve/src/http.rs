@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Maximum accepted header block, in bytes.
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -156,6 +157,43 @@ pub fn read_request<R: Read>(
     Ok(HttpRequest { method, path, query, headers, body })
 }
 
+/// Reads one request from a socket within `limit` of the call, however
+/// slowly the peer sends it: the first read waits up to `limit`, each later
+/// read only for the time left, and once that has passed the request fails
+/// with [`std::io::ErrorKind::TimedOut`]. A request that arrives in one
+/// segment costs one timeout syscall, as a per-read timeout would.
+pub fn read_request_within(
+    stream: &mut TcpStream,
+    limit: Duration,
+) -> Result<HttpRequest, Result<HttpError, std::io::Error>> {
+    stream.set_read_timeout(Some(limit)).map_err(Err)?;
+    read_request(&mut Deadline { stream, deadline: Instant::now() + limit, first: true })
+}
+
+/// A socket whose reads after the first share one deadline.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+    first: bool,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timed_out = || std::io::Error::new(std::io::ErrorKind::TimedOut, "request deadline");
+        if !std::mem::take(&mut self.first) {
+            let left = self.deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(timed_out());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        match self.stream.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Err(timed_out()),
+            read => read,
+        }
+    }
+}
+
 /// Standard reason phrase for the statuses this service emits.
 #[must_use]
 pub fn reason(status: u16) -> &'static str {
@@ -234,4 +272,39 @@ pub fn write_stream_head(
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_trickling_peer_times_out_at_the_request_deadline() {
+        // One byte every 50 ms never lets a per-read timeout fire, but the
+        // whole request must fail within about one read past 300 ms.
+        let (interval, limit) = (Duration::from_millis(50), Duration::from_millis(300));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let writer = std::thread::spawn(move || {
+            let mut peer = TcpStream::connect(addr).expect("connect loopback");
+            for &byte in b"GET /health HTTP/1.1\r\nHost: a-slow-peer\r\n\r\n" {
+                if peer.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(interval);
+            }
+        });
+        let (mut stream, _) = listener.accept().expect("accept loopback");
+        let started = Instant::now();
+        let result = read_request_within(&mut stream, limit);
+        let elapsed = started.elapsed();
+        match result {
+            Err(Err(e)) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "{e}"),
+            other => panic!("a trickled request must time out, got {other:?}"),
+        }
+        assert!(elapsed >= limit, "failed before the deadline: {elapsed:?}");
+        assert!(elapsed < limit + 3 * interval, "failed {elapsed:?} after the read began");
+        drop(stream);
+        writer.join().expect("writer thread");
+    }
 }

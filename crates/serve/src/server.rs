@@ -242,6 +242,10 @@ impl Server {
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(50);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_micros(500);
 
+/// How long a peer has to send its whole request, however it is split
+/// into reads (`http::read_request_within`).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
 fn accept_loop(
     listener: &TcpListener,
     state: &Arc<ServeState>,
@@ -317,8 +321,7 @@ fn refuse(mut stream: TcpStream, status: u16, extra: &[(&str, &str)], message: &
 }
 
 fn handle_connection(mut stream: TcpStream, state: Arc<ServeState>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match http::read_request(&mut stream) {
+    let request = match http::read_request_within(&mut stream, REQUEST_TIMEOUT) {
         Ok(request) => request,
         Err(Ok(http_error)) => {
             refuse(stream, http_error.status, &[], &http_error.message);

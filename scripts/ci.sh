@@ -32,11 +32,13 @@ cargo test -q --release --offline -p nvpim-core --test analytic
 # software and lazy Hw paths (every Ra-rows +Hw config among them, its one
 # kernel relabeled through a fresh row table each epoch) stage wear in row
 # space and render each partial lane class once per distinct lane set, or
-# once per row phase from span-weighted lane counts; they and the closed
-# forms must match the step-replay oracle cell for cell on mul32, conv4x3w8
+# once per row phase from span-weighted lane counts; the closed forms fold
+# whole super-cycles' stages in row space into a remainder that ends
+# mid-epoch (lane-set keys and row phases merged key by key, rendered once).
+# All must match the step-replay oracle cell for cell on mul32, conv4x3w8
 # and dot1024x32, with the lane table changing mid-run, byte-shift lane and
-# row phases wrapping, a short last epoch, a follow-up query, a restart from
-# the seed, and per-epoch series samples.
+# row phases wrapping, a short last epoch, mid-epoch fold tails, a follow-up
+# query, a restart from the seed, and per-epoch series samples.
 cargo test -q --release --offline -p nvpim-core --test paper_dims
 
 # The artifact-store bit-identity suite in release mode: wear identical
