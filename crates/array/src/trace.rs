@@ -225,6 +225,16 @@ impl Trace {
         self.num_inputs
     }
 
+    /// Approximate resident size in bytes: the steps and the classes' lane
+    /// bitmaps — what a byte-budgeted cache bills for holding this trace.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        let class_bytes = |c: &LaneSet| std::mem::size_of::<LaneSet>() + c.lanes().div_ceil(64) * 8;
+        std::mem::size_of::<Trace>()
+            + self.steps.capacity() * std::mem::size_of::<Step>()
+            + self.classes.iter().map(class_bytes).sum::<usize>()
+    }
+
     /// Aggregate operation counts under the given architecture style.
     #[must_use]
     pub fn counts(&self, arch: ArchStyle) -> TraceCounts {

@@ -131,6 +131,21 @@ impl BalanceConfig {
         BalanceConfig::all().into_iter().filter(|c| !c.hw).collect()
     }
 
+    /// The paper's label, `<row>x<col>` plus `+Hw` (e.g. `RaxBs+Hw`), as a
+    /// static string, so spans and metrics can carry it without allocating.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        const LABELS: [[[&str; 3]; 3]; 2] = [
+            [["StxSt", "StxRa", "StxBs"], ["RaxSt", "RaxRa", "RaxBs"], ["BsxSt", "BsxRa", "BsxBs"]],
+            [
+                ["StxSt+Hw", "StxRa+Hw", "StxBs+Hw"],
+                ["RaxSt+Hw", "RaxRa+Hw", "RaxBs+Hw"],
+                ["BsxSt+Hw", "BsxRa+Hw", "BsxBs+Hw"],
+            ],
+        ];
+        LABELS[usize::from(self.hw)][self.row as usize][self.col as usize]
+    }
+
     /// Whether any re-mapping is active at all.
     #[must_use]
     pub fn is_static(&self) -> bool {
@@ -146,11 +161,7 @@ impl Default for BalanceConfig {
 
 impl fmt::Display for BalanceConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}x{}", self.row, self.col)?;
-        if self.hw {
-            write!(f, "+Hw")?;
-        }
-        Ok(())
+        f.write_str(self.label())
     }
 }
 
@@ -197,6 +208,7 @@ mod tests {
         for c in BalanceConfig::all() {
             let parsed: BalanceConfig = c.to_string().parse().expect("round trip");
             assert_eq!(parsed, c);
+            assert_eq!(format!("{}x{}{}", c.row, c.col, if c.hw { "+Hw" } else { "" }), c.label());
         }
     }
 

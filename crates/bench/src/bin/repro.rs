@@ -407,19 +407,27 @@ fn scale_config_json(scale: Scale) -> Json {
 
 /// Boots an in-process nvpim-serve instance, round-trips a request twice
 /// (miss, then cache hit), checks byte-identity, the service metrics, and
-/// the Prometheus exposition, and renders a short report. Exercises the
-/// full HTTP path end-to-end without any external tooling. Under `--out`
-/// the Prometheus text is kept as `serve-metrics.prom` so CI can re-lint
-/// the artifact with `obs-lint --prom`.
+/// the Prometheus exposition, and renders a short report. A second seed of
+/// the same shape must borrow the memoized workload (a
+/// `serve.workload_memo.hits` gauge above zero) and answer the bytes fresh
+/// synthesis gives. Exercises the full HTTP path end-to-end without any
+/// external tooling. Under `--out` the Prometheus text is kept as
+/// `serve-metrics.prom` so CI can re-lint the artifact with
+/// `obs-lint --prom`.
 fn serve_smoke_report(out_dir: Option<&std::path::Path>) -> Result<String, String> {
-    use nvpim_serve::{Client, Server, ServerConfig};
+    use std::str::FromStr as _;
+
+    use nvpim_serve::{wire, Client, Server, ServerConfig, SimRequest};
 
     let handle = Server::start(ServerConfig::default()).map_err(|e| e.to_string())?;
     let client = Client::new(handle.addr());
     let body = r#"{"workload": {"kind": "mul", "rows": 128, "lanes": 8}, "iterations": 50}"#;
+    let reseeded =
+        r#"{"workload": {"kind": "mul", "rows": 128, "lanes": 8}, "iterations": 50, "seed": 7}"#;
 
     let first = client.post_json("/simulate", body)?;
     let second = client.post_json("/simulate", body)?;
+    let third = client.post_json("/simulate", reseeded)?;
     let metrics = client.get("/metrics")?.json()?;
     let prom = client.get("/metrics?format=prometheus")?;
     handle.request_shutdown();
@@ -442,6 +450,26 @@ fn serve_smoke_report(out_dir: Option<&std::path::Path>) -> Result<String, Strin
         .unwrap_or(0);
     if hits == 0 {
         return Err("cache-hit metric did not advance".into());
+    }
+    if third.status != 200 || third.header("x-cache") != Some("miss") {
+        return Err(format!("a second seed answered {} without a cache miss", third.status));
+    }
+    let memo_hits = metrics
+        .get("metrics")
+        .and_then(|m| m.get("serve.workload_memo.hits"))
+        .and_then(|g| g.get("value"))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0);
+    if memo_hits < 1.0 {
+        return Err("a second seed of one shape did not reuse the memoized workload".into());
+    }
+    let request = SimRequest::from_str(reseeded).map_err(|e| e.to_string())?;
+    let workload = request.build_workload();
+    let fresh =
+        nvpim_core::AnalyticWearEngine::new(&workload, request.config, request.sim_config())
+            .result_at(request.iterations);
+    if third.text() != wire::result_body(&request, &fresh) {
+        return Err("the memoized workload answered other bytes than fresh synthesis".into());
     }
     let key = first
         .json()?
@@ -470,6 +498,8 @@ fn serve_smoke_report(out_dir: Option<&std::path::Path>) -> Result<String, Strin
     report.push_str("first request    200 (x-cache: miss)\n");
     report.push_str("second request   200 (x-cache: hit), byte-identical\n");
     report.push_str(&format!("cache hits       {hits}\n"));
+    report.push_str("second seed      200 (x-cache: miss), same bytes as fresh synthesis\n");
+    report.push_str(&format!("workload memo    {memo_hits} hit(s)\n"));
     report.push_str(&format!(
         "prometheus       {} families ({} histograms), {} samples\n",
         prom_stats.families, prom_stats.histograms, prom_stats.samples

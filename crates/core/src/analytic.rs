@@ -36,13 +36,16 @@
 //! ([`nvpim_balance::Strategy::epoch_period`]): `{St,Bs}` on both axes, or
 //! any configuration under a `never()` schedule (one endless epoch, which
 //! the walker books in one step). Under a schedule of period `p` its tables
-//! repeat every `L = lcm(L_row, L_col)` epochs. Each epoch advances the
-//! hardware arrangement `D` by a permutation that depends only on the
-//! epoch's tables and span (`D_{j+1} = D_j ∘ G_j`, `D_0` the identity), so
-//! `D_{L+j} = F ∘ D_j` with `F = D_L` (the identity without `Hw`): epoch
-//! `L + j` deposits exactly what epoch `j` did, each row `r` moved to
-//! `F[r]`. With `SC` the walker's stage after one super-cycle of `L·p`
-//! iterations, the answer at `n = k·L·p + m` (`m < L·p`) is
+//! repeat every `L = lcm(L_row, L_col)` epochs, where `L_col` is the period
+//! of the lanes the walker keeps: `St` (1) when every class spans every
+//! lane, so mul32's `StxBs` folds one-epoch super-cycles like `StxSt`, and
+//! so does `StxRa`, whose random lane tables nothing reads. Each epoch
+//! advances the hardware arrangement `D` by a permutation that depends only
+//! on the epoch's tables and span (`D_{j+1} = D_j ∘ G_j`, `D_0` the
+//! identity), so `D_{L+j} = F ∘ D_j` with `F = D_L` (the identity without
+//! `Hw`): epoch `L + j` deposits exactly what epoch `j` did, each row `r`
+//! moved to `F[r]`. With `SC` the walker's stage after one super-cycle of
+//! `L·p` iterations, the answer at `n = k·L·p + m` (`m < L·p`) is
 //!
 //! ```text
 //! wear(n) = Σ_{i<k} Fⁱ(SC) + Fᵏ(wear(m))
@@ -62,11 +65,12 @@
 //! compose to a fixed permutation: under `+Hw` the software row table
 //! covers `rows − 1` rows, so a byte shift is not a power of one epoch's
 //! rotation. The engine walks the super-cycle once (at construction when
-//! the configured count spans one) on a walker whose plane it never
-//! touches, keeps `SC` and `F`, and stores no cell plane for them.
+//! the configured count spans one) on a walker with no cell plane, keeps
+//! `SC` and `F`, and stores no cell plane for them.
 //!
 //! [`AnalyticPath::Lazy`] configurations (`Ra` on an axis under a remap
-//! schedule) have no period and walk every epoch.
+//! schedule) have no period and walk every epoch, unless the only `Ra`
+//! axis is lanes the walker does not keep.
 //!
 //! Every answer is bit-identical to the simulator — the bit-identity suite
 //! (`tests/analytic.rs`) pins `analytic == run == run_reference` across
@@ -188,17 +192,32 @@ pub fn classify(
     }
 }
 
-/// Iterations in one super-cycle (`L·p`) of a periodic configuration under
-/// a remap schedule; `None` for `Ra` axes, `never()`, or a super-cycle
-/// longer than `u64` counts (which no query can span).
+/// The configuration the walker runs for `balance` on `trace`: with every
+/// class spanning every lane, lanes cannot affect wear, so it keeps `St`
+/// lanes instead of drawing tables nothing reads. Its row tables are
+/// unchanged, because `CombinedMap::new` seeds the row mapper
+/// independently of the lane mapper.
+fn walked_balance(trace: &Trace, balance: BalanceConfig) -> BalanceConfig {
+    let lanes = trace.dims().lanes();
+    if trace.classes().iter().all(|c| c.count() == lanes) {
+        BalanceConfig::new(balance.row, Strategy::Static, balance.hw)
+    } else {
+        balance
+    }
+}
+
+/// Iterations in one super-cycle (`L·p`) of the walked configuration
+/// ([`walked_balance`]) under a remap schedule; `None` for `Ra` axes,
+/// `never()`, or a super-cycle longer than `u64` counts (which no query
+/// can span).
 fn super_cycle_iterations(
-    balance: BalanceConfig,
+    walked: BalanceConfig,
     schedule: RemapSchedule,
     dims: ArrayDims,
 ) -> Option<u64> {
     // Under Hw the software row table covers every row but the spare.
-    let row_space = dims.rows() - usize::from(balance.hw);
-    let epochs = lcm(balance.row.epoch_period(row_space)?, balance.col.epoch_period(dims.lanes())?);
+    let row_space = dims.rows() - usize::from(walked.hw);
+    let epochs = lcm(walked.row.epoch_period(row_space)?, walked.col.epoch_period(dims.lanes())?);
     epochs.checked_mul(schedule.period()?)
 }
 
@@ -298,25 +317,19 @@ struct Walker {
 
 impl Walker {
     /// A walker at iteration 0. An `answer` walker's plane becomes an
-    /// answer, so construction pays the plane's page faults (`zeroed_map`);
-    /// a super-cycle walk is all stage, so its plane stays an untouched
-    /// zeroed allocation.
+    /// answer, so construction pays the plane's page faults (`zeroed_map`).
+    /// A super-cycle walk is all stage and never renders (`fold_cycles`
+    /// asserts it), so it gets a one-cell placeholder instead of a cell
+    /// plane: an 8 MiB zeroed allocation is not free, as once glibc's mmap
+    /// threshold has risen past it, `calloc` zeroes heap pages by hand.
     fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, answer: bool) -> Self {
         let dims = trace.dims();
-        // With every class spanning every lane, lanes cannot affect wear:
-        // the map keeps `St` lanes instead of drawing tables nothing reads.
-        // Its row tables are unchanged, because `CombinedMap::new` seeds
-        // the row mapper independently of the lane mapper.
-        let balance = if trace.classes().iter().all(|c| c.count() == dims.lanes()) {
-            BalanceConfig::new(balance.row, Strategy::Static, balance.hw)
-        } else {
-            balance
-        };
+        let balance = walked_balance(trace, balance);
         let stage = kernel::LaneStage::of(balance, dims, &cfg);
         let rows = kernel::RowAccumulator::new(trace, cfg.track_reads, stage);
         Walker {
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
-            wear: if answer { rows.zeroed_map(dims) } else { WearMap::new(dims) },
+            wear: if answer { rows.zeroed_map(dims) } else { WearMap::new(ArrayDims::new(1, 1)) },
             rows,
             row_period: match stage {
                 kernel::LaneStage::RowPhases { period } => Some(period),
@@ -465,7 +478,11 @@ impl<'w> AnalyticWearEngine<'w> {
             path: classify(balance, cfg.schedule, dims, cfg.track_reads),
             booking,
             walker: Some(walker),
-            cycle_iterations: super_cycle_iterations(balance, cfg.schedule, dims),
+            cycle_iterations: super_cycle_iterations(
+                walked_balance(trace, balance),
+                cfg.schedule,
+                dims,
+            ),
             cycle: None,
             usage,
         };

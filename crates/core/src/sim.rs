@@ -991,11 +991,18 @@ mod tests {
     fn each_query_counts_the_super_cycles_it_folded() {
         // Remapping every 5 iterations, `StxSt(+Hw)`'s super-cycle is one
         // epoch: 23 iterations fold four and walk a 3-iteration tail, and a
-        // later query at 3 on the same engine only walks. `Ra` configs have
-        // no super-cycle.
+        // later query at 3 on the same engine only walks. The workload's one
+        // class spans every lane, so the walker keeps `St` lanes and
+        // `StxBs`/`StxRa` fold alike; `Ra` rows have no super-cycle.
         let wl = small_mul();
         let cfg = SimConfig::default().with_iterations(23).with_schedule(RemapSchedule::every(5));
-        for (config, want) in [("StxSt", [4, 0]), ("StxSt+Hw", [4, 0]), ("RaxRa", [0, 0])] {
+        for (config, want) in [
+            ("StxSt", [4, 0]),
+            ("StxSt+Hw", [4, 0]),
+            ("StxBs+Hw", [4, 0]),
+            ("StxRa", [4, 0]),
+            ("RaxRa", [0, 0]),
+        ] {
             let mut engine =
                 crate::analytic::AnalyticWearEngine::new(&wl, config.parse().unwrap(), cfg);
             for (n, want) in [23, 3].into_iter().zip(want) {

@@ -261,7 +261,8 @@ fn folds_with_mid_epoch_tails_match_step_replay_at_paper_dims() {
     // mid-epoch, merged key by key into the cycles' phases or lane sets;
     // `StxBs` needs two cycles to tell a scaled lane count from an unscaled
     // one, and `BsxBs+Hw`'s step replay walks the trace every iteration, so
-    // it takes the shorter count alone.
+    // it takes the shorter count alone. mul32's walker keeps `St` lanes, so
+    // its `StxBs` super-cycle is one epoch: 557 folds 278 and 301 folds 150.
     let cfg = config().with_iterations(557).with_schedule(RemapSchedule::every(2));
     let mut answers =
         assert_rungs_match_step_replay(cfg, &[557, 301], &[("StxBs", AnalyticPath::ClosedForm)]);
@@ -282,8 +283,32 @@ fn folds_with_mid_epoch_tails_match_step_replay_at_paper_dims() {
             (_, "StxBs") => dot,
             _ => 128 * dot,
         };
-        let want = Counters { lane_renders, folded: n / 256 };
+        let cycle = if (label, config.as_str()) == ("mul32", "StxBs") { 2 } else { 256 };
+        let want = Counters { lane_renders, folded: n / cycle };
         assert_eq!(counters, want, "{label} {config} at {n}");
+    }
+}
+
+#[test]
+fn full_lane_byte_shift_lanes_fold_like_static_lanes_at_paper_dims() {
+    // mul32's one class spans every lane, so the walker keeps `St` lanes and
+    // `StxBs(±Hw)` gets `StxSt`'s one-epoch super-cycle: remapped every 4
+    // iterations, 100 iterations (25 epochs) fold 25 super-cycles, and 98
+    // folds 24 and walks a 2-iteration tail that ends mid-epoch.
+    let wl = ParallelMul::new(dims(), 32).build();
+    let cfg = config().with_iterations(100).with_schedule(RemapSchedule::every(4));
+    for config in ["StxBs", "StxBs+Hw"] {
+        let balance: BalanceConfig = config.parse().unwrap();
+        let mut engine = AnalyticWearEngine::new(&wl, balance, cfg);
+        assert_eq!(engine.path(), AnalyticPath::ClosedForm, "mul32 {config}");
+        for (n, folded) in [(100, 25), (98, 24)] {
+            let what = format!("mul32 {config} at {n}");
+            let observer = Observer::collecting();
+            let got = engine.wear_at_with(n, &observer);
+            assert_same_wear(&got, &step_replay(&wl, balance, cfg.with_iterations(n)), &what);
+            let snapshot = observer.snapshot();
+            assert_eq!(snapshot.counter("sim.super_cycles_folded"), Some(folded), "{what}");
+        }
     }
 }
 

@@ -67,7 +67,7 @@ fn parallel_matrix_produces_one_coherent_trace() {
         .iter()
         .filter_map(|s| {
             s.attrs.iter().find_map(|(k, v)| match v {
-                nvpim_obs::trace::AttrValue::U64(n) if k == "job" => Some(*n),
+                nvpim_obs::trace::AttrValue::U64(n) if *k == "job" => Some(*n),
                 _ => None,
             })
         })

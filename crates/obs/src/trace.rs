@@ -5,7 +5,11 @@
 //! when disabled (no [`TraceRecorder`] installed means instrumentation
 //! sites never construct a guard), and bounded memory when enabled. Spans
 //! land in a fixed-capacity ring — once full, the oldest spans are evicted
-//! and counted, so a long-running service never grows without bound.
+//! and counted, so a long-running service never grows without bound. A
+//! retained span is compact: its name and its thread's name are indices
+//! into a per-recorder table of distinct names (capped at [`MAX_NAMES`]),
+//! and its attributes have static keys and static string values, so what
+//! it costs never depends on request data or on how many threads recorded.
 //!
 //! ## Ids and propagation
 //!
@@ -35,16 +39,36 @@
 //! assert!(json.contains("traceEvents"));
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::Json;
 
-/// Default ring capacity: 4096 spans ≈ a few hundred KiB, enough for a
-/// full matrix run or thousands of HTTP requests between exports.
+/// Default ring capacity: 4096 spans. The ring stores a 72-byte slot per
+/// span plus its attributes (40 bytes each, static keys and labels), and
+/// each distinct span or thread name once per recorder. A full ring of the
+/// server's spans — a `serve.request` root with one attribute per request
+/// and a `serve.execute` child with three per cache miss — requests 125
+/// bytes per span, 0.51 MB in all (`tests/trace_alloc.rs` budgets 160 per
+/// span). Records with owned names and owned attribute keys requested 328
+/// bytes per span for the same shapes, and with the client's method and
+/// path attached as well the server's ring held 2.0–2.7 MB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+
+/// Distinct span and thread names one recorder keeps. Names are code
+/// labels, so real programs use a few dozen; past the cap, a span with a
+/// new name records under [`OVERFLOW_NAME`] instead of growing the table.
+pub const MAX_NAMES: usize = 1024;
+
+/// The name recorded for spans (and threads) whose name arrived after
+/// [`MAX_NAMES`] distinct ones.
+pub const OVERFLOW_NAME: &str = "(name table full)";
+
+/// Thread-name index of a span opened on an unnamed thread; exports name
+/// the thread `thread-<tid>`.
+const UNNAMED: u32 = u32::MAX;
 
 /// Identifier of one end-to-end trace (non-zero).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,28 +128,29 @@ pub struct TraceContext {
     pub parent: Option<SpanId>,
 }
 
-/// One span attribute value.
-#[derive(Debug, Clone, PartialEq)]
+/// One span attribute value. Strings are static labels: a retained span
+/// never holds bytes a caller (or a client) chose at run time.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttrValue {
     /// Unsigned integer attribute.
     U64(u64),
     /// Floating-point attribute.
     F64(f64),
-    /// String attribute.
-    Str(String),
+    /// String attribute (a static label).
+    Str(&'static str),
 }
 
 impl AttrValue {
-    fn to_json(&self) -> Json {
+    fn to_json(self) -> Json {
         match self {
-            AttrValue::U64(v) => Json::from(*v),
-            AttrValue::F64(v) => Json::Num(*v),
-            AttrValue::Str(v) => Json::from(v.as_str()),
+            AttrValue::U64(v) => Json::from(v),
+            AttrValue::F64(v) => Json::Num(v),
+            AttrValue::Str(v) => Json::from(v),
         }
     }
 }
 
-/// One completed span as stored in the ring.
+/// One completed span, as exported by [`TraceRecorder::spans`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Trace this span belongs to.
@@ -143,43 +168,108 @@ pub struct SpanRecord {
     /// Small per-process thread id (stable per OS thread).
     pub tid: u64,
     /// Attributes attached while the span was open.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
-/// Fixed-capacity span storage: oldest records are evicted (and counted)
-/// once the ring is full.
+/// One completed span as the ring holds it: ids and times, the span and
+/// thread names as indices into the recorder's name table, and the
+/// attributes in an exactly sized slice.
+#[derive(Debug)]
+struct Slot {
+    trace: u64,
+    span: u64,
+    /// Parent span id, `0` for a root (ids are non-zero).
+    parent: u64,
+    start_ns: u64,
+    dur_ns: u64,
+    tid: u64,
+    name: u32,
+    /// Thread-name index, or [`UNNAMED`].
+    thread: u32,
+    attrs: Box<[(&'static str, AttrValue)]>,
+}
+
+/// Fixed-capacity span storage (oldest records are evicted, and counted,
+/// once the ring is full) plus the table of distinct names its slots
+/// refer to.
 #[derive(Debug)]
 struct Ring {
-    slots: Vec<SpanRecord>,
+    slots: Vec<Slot>,
     head: usize,
     evicted: u64,
+    /// Distinct names to their indices; index 0 is [`OVERFLOW_NAME`].
+    names: HashMap<Box<str>, u32>,
 }
 
 impl Ring {
-    fn push(&mut self, record: SpanRecord, capacity: usize) {
+    fn push(&mut self, slot: Slot, capacity: usize) {
         if self.slots.len() < capacity {
-            self.slots.push(record);
+            self.slots.push(slot);
         } else {
-            self.slots[self.head] = record;
+            self.slots[self.head] = slot;
             self.head = (self.head + 1) % capacity;
             self.evicted += 1;
         }
     }
 
-    /// Records in insertion order (oldest first).
-    fn in_order(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        out.extend_from_slice(&self.slots[self.head..]);
-        out.extend_from_slice(&self.slots[..self.head]);
-        out
+    /// The index of `name`, added to the table unless it is full.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&index) = self.names.get(name) {
+            return index;
+        }
+        if self.names.len() >= MAX_NAMES {
+            return 0;
+        }
+        let index = u32::try_from(self.names.len()).expect("name table fits u32");
+        self.names.insert(name.into(), index);
+        index
+    }
+
+    /// The name table by index.
+    fn names(&self) -> Vec<&str> {
+        let mut names = vec![""; self.names.len()];
+        for (name, &index) in &self.names {
+            names[index as usize] = name;
+        }
+        names
+    }
+
+    /// Slots in insertion order (oldest first).
+    fn in_order(&self) -> impl Iterator<Item = &Slot> {
+        self.slots[self.head..].iter().chain(&self.slots[..self.head])
+    }
+}
+
+impl Slot {
+    fn record(&self, names: &[&str]) -> SpanRecord {
+        SpanRecord {
+            trace: TraceId(self.trace),
+            span: SpanId(self.span),
+            parent: (self.parent != 0).then_some(SpanId(self.parent)),
+            name: names[self.name as usize].to_owned(),
+            start_ns: self.start_ns,
+            dur_ns: self.dur_ns,
+            tid: self.tid,
+            attrs: self.attrs.to_vec(),
+        }
+    }
+
+    fn thread_name(&self, names: &[&str]) -> String {
+        match self.thread {
+            UNNAMED => format!("thread-{}", self.tid),
+            index => names[index as usize].to_owned(),
+        }
     }
 }
 
 /// Collects completed spans into a bounded ring and exports them.
 ///
-/// One lock guards the ring; it is taken only when a span *closes* (guard
-/// drop), never while instrumented code runs, so contention stays
-/// proportional to span count, not span duration.
+/// One lock guards the ring and its name table. It is taken once when a
+/// span opens (to intern its name and its thread's) and once when it
+/// closes, never while instrumented code runs, so contention stays
+/// proportional to span count, not span duration. Memory is bounded by the
+/// capacity, the attributes per span and [`MAX_NAMES`]; nothing grows
+/// with the number of threads that ever recorded.
 pub struct TraceRecorder {
     epoch: Instant,
     capacity: usize,
@@ -187,7 +277,6 @@ pub struct TraceRecorder {
     next_span: AtomicU64,
     ring: Mutex<Ring>,
     ambient: Mutex<Option<TraceContext>>,
-    threads: Mutex<BTreeMap<u64, String>>,
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -214,14 +303,14 @@ impl TraceRecorder {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(16);
+        let names = HashMap::from([(OVERFLOW_NAME.into(), 0)]);
         TraceRecorder {
             epoch: Instant::now(),
             capacity,
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
-            ring: Mutex::new(Ring { slots: Vec::new(), head: 0, evicted: 0 }),
+            ring: Mutex::new(Ring { slots: Vec::new(), head: 0, evicted: 0, names }),
             ambient: Mutex::new(None),
-            threads: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -271,16 +360,20 @@ impl TraceRecorder {
         name: &str,
     ) -> SpanGuard<'r> {
         let span = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed));
-        let tid = current_tid();
-        self.register_thread(tid);
+        let current = std::thread::current();
+        let (name, thread) = {
+            let mut ring = self.ring.lock().expect("trace ring poisoned");
+            (ring.intern(name), current.name().map_or(UNNAMED, |n| ring.intern(n)))
+        };
         SpanGuard {
             recorder: self,
             trace,
             span,
             parent,
-            name: name.to_string(),
+            name,
+            thread,
             start_ns: self.now_ns(),
-            tid,
+            tid: current_tid(),
             attrs: Vec::new(),
         }
     }
@@ -311,29 +404,27 @@ impl TraceRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn register_thread(&self, tid: u64) {
-        let mut threads = self.threads.lock().expect("thread table poisoned");
-        threads.entry(tid).or_insert_with(|| {
-            std::thread::current().name().map_or_else(|| format!("thread-{tid}"), str::to_string)
-        });
-    }
-
-    fn record(&self, record: SpanRecord) {
-        self.ring.lock().expect("trace ring poisoned").push(record, self.capacity);
+    fn record(&self, slot: Slot) {
+        self.ring.lock().expect("trace ring poisoned").push(slot, self.capacity);
     }
 
     /// All retained spans in completion order (oldest first).
     #[must_use]
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.ring.lock().expect("trace ring poisoned").in_order()
+        self.spans_where(None)
     }
 
     /// Spans belonging to one trace, in completion order.
     #[must_use]
     pub fn spans_for(&self, trace: TraceId) -> Vec<SpanRecord> {
-        let mut spans = self.spans();
-        spans.retain(|s| s.trace == trace);
-        spans
+        self.spans_where(Some(trace))
+    }
+
+    fn spans_where(&self, only: Option<TraceId>) -> Vec<SpanRecord> {
+        let ring = self.ring.lock().expect("trace ring poisoned");
+        let names = ring.names();
+        let keep = |s: &&Slot| only.map_or(true, |t| s.trace == t.0);
+        ring.in_order().filter(keep).map(|s| s.record(&names)).collect()
     }
 
     /// Chrome trace-event JSON for every retained span (loadable in
@@ -350,28 +441,32 @@ impl TraceRecorder {
     }
 
     fn chrome_trace_filtered(&self, only: Option<TraceId>) -> String {
-        let mut spans = self.spans();
-        if let Some(trace) = only {
-            spans.retain(|s| s.trace == trace);
-        }
+        let (mut spans, threads) = {
+            let ring = self.ring.lock().expect("trace ring poisoned");
+            let names = ring.names();
+            let keep = |s: &&Slot| only.map_or(true, |t| s.trace == t.0);
+            let mut threads = BTreeMap::new();
+            for slot in ring.in_order().filter(keep) {
+                threads.entry(slot.tid).or_insert_with(|| slot.thread_name(&names));
+            }
+            let spans: Vec<SpanRecord> =
+                ring.in_order().filter(keep).map(|s| s.record(&names)).collect();
+            (spans, threads)
+        };
         // Complete ("X") events must come out sorted by timestamp; the
         // ring holds completion order, which is finish-time order.
         spans.sort_by_key(|s| (s.start_ns, s.span.0));
-        let used: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.tid).collect();
 
         let mut events = Vec::new();
-        {
-            let threads = self.threads.lock().expect("thread table poisoned");
-            for (&tid, name) in threads.iter().filter(|(tid, _)| used.contains(tid)) {
-                events.push(
-                    Json::object()
-                        .with("ph", "M")
-                        .with("name", "thread_name")
-                        .with("pid", 1u64)
-                        .with("tid", tid)
-                        .with("args", Json::object().with("name", name.as_str())),
-                );
-            }
+        for (tid, name) in threads {
+            events.push(
+                Json::object()
+                    .with("ph", "M")
+                    .with("name", "thread_name")
+                    .with("pid", 1u64)
+                    .with("tid", tid)
+                    .with("args", Json::object().with("name", name)),
+            );
         }
         for s in &spans {
             let mut args =
@@ -379,8 +474,8 @@ impl TraceRecorder {
             if let Some(parent) = s.parent {
                 args = args.with("parent", parent.to_hex());
             }
-            for (key, value) in &s.attrs {
-                args = args.with(key.as_str(), value.to_json());
+            for &(key, value) in &s.attrs {
+                args = args.with(key, value.to_json());
             }
             events.push(
                 Json::object()
@@ -449,10 +544,11 @@ pub struct SpanGuard<'r> {
     trace: TraceId,
     span: SpanId,
     parent: Option<SpanId>,
-    name: String,
+    name: u32,
+    thread: u32,
     start_ns: u64,
     tid: u64,
-    attrs: Vec<(String, AttrValue)>,
+    attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl std::fmt::Debug for SpanGuard<'_> {
@@ -460,7 +556,6 @@ impl std::fmt::Debug for SpanGuard<'_> {
         f.debug_struct("SpanGuard")
             .field("trace", &self.trace)
             .field("span", &self.span)
-            .field("name", &self.name)
             .finish_non_exhaustive()
     }
 }
@@ -485,33 +580,34 @@ impl SpanGuard<'_> {
     }
 
     /// Attaches an unsigned-integer attribute.
-    pub fn attr_u64(&mut self, key: &str, value: u64) {
-        self.attrs.push((key.to_string(), AttrValue::U64(value)));
+    pub fn attr_u64(&mut self, key: &'static str, value: u64) {
+        self.attrs.push((key, AttrValue::U64(value)));
     }
 
     /// Attaches a floating-point attribute.
-    pub fn attr_f64(&mut self, key: &str, value: f64) {
-        self.attrs.push((key.to_string(), AttrValue::F64(value)));
+    pub fn attr_f64(&mut self, key: &'static str, value: f64) {
+        self.attrs.push((key, AttrValue::F64(value)));
     }
 
-    /// Attaches a string attribute.
-    pub fn attr_str(&mut self, key: &str, value: &str) {
-        self.attrs.push((key.to_string(), AttrValue::Str(value.to_string())));
+    /// Attaches a string attribute: a static label, never request data.
+    pub fn attr_str(&mut self, key: &'static str, value: &'static str) {
+        self.attrs.push((key, AttrValue::Str(value)));
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let end = self.recorder.now_ns();
-        self.recorder.record(SpanRecord {
-            trace: self.trace,
-            span: self.span,
-            parent: self.parent,
-            name: std::mem::take(&mut self.name),
+        self.recorder.record(Slot {
+            trace: self.trace.0,
+            span: self.span.0,
+            parent: self.parent.map_or(0, |p| p.0),
             start_ns: self.start_ns,
             dur_ns: end.saturating_sub(self.start_ns),
             tid: self.tid,
-            attrs: std::mem::take(&mut self.attrs),
+            name: self.name,
+            thread: self.thread,
+            attrs: std::mem::take(&mut self.attrs).into_boxed_slice(),
         });
     }
 }
@@ -578,6 +674,18 @@ mod tests {
         assert_eq!(rec.evicted(), 4);
         assert_eq!(spans[0].name, "span-4", "oldest four were evicted");
         assert_eq!(spans[15].name, "span-19");
+    }
+
+    #[test]
+    fn names_past_the_table_cap_record_under_the_overflow_name() {
+        let rec = TraceRecorder::with_capacity(2 * MAX_NAMES);
+        for i in 0..MAX_NAMES + 8 {
+            drop(rec.begin_trace(&format!("span-{i}")));
+        }
+        let spans = rec.spans();
+        // The overflow name and the test thread's name hold two entries.
+        assert_eq!(spans[MAX_NAMES - 3].name, format!("span-{}", MAX_NAMES - 3));
+        assert!(spans[MAX_NAMES - 2..].iter().all(|s| s.name == OVERFLOW_NAME));
     }
 
     #[test]

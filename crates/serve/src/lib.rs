@@ -15,6 +15,7 @@
 //! * [`wire`] — the deterministic JSON wire format, shared with
 //!   `repro --json`;
 //! * [`cache`] — in-memory LRU with optional on-disk spill;
+//! * [`memo`] — synthesized workloads by shape, shared by cache misses;
 //! * [`http`] — the minimal HTTP/1.1 reader/writer;
 //! * [`server`] — accept loop, endpoints, backpressure, timeouts, drain;
 //! * [`client`] — a std-only client used by tests and `repro serve-smoke`
@@ -46,11 +47,13 @@ pub mod cache;
 pub mod client;
 pub mod hash;
 pub mod http;
+pub mod memo;
 pub mod request;
 pub mod server;
 pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{Client, ClientError, HttpReply};
+pub use memo::{MemoStats, WorkloadMemo};
 pub use request::{RequestError, SimRequest, WorkloadSpec};
 pub use server::{Server, ServerConfig, ServerHandle};

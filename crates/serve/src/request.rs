@@ -55,7 +55,7 @@ impl std::error::Error for RequestError {}
 /// Only the parameters a kind actually uses participate in its canonical
 /// form (a `mul` request carries no `elements`), so irrelevant wire fields
 /// can never split the cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WorkloadSpec {
     /// Embarrassingly parallel `width`-bit multiplication (§4 `mul`).
     Mul {

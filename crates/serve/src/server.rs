@@ -8,6 +8,14 @@
 //! * **Timeouts** — `/simulate` runs each job on its own thread and waits
 //!   with `recv_timeout`; a deadline miss answers `504` while the detached
 //!   job finishes and still populates the cache (the work is not lost).
+//!   When no thread can be spawned the request answers `503` with a
+//!   `Retry-After` header instead of taking the worker down.
+//! * **Workload memo** — a miss runs on a workload borrowed from a
+//!   [`WorkloadMemo`] keyed by shape (workload spec, rows, lanes), so a
+//!   fresh seed of a known shape skips synthesis. Workloads are
+//!   deterministic in their shape, so answers are byte-identical to fresh
+//!   synthesis; the memo is bounded by [`WORKLOAD_MEMO_BYTES`] and shows on
+//!   `/metrics` as `serve.workload_memo.*`.
 //! * **Graceful drain** — `POST /shutdown` flips a draining flag: new
 //!   connections get `503`, in-flight requests complete, and the accept
 //!   loop exits once the queue is idle.
@@ -22,6 +30,9 @@
 //!   process-wide [`TraceRecorder`]. Clients propagate context with an
 //!   `X-Trace-Id` header (minted when absent, echoed on every response)
 //!   and fetch the Chrome trace-event JSON back via `GET /trace/<id>`.
+//!   Span attributes are static labels (the endpoint, never the method or
+//!   path the client sent), so a retained span costs the same bytes
+//!   whatever the request said.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -43,6 +54,7 @@ use nvpim_obs::{
 use crate::cache::ResultCache;
 use crate::hash::key_hex;
 use crate::http::{self, HttpRequest};
+use crate::memo::{WorkloadMemo, WORKLOAD_MEMO_BYTES};
 use crate::request::SimRequest;
 use crate::wire;
 
@@ -97,6 +109,7 @@ impl Default for ServerConfig {
 /// Shared server state.
 struct ServeState {
     cache: Mutex<ResultCache>,
+    workloads: WorkloadMemo,
     observer: Observer,
     tracer: Arc<TraceRecorder>,
     started: Instant,
@@ -129,6 +142,7 @@ impl ServeState {
         // Artifact-store size and traffic (`artifacts.*`), so `/metrics`
         // shows how much of the batch path's work is being shared.
         nvpim_core::artifacts::publish_gauges(&self.observer);
+        self.workloads.publish_gauges(&self.observer);
     }
 }
 
@@ -207,6 +221,7 @@ impl Server {
             .with_spill_limits(config.cache_max_bytes, config.cache_max_age_s);
         let state = Arc::new(ServeState {
             cache: Mutex::new(cache),
+            workloads: WorkloadMemo::new(WORKLOAD_MEMO_BYTES),
             observer,
             tracer,
             started: Instant::now(),
@@ -339,8 +354,6 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServeState>) {
         .and_then(TraceId::from_hex)
         .unwrap_or_else(|| state.tracer.new_trace_id());
     let mut span = state.tracer.adopt_trace(trace, "serve.request");
-    span.attr_str("method", &request.method);
-    span.attr_str("path", &request.path);
     let ctx = ReqCtx { hex: trace.to_hex(), span: span.context(), started };
     let endpoint = route(&mut stream, &request, &state, &ctx);
     span.attr_str("endpoint", endpoint);
@@ -518,15 +531,23 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     let (tx, rx) = mpsc::channel::<Result<String, String>>();
     let job_state = Arc::clone(state);
     let parent = ctx.span;
-    std::thread::Builder::new()
-        .name("nvpim-serve-sim".into())
-        .spawn(move || {
-            let outcome = execute(&sim_request, &job_state, Some(parent));
-            // The receiver may have timed out and gone away; the cache
-            // insert above already preserved the work.
-            let _ = tx.send(outcome);
-        })
-        .expect("spawn simulation thread");
+    let spawned = std::thread::Builder::new().name("nvpim-serve-sim".into()).spawn(move || {
+        let outcome = execute(&sim_request, &job_state, Some(parent));
+        // The receiver may have timed out and gone away; the cache
+        // insert above already preserved the work.
+        let _ = tx.send(outcome);
+    });
+    if spawned.is_err() {
+        state.count("serve.rejected.spawn");
+        let retry = state.retry_after_s.to_string();
+        let headers = [("Retry-After", retry.as_str()), th[0]];
+        return respond_error(
+            stream,
+            503,
+            &headers,
+            "no thread to run the simulation, retry shortly",
+        );
+    }
 
     let outcome = if timeout_ms == 0 {
         rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
@@ -557,6 +578,9 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
 /// opened on whatever thread executes (the detached `/simulate` worker or
 /// a `/batch` pool worker), so the trace shows real lanes.
 ///
+/// The workload comes from the server's [`WorkloadMemo`], built on the
+/// first miss of its shape.
+///
 /// Requests that do not ask for the per-epoch wear series are answered by
 /// the replay-free [`AnalyticWearEngine`] — every configuration, on its
 /// closed-form or lazy rung — whose `SimResult` is bit-identical to a full
@@ -574,12 +598,12 @@ fn execute(
     let mut span = parent.map(|ctx| state.tracer.span(ctx, "serve.execute"));
     if let Some(span) = span.as_mut() {
         span.attr_str("workload", request.workload.kind());
-        span.attr_str("config", &request.config.to_string());
+        span.attr_str("config", request.config.label());
         span.attr_u64("iterations", request.iterations);
     }
     let run = catch_unwind(AssertUnwindSafe(|| {
         let cfg = request.sim_config();
-        let workload = request.build_workload();
+        let workload = state.workloads.get(request);
         if request.series {
             let result = EnduranceSimulator::new(cfg).run_with(&workload, request.config, &local);
             (wire::result_body(request, &result), None)

@@ -4,7 +4,9 @@
 //! `read_request` must turn any byte stream into a request, a 400/413/431
 //! [`HttpError`] or an I/O error, and never panic. A request rendered from
 //! random fields must parse back to the same fields. A request's canonical
-//! JSON must parse back to the same request with the same cache key.
+//! JSON must parse back to the same request with the same cache key. A
+//! stream of distinct workload shapes must never push the workload memo
+//! past its byte bound.
 //! Failing cases print the seed that replays them (`PROPTEST_SEED`).
 
 use std::io::Cursor;
@@ -15,7 +17,7 @@ use nvpim_balance::BalanceConfig;
 use nvpim_nvm::Technology;
 use nvpim_serve::http::{read_request, HttpError, MAX_BODY, MAX_HEAD};
 use nvpim_serve::request::MAX_ITERATIONS;
-use nvpim_serve::{SimRequest, WorkloadSpec};
+use nvpim_serve::{SimRequest, WorkloadMemo, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Bytes drawn from a small alphabet rich in HTTP delimiters, so random
@@ -160,5 +162,44 @@ proptest! {
         prop_assert_eq!(parsed.cache_key(), request.cache_key());
         prop_assert_eq!(reparsed.cache_key(), request.cache_key());
         prop_assert_eq!(reparsed.canonical_text(), request.canonical_text());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn distinct_shapes_never_push_the_workload_memo_past_its_bound(
+        shapes in prop::collection::vec((0usize..3, 2usize..=16, 3u32..=6, 8u32..=10), 1..24),
+    ) {
+        // A bound of a few small workloads, so the stream evicts; mul16 and
+        // up exceed it alone and must be served without being kept.
+        const BOUND: usize = 192 << 10;
+        let memo = WorkloadMemo::new(BOUND);
+        for (i, &(kind, width, log_lanes, log_rows)) in shapes.iter().enumerate() {
+            let workload = match kind {
+                0 => format!(r#"{{"kind": "mul", "width": {width}}}"#),
+                1 => format!(
+                    r#"{{"kind": "conv", "width": {}, "filter_rows": {}, "filter_cols": {}}}"#,
+                    width.min(8),
+                    2 << (width % 2),
+                    1 + width % 3
+                ),
+                _ => format!(r#"{{"kind": "bnn", "fan_in": {width}}}"#),
+            };
+            let body = format!(
+                r#"{{"workload": {workload}, "rows": {}, "lanes": {}, "seed": {i}}}"#,
+                1usize << log_rows,
+                1usize << log_lanes
+            );
+            let request = SimRequest::from_str(&body).expect("valid request");
+            let workload = memo.get(&request);
+            let fresh = request.build_workload();
+            prop_assert_eq!(workload.name(), fresh.name());
+            prop_assert_eq!(workload.trace().steps(), fresh.trace().steps());
+            let stats = memo.stats();
+            prop_assert!(stats.bytes <= BOUND, "{} resident bytes over {BOUND}", stats.bytes);
+            prop_assert_eq!(stats.hits + stats.misses, i as u64 + 1);
+        }
     }
 }

@@ -4,10 +4,12 @@
 //! tooling. Each test binds its own ephemeral-port server so they can run
 //! concurrently under the default test harness.
 
+use std::str::FromStr as _;
 use std::time::Duration;
 
+use nvpim_core::AnalyticWearEngine;
 use nvpim_obs::Json;
-use nvpim_serve::{Client, Server, ServerConfig};
+use nvpim_serve::{wire, Client, Server, ServerConfig, SimRequest};
 
 fn start(config: ServerConfig) -> (nvpim_serve::ServerHandle, Client) {
     let handle = Server::start(config).expect("server starts");
@@ -121,6 +123,48 @@ fn spelling_variants_of_one_request_share_a_cache_entry() {
 
     handle.request_shutdown();
     handle.join();
+}
+
+/// A gauge's value in a `/metrics` document.
+fn gauge(metrics: &Json, name: &str) -> f64 {
+    metrics
+        .get("metrics")
+        .and_then(|m| m.get(name))
+        .and_then(|g| g.get("value"))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0)
+}
+
+/// The body a request would get from fresh synthesis and a fresh engine.
+fn fresh_answer(body: &str) -> String {
+    let request = SimRequest::from_str(body).expect("request parses");
+    let workload = request.build_workload();
+    let result = AnalyticWearEngine::new(&workload, request.config, request.sim_config())
+        .result_at(request.iterations);
+    wire::result_body(&request, &result)
+}
+
+#[test]
+fn a_second_seed_of_one_shape_reuses_the_memoized_workload() {
+    let (handle, client) = start(ServerConfig::default());
+    let bodies = [small_request(7), small_request(8)];
+    let replies: Vec<_> =
+        bodies.iter().map(|body| client.post_json("/simulate", body).unwrap()).collect();
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    handle.request_shutdown();
+    handle.join();
+
+    for (body, reply) in bodies.iter().zip(&replies) {
+        assert_eq!(reply.status, 200);
+        assert_eq!(reply.header("x-cache"), Some("miss"), "fresh seeds miss the result cache");
+        assert_eq!(reply.text(), fresh_answer(body), "the memo must not change the bytes");
+    }
+    assert_ne!(replies[0].text(), replies[1].text(), "the seeds name different results");
+    assert_eq!(gauge(&metrics, "serve.workload_memo.misses"), 1.0, "first seed synthesizes");
+    assert_eq!(gauge(&metrics, "serve.workload_memo.hits"), 1.0, "second seed borrows");
+    assert_eq!(gauge(&metrics, "serve.workload_memo.entries"), 1.0);
+    let want = SimRequest::from_str(&bodies[0]).unwrap().build_workload().approx_bytes();
+    assert_eq!(gauge(&metrics, "serve.workload_memo.bytes"), want as f64);
 }
 
 #[test]

@@ -50,6 +50,15 @@ impl Workload {
         self.result_class
     }
 
+    /// Approximate resident size in bytes (the trace dominates).
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Workload>()
+            + self.name.capacity()
+            + self.trace.approx_bytes()
+            + self.result_rows.capacity() * std::mem::size_of::<usize>()
+    }
+
     /// Latency of one iteration in sequential steps under `arch`.
     #[must_use]
     pub fn steps_per_iteration(&self, arch: ArchStyle) -> u64 {
