@@ -149,7 +149,10 @@ pub fn verify_conservation(
 /// and configuration run once through [`EnduranceSimulator::run`], once
 /// through [`EnduranceSimulator::run_reference`], and once through
 /// [`AnalyticWearEngine::wear_at`], and every cell's write and read
-/// tallies — plus the lifetime-limiting maximum — must match exactly.
+/// tallies — plus the lifetime-limiting maximum — must match exactly. A
+/// fresh engine's lifetime-only query
+/// ([`AnalyticWearEngine::max_writes_at`]) must return the step-replay
+/// maximum too.
 /// Analytic findings name the engine path (`closed_form` or `lazy`) so a
 /// divergence points at the right algebra.
 #[must_use]
@@ -228,11 +231,25 @@ pub fn verify_kernel_equivalence(
         findings.push(Finding::new(
             PASS,
             "analytic-divergence",
-            subject,
+            subject.clone(),
             format!(
                 "analytic ({path}) max-writes {} differs from compiled-kernel {}",
                 analytic.max_writes(),
                 compiled.wear.max_writes()
+            ),
+        ));
+    }
+    // The lifetime-only query shares the walk but may answer from the
+    // row-space stage without a plane; Eq. 4 needs its maximum exact.
+    let summary_max = AnalyticWearEngine::new(workload, config, cfg).max_writes_at(cfg.iterations);
+    if summary_max != replayed.wear.max_writes() {
+        findings.push(Finding::new(
+            PASS,
+            "summary-divergence",
+            subject,
+            format!(
+                "lifetime-only query ({path}) max-writes {summary_max} differs from step-replay {}",
+                replayed.wear.max_writes()
             ),
         ));
     }

@@ -25,9 +25,18 @@
 //! place, not a copy, so the walker is spent and the next query walks a
 //! fresh one from the seed. Every production caller asks one question per
 //! engine; halving the fresh 8 MB planes per paper-dims answer is worth
-//! more than continuing a walk. Construction zeroes the plane by writing
-//! it when partial classes will render into it, so the query does not pay
-//! its page faults twice.
+//! more than continuing a walk. The plane exists only once something
+//! renders into it: construction builds it, zeroed by writing it, when
+//! partial classes will render, so the query does not pay its page faults
+//! twice; otherwise the answer allocates it when it takes it.
+//!
+//! A lifetime-only query ([`AnalyticWearEngine::max_writes_at`], Eq. 4's
+//! input) shares the whole walk with [`AnalyticWearEngine::result_at`] and
+//! differs only in its last step. When no partial class was staged or
+//! rendered, as on mul32, the answer is one row vector, every cell of a
+//! row holding that row's count, so its hottest cell is read off the stage
+//! and no plane is ever built. Otherwise it renders into the walker's
+//! plane as an answer does.
 //!
 //! # Super-cycle fold
 //!
@@ -308,20 +317,40 @@ enum Booking {
 #[derive(Debug)]
 struct Walker {
     map: CombinedMap,
-    wear: WearMap,
+    /// The cell plane partial classes render into: built with an answer
+    /// walker whose partial classes will render, else `None` until an
+    /// answer takes it.
+    wear: Option<WearMap>,
     rows: kernel::RowAccumulator,
     /// The row period, when partial classes stage by row phase.
     row_period: Option<u64>,
     done: u64,
 }
 
+/// A lifetime-only answer: the hottest cell (Eq. 4), the write and read
+/// totals the conservation check compares, and the (class, key) renders.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    max_writes: u64,
+    writes: u64,
+    reads: u64,
+    renders: u64,
+}
+
+impl Summary {
+    /// The summary of a rendered answer, whose maximum `finish` carries.
+    fn of(wear: &WearMap, renders: u64) -> Self {
+        let (writes, reads) = (wear.total_writes(), wear.total_reads());
+        Summary { max_writes: wear.max_writes(), writes, reads, renders }
+    }
+}
+
 impl Walker {
-    /// A walker at iteration 0. An `answer` walker's plane becomes an
-    /// answer, so construction pays the plane's page faults (`zeroed_map`).
-    /// A super-cycle walk is all stage and never renders (`fold_cycles`
-    /// asserts it), so it gets a one-cell placeholder instead of a cell
-    /// plane: an 8 MiB zeroed allocation is not free, as once glibc's mmap
-    /// threshold has risen past it, `calloc` zeroes heap pages by hand.
+    /// A walker at iteration 0. An `answer` walker whose partial classes
+    /// will render builds its plane here, paying its page faults
+    /// (`zeroed_map`) before the query; any other walker gets its plane
+    /// only when an answer takes it. A super-cycle walk is all stage and
+    /// never renders (`fold_cycles` asserts it), so it never gets one.
     fn new(trace: &Trace, balance: BalanceConfig, cfg: SimConfig, answer: bool) -> Self {
         let dims = trace.dims();
         let balance = walked_balance(trace, balance);
@@ -329,7 +358,7 @@ impl Walker {
         let rows = kernel::RowAccumulator::new(trace, cfg.track_reads, stage);
         Walker {
             map: CombinedMap::new(balance, dims.rows(), dims.lanes(), cfg.seed),
-            wear: if answer { rows.zeroed_map(dims) } else { WearMap::new(ArrayDims::new(1, 1)) },
+            wear: if answer { rows.zeroed_map(dims) } else { None },
             rows,
             row_period: match stage {
                 kernel::LaneStage::RowPhases { period } => Some(period),
@@ -359,7 +388,7 @@ impl Walker {
                 let lanes = self.map.lane_permutation();
                 match self.row_period {
                     Some(period) => self.rows.set_row_phase(lanes, self.map.epoch() % period, span),
-                    None => self.rows.set_lanes(lanes, &mut self.wear),
+                    None => self.rows.set_lanes(lanes, self.wear.as_mut()),
                 }
                 let table = self.map.row_table();
                 for (class, writes) in panels.writes.iter().enumerate() {
@@ -370,17 +399,36 @@ impl Walker {
                 }
             }
             Booking::Hw(kernel) => {
-                self.rows.apply_kernel_epoch(kernel, &mut self.map, span, &mut self.wear);
+                self.rows.apply_kernel_epoch(kernel, &mut self.map, span, self.wear.as_mut());
             }
         }
     }
 
-    /// The wear walked so far as an owned map — the walker's own plane with
-    /// its stage rendered in place, so an answer costs no copy of the cells
-    /// — and the walk's partial-class renders.
-    fn into_answer(mut self) -> (WearMap, u64) {
-        let renders = self.rows.finish(&mut self.wear);
-        (self.wear, renders)
+    /// The wear walked so far as an owned map — the walker's own plane
+    /// (allocated now if nothing rendered into it) with its stage rendered
+    /// in place, so an answer costs no copy of the cells — and the walk's
+    /// partial-class renders.
+    fn into_answer(self, dims: ArrayDims) -> (WearMap, u64) {
+        let mut wear = self.wear.unwrap_or_else(|| WearMap::new(dims));
+        let renders = self.rows.finish(&mut wear);
+        (wear, renders)
+    }
+
+    /// The answer's [`Summary`]: straight from the stage when its full-lane
+    /// rows hold all of the wear (each cell of row `r` holds row `r`'s
+    /// count, over `lanes` lanes), else read off [`Walker::into_answer`].
+    fn into_summary(self, dims: ArrayDims) -> Summary {
+        if let Some((writes, reads)) = self.rows.full_lane_rows() {
+            let lanes = dims.lanes() as u64;
+            return Summary {
+                max_writes: writes.iter().copied().max().unwrap_or(0),
+                writes: writes.iter().sum::<u64>() * lanes,
+                reads: reads.map_or(0, |reads| reads.iter().sum::<u64>() * lanes),
+                renders: 0,
+            };
+        }
+        let (wear, renders) = self.into_answer(dims);
+        Summary::of(&wear, renders)
     }
 }
 
@@ -402,8 +450,9 @@ struct SuperCycle {
 /// one trace walk) and, for a periodic configuration whose configured
 /// count spans a super-cycle, walks that super-cycle's stage once; an
 /// answer at that count then folds it in row space into the walk of its
-/// remainder (none at a multiple of the super-cycle). Every answer takes
-/// the walker's plane, so a later query walks again from the seed, at most
+/// remainder (none at a multiple of the super-cycle). Every answer, a
+/// lifetime-only one ([`AnalyticWearEngine::max_writes_at`]) included,
+/// takes the walker, so a later query walks again from the seed, at most
 /// one super-cycle's remainder for a folded count. See the
 /// [module docs](self).
 #[derive(Debug)]
@@ -555,19 +604,60 @@ impl<'w> AnalyticWearEngine<'w> {
     /// (`sim.super_cycles_folded`, 0 when walked).
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
-        let (wear, lane_renders, folded) = self.answer(iterations);
+        let (walker, folded) = self.walk(iterations);
+        let (wear, renders) = walker.into_answer(self.workload.trace().dims());
+        self.audit(iterations, Summary::of(&wear, renders), folded, sink);
+        SimResult {
+            wear,
+            config: self.balance,
+            iterations,
+            steps_per_iteration: self.counts.sequential_steps,
+            arch: self.cfg.arch,
+            series: Vec::new(),
+        }
+    }
+
+    /// The hottest cell's writes after exactly `iterations` iterations —
+    /// `result_at(iterations).wear.max_writes()`, the input of Eq. 4
+    /// ([`crate::LifetimeModel::lifetime_of`]), without a wear map when the
+    /// answer is one row vector: with no partial class staged or rendered,
+    /// every cell of a row holds that row's count, so the maximum is the
+    /// stage's. Otherwise the stage renders into the walker's plane, as
+    /// for [`AnalyticWearEngine::result_at`].
+    #[must_use]
+    pub fn max_writes_at(&mut self, iterations: u64) -> u64 {
+        match nvpim_obs::observer::current() {
+            Some(observer) => self.max_writes_at_with(iterations, &*observer),
+            None => self.max_writes_at_with(iterations, &NullSink),
+        }
+    }
+
+    /// [`AnalyticWearEngine::max_writes_at`] with an explicit event sink; it
+    /// checks conservation and records the counters
+    /// [`AnalyticWearEngine::result_at_with`] does.
+    #[must_use]
+    pub fn max_writes_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> u64 {
+        let (walker, folded) = self.walk(iterations);
+        let summary = walker.into_summary(self.workload.trace().dims());
+        self.audit(iterations, summary, folded, sink);
+        summary.max_writes
+    }
+
+    /// Checks an answer's totals against the trace's static counts and
+    /// records its counters.
+    fn audit<S: EventSink>(&self, iterations: u64, summary: Summary, folded: u64, sink: &S) {
         // Same conservation cross-check as the simulator: the walker's
         // bookings (and the super-cycle fold) and the trace's static counts
         // tally the same traffic independently.
         assert_eq!(
-            wear.total_writes(),
+            summary.writes,
             iterations * self.counts.cell_writes,
             "analytic wear disagrees with trace write counts under {}",
             self.balance
         );
         if self.cfg.track_reads {
             assert_eq!(
-                wear.total_reads(),
+                summary.reads,
                 iterations * self.counts.cell_reads,
                 "analytic wear disagrees with trace read counts under {}",
                 self.balance
@@ -576,22 +666,11 @@ impl<'w> AnalyticWearEngine<'w> {
         if sink.enabled() {
             sink.record(&Event::CounterAdd { name: "sim.analytic_queries", delta: 1 });
             sink.record(&Event::CounterAdd { name: "sim.iterations", delta: iterations });
-            sink.record(&Event::CounterAdd {
-                name: "array.cell_writes",
-                delta: wear.total_writes(),
-            });
-            sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: wear.total_reads() });
-            sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta: lane_renders });
+            sink.record(&Event::CounterAdd { name: "array.cell_writes", delta: summary.writes });
+            sink.record(&Event::CounterAdd { name: "array.cell_reads", delta: summary.reads });
+            sink.record(&Event::CounterAdd { name: "sim.lane_renders", delta: summary.renders });
             sink.record(&Event::CounterAdd { name: "sim.super_cycles_folded", delta: folded });
             sink.flush();
-        }
-        SimResult {
-            wear,
-            config: self.balance,
-            iterations,
-            steps_per_iteration: self.counts.sequential_steps,
-            arch: self.cfg.arch,
-            series: Vec::new(),
         }
     }
 
@@ -606,12 +685,12 @@ impl<'w> AnalyticWearEngine<'w> {
         self.cycle = Some(SuperCycle { stage: walker.rows, f: PermFolder::new(f) });
     }
 
-    /// The answer at `n`, taking the walker (the fresh one built with the
-    /// engine, or a new one from the seed) and its plane: the walker's own
-    /// answer, or, when `n` spans `k` super-cycles, the walker's remainder
-    /// stage with them folded into it, rendered once. Returns the answer,
-    /// its (class, key) renders, and `k` (0 when walked).
-    fn answer(&mut self, n: u64) -> (WearMap, u64, u64) {
+    /// The walk every answer at `n` shares, taking the walker (the fresh
+    /// one built with the engine, or a new one from the seed): its walk to
+    /// `n`, or, when `n` spans `k` super-cycles, its walk of the remainder
+    /// with them folded into its stage. Returns the walker, whose stage
+    /// then holds the answer's unrendered wear, and `k` (0 when walked).
+    fn walk(&mut self, n: u64) -> (Walker, u64) {
         let fold = self.cycle_iterations.filter(|&len| n >= len);
         if let Some(len) = fold.filter(|_| self.cycle.is_none()) {
             self.walk_super_cycle(len);
@@ -624,8 +703,7 @@ impl<'w> AnalyticWearEngine<'w> {
         if let Some(cycle) = self.cycle.as_ref().filter(|_| k > 0) {
             walker.rows.fold_cycles(&cycle.stage, &cycle.f, k);
         }
-        let (wear, renders) = walker.into_answer();
-        (wear, renders, k)
+        (walker, k)
     }
 }
 

@@ -250,21 +250,32 @@ impl RowAccumulator {
         }
     }
 
-    /// A zeroed cumulative map for this stage to render into. With partial
-    /// classes its write plane is zeroed by writing it, so each page is
-    /// first touched by a write fault here instead of by a read fault and
-    /// then a copy-on-write fault in the first render (DESIGN.md §"Answers
-    /// take the walker's plane"). Without them nothing renders into the
-    /// plane before the full-lane bucket writes its rows.
-    pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> WearMap {
+    /// A zeroed cumulative map for this stage's partial classes to render
+    /// into, its write plane zeroed by writing it, so each page is first
+    /// touched by a write fault here instead of by a read fault and then a
+    /// copy-on-write fault in the first render (DESIGN.md §"Answers take
+    /// the walker's plane"). `None` without partial classes: nothing
+    /// renders before the answer, which allocates its plane then.
+    pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> Option<WearMap> {
         if self.partial.is_empty() {
-            return WearMap::new(dims);
+            return None;
         }
         // An opaque zero keeps the compiler from turning the fill into a
         // zeroed allocation, which would leave the pages untouched.
         let mut writes = Vec::with_capacity(dims.cells());
         writes.resize(dims.cells(), std::hint::black_box(0));
-        WearMap::from_planes(dims, writes, Vec::new())
+        Some(WearMap::from_planes(dims, writes, Vec::new()))
+    }
+
+    /// The full-lane bucket's staged row writes (and reads), when they hold
+    /// all of the stage's wear: nothing rendered and no partial class
+    /// staged. Every cell of row `r` of the answer then holds `writes[r]`,
+    /// so a lifetime-only answer reads its hottest cell and totals here,
+    /// with no cell plane.
+    pub(crate) fn full_lane_rows(&self) -> Option<(&[u64], Option<&[u64]>)> {
+        let staged = self.partial.iter().any(|c| !c.slots.is_empty());
+        (self.lane_renders == 0 && !staged)
+            .then(|| (&self.full_writes[..], self.full_reads.as_deref()))
     }
 
     /// Resolves every partial class's physical lanes under `perm`, if it
@@ -291,7 +302,12 @@ impl RowAccumulator {
     /// keyed by its new physical lane set; if a class has no such slot and
     /// already holds its `keys`, every staged partial class renders into
     /// `wear` first.
-    pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: &mut WearMap) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stage must render and `wear` is `None` (a walker with
+    /// no plane yet).
+    pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: Option<&mut WearMap>) {
         let LaneStage::LaneSets { keys } = self.stage else {
             unreachable!("set_lanes under row-phase staging");
         };
@@ -305,7 +321,7 @@ impl RowAccumulator {
             full |= class.current.is_none() && class.slots.len() >= keys;
         }
         if full {
-            self.render_partial(wear);
+            self.render_partial(wear.expect("a partial class rendered before its plane existed"));
         }
     }
 
@@ -403,13 +419,14 @@ impl RowAccumulator {
     ///
     /// # Panics
     ///
-    /// Panics if the map is not dynamic.
+    /// Panics if the map is not dynamic, or as
+    /// [`RowAccumulator::set_lanes`].
     pub(crate) fn apply_kernel_epoch(
         &mut self,
         kernel: &WearKernel,
         map: &mut CombinedMap,
         span: u64,
-        wear: &mut WearMap,
+        wear: Option<&mut WearMap>,
     ) {
         self.set_lanes(map.lane_permutation(), wear);
         let start = map.hw().expect("compiled path requires a dynamic map").arrangement();
@@ -671,7 +688,7 @@ impl HwKernelEngine {
     ///
     /// Panics if the map is not dynamic.
     pub(crate) fn apply_epoch(&mut self, map: &mut CombinedMap, span: u64, wear: &mut WearMap) {
-        self.rows.apply_kernel_epoch(&self.kernel, map, span, wear);
+        self.rows.apply_kernel_epoch(&self.kernel, map, span, Some(wear));
     }
 }
 

@@ -93,10 +93,31 @@ impl LifetimeModel {
     /// never wear the array out).
     #[must_use]
     pub fn lifetime(&self, result: &SimResult) -> Lifetime {
-        let per_iter = result.max_writes_per_iteration();
+        self.lifetime_of(result.wear.max_writes(), result.iterations, result.steps_per_iteration)
+    }
+
+    /// Eq. 4 from its three inputs: the hottest cell's writes after
+    /// `iterations` iterations of `steps_per_iteration` sequential steps.
+    /// [`LifetimeModel::lifetime`] applies it to a [`SimResult`]; a
+    /// lifetime-only query
+    /// ([`crate::AnalyticWearEngine::max_writes_at`]) applies it to a
+    /// maximum read without building a wear map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_writes` is 0 (the workload would never wear the array
+    /// out).
+    #[must_use]
+    pub fn lifetime_of(
+        &self,
+        max_writes: u64,
+        iterations: u64,
+        steps_per_iteration: u64,
+    ) -> Lifetime {
+        let per_iter = max_writes as f64 / iterations as f64;
         assert!(per_iter > 0.0, "no writes recorded; lifetime undefined");
         let iterations = self.endurance as f64 / per_iter;
-        let seconds = iterations * result.iteration_latency_s(self.op_latency_ns);
+        let seconds = iterations * (steps_per_iteration as f64 * self.op_latency_ns * 1e-9);
         Lifetime { iterations, seconds }
     }
 

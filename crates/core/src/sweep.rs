@@ -137,9 +137,11 @@ pub fn remap_frequency_sweep_parallel(
 }
 
 /// The analytic form of [`remap_frequency_sweep_parallel`]: each sweep
-/// point answers through a replay-free [`AnalyticWearEngine`] instead of a
-/// simulator run, bit-identical to both (irreducible configurations fall
-/// back to the simulator inside the engine).
+/// point asks a replay-free [`AnalyticWearEngine`] for its hottest cell
+/// ([`AnalyticWearEngine::max_writes_at_with`]) instead of running the
+/// simulator, bit-identical to both. Every configuration answers through
+/// the engine's epoch walker, and a point whose answer is one row vector
+/// (no partial lane class, as on mul32) builds no cell plane at all.
 ///
 /// The per-period engines share sub-computations through the process-wide
 /// [`crate::artifacts`] store: the trace walk and logical panels depend
@@ -165,11 +167,12 @@ pub fn remap_frequency_sweep_analytic(
             .map(|schedule| {
                 let mut engine =
                     AnalyticWearEngine::new(workload, balance, base.with_schedule(schedule));
-                let result = match sink {
-                    Some(observer) => engine.result_at_with(base.iterations, observer),
-                    None => engine.result_at_with(base.iterations, &NullSink),
+                let max_writes = match sink {
+                    Some(observer) => engine.max_writes_at_with(base.iterations, observer),
+                    None => engine.max_writes_at_with(base.iterations, &NullSink),
                 };
-                model.lifetime(&result).iterations
+                let steps = engine.steps_per_iteration();
+                model.lifetime_of(max_writes, base.iterations, steps).iterations
             })
             .collect::<Vec<f64>>()
     })

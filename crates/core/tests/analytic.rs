@@ -6,8 +6,9 @@
 //! the step-replay oracle (`run_reference`) — cell by cell, writes and
 //! reads, across all 18 balancing configurations, never() schedules,
 //! randomized iteration counts with mid-epoch partial spans, monotone and
-//! backwards queries, and super-cycles longer than either table period.
-//! `scripts/ci.sh` runs them in release mode.
+//! backwards queries, and super-cycles longer than either table period. A
+//! fresh engine's lifetime-only query (`max_writes_at`) must return the
+//! step-replay maximum too. `scripts/ci.sh` runs them in release mode.
 
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
@@ -67,6 +68,12 @@ fn assert_analytic_bit_identical(
         analytic.max_writes(),
         analytic.recount_max_writes(),
         "{label} {balance} [{path}]: carried max writes disagree with a recount"
+    );
+    let summary = AnalyticWearEngine::new(wl, balance, cfg).max_writes_at(cfg.iterations);
+    assert_eq!(
+        summary,
+        replayed.wear.max_writes(),
+        "{label} {balance} [{path}]: the lifetime-only query diverges from step replay"
     );
 }
 

@@ -21,12 +21,16 @@
 //! query after a flush and a restart from the seed. Remapping every
 //! iteration wraps the 128 byte-shift lane sets and row phases, and 250
 //! iterations end on a short epoch that weights the lane counts by its
-//! span. `scripts/ci.sh` runs it in release mode.
+//! span. The lifetime-only query (`max_writes_at`) must return step
+//! replay's maximum and `result_at`'s counters on every mul32 config, where
+//! it reads the stage, and on conv/dot, where it renders, and the §5 sweep
+//! built on it must equal the simulator's bit for bit. `scripts/ci.sh` runs
+//! it in release mode.
 
 use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{AnalyticPath, AnalyticWearEngine};
-use nvpim_core::{EnduranceSimulator, SimConfig};
+use nvpim_core::{sweep, EnduranceSimulator, LifetimeModel, SimConfig};
 use nvpim_obs::Observer;
 use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::dot_product::DotProduct;
@@ -326,5 +330,101 @@ fn compiled_epoch_series_matches_step_replay_at_paper_dims() {
         assert_eq!(compiled.series.len(), 3, "{label}: 300 iterations / period 100");
         assert_eq!(compiled.series, replayed.series, "{label} {balance}: trajectories diverge");
         assert_same_wear(&compiled.wear, &replayed.wear, &format!("{label} {balance}"));
+    }
+}
+
+/// The counters an answer records, by name: `sim.*` and `array.*`.
+const ANSWER_COUNTERS: [&str; 6] = [
+    "sim.analytic_queries",
+    "sim.iterations",
+    "array.cell_writes",
+    "array.cell_reads",
+    "sim.lane_renders",
+    "sim.super_cycles_folded",
+];
+
+/// Asks fresh engines for `result_at(n)` and for the lifetime-only
+/// `max_writes_at(n)` at each of `queries`, and asserts both maxima equal
+/// step replay's, with the same counters recorded.
+fn assert_lifetime_query_matches(
+    label: &str,
+    wl: &Workload,
+    config: &str,
+    cfg: SimConfig,
+    queries: &[u64],
+) {
+    let balance: BalanceConfig = config.parse().unwrap();
+    for &n in queries {
+        let what = format!("{label} {config} at {n}");
+        let counters = |observer: &Observer| {
+            let snapshot = observer.snapshot();
+            ANSWER_COUNTERS
+                .map(|name| snapshot.counter(name).unwrap_or_else(|| panic!("{what}: {name}")))
+        };
+        let full = Observer::collecting();
+        let result = AnalyticWearEngine::new(wl, balance, cfg).result_at_with(n, &full);
+        let summary = Observer::collecting();
+        let max = AnalyticWearEngine::new(wl, balance, cfg).max_writes_at_with(n, &summary);
+        let want = step_replay(wl, balance, cfg.with_iterations(n)).max_writes();
+        assert_eq!(result.wear.max_writes(), want, "{what}: result_at");
+        assert_eq!(max, want, "{what}: max_writes_at");
+        assert_eq!(counters(&summary), counters(&full), "{what}: counters");
+    }
+}
+
+#[test]
+fn lifetime_only_query_matches_step_replay_at_paper_dims() {
+    // Remapped every 2 iterations, `Bs`-row configs have 128-epoch
+    // super-cycles of 256 iterations: 101 is walked and ends mid-epoch,
+    // and 302 folds one with a 46-iteration tail. mul32's walker keeps `St`
+    // lanes, so `St`-row configs fold 2-iteration super-cycles: 101 folds
+    // 50 with a tail that ends mid-epoch, and 302 folds 151 with none.
+    // `Ra`-row configs walk every epoch. mul32 has no partial class, so
+    // every answer comes straight from the stage, with no plane.
+    let wl = ParallelMul::new(dims(), 32).build();
+    let cfg = config().with_schedule(RemapSchedule::every(2));
+    for balance in BalanceConfig::all() {
+        let config = balance.to_string();
+        assert_lifetime_query_matches("mul32", &wl, &config, cfg, &[101, 302]);
+    }
+    // conv4x3w8 and dot1024x32 have partial classes, so the query renders
+    // into the walker's plane: `Ra` lanes render at each lane change
+    // before the answer, and `StxBs` stages one row phase per class that
+    // only the answer renders.
+    for (label, wl) in paper_workloads().iter().skip(1) {
+        for name in ["RaxRa", "RaxRa+Hw", "StxBs"] {
+            assert_lifetime_query_matches(label, wl, name, config(), &[250]);
+        }
+    }
+}
+
+#[test]
+fn lifetime_only_sweep_matches_the_simulated_sweep_at_paper_dims() {
+    // The §5 sweep (`repro sweep`): `RaxRa` on mul32 over the paper's
+    // periods, each point a lifetime-only query answered from the stage
+    // and compared bit for bit with the simulator's sweep. 330 iterations
+    // walk 33 epochs at period 10 and end mid-epoch at periods 50 and 100;
+    // the longer periods never remap.
+    let wl = ParallelMul::new(dims(), 32).build();
+    let balance: BalanceConfig = "RaxRa".parse().unwrap();
+    let base = config().with_iterations(330);
+    let model = LifetimeModel::mtj();
+    let periods = RemapSchedule::PAPER_SWEEP;
+    let simulated = sweep::remap_frequency_sweep_parallel(&wl, balance, base, model, &periods, 2);
+    let analytic = sweep::remap_frequency_sweep_analytic(&wl, balance, base, model, &periods, 2);
+    assert_eq!(analytic, simulated);
+    for (a, s) in analytic.iter().zip(&simulated) {
+        assert_eq!(
+            a.lifetime_iterations.to_bits(),
+            s.lifetime_iterations.to_bits(),
+            "{}",
+            a.period
+        );
+        assert_eq!(
+            a.improvement_vs_never.to_bits(),
+            s.improvement_vs_never.to_bits(),
+            "{}",
+            a.period
+        );
     }
 }

@@ -222,8 +222,14 @@ impl SimRequest {
                 validate_width(width)?;
                 let filter_rows = get_dim(&wl_doc, doc, "filter_rows", 4)?;
                 let filter_cols = get_dim(&wl_doc, doc, "filter_cols", 3)?;
-                if filter_rows == 0 || filter_cols == 0 {
+                if filter_cols == 0 {
                     return Err(RequestError::new("convolution filter must be non-empty"));
+                }
+                // Each filter row takes one lane of a group (`Convolution::new`).
+                if filter_rows < 2 || lanes % filter_rows != 0 {
+                    return Err(RequestError::new(
+                        "`filter_rows` must be at least 2 and divide the lane count",
+                    ));
                 }
                 WorkloadSpec::Conv { filter_rows, filter_cols, width }
             }
@@ -528,6 +534,8 @@ mod tests {
             (r#"{"workload": {"kind": "dot", "elements": 3}}"#, "power of two"),
             (r#"{"workload": {"kind": "dot", "elements": 128, "lanes": 64}}"#, "lane count"),
             (r#"{"workload": {"kind": "mul", "width": 1}}"#, "width"),
+            (r#"{"workload": {"kind": "conv", "filter_rows": 1}}"#, "`filter_rows`"),
+            (r#"{"workload": {"kind": "conv", "filter_rows": 3, "lanes": 64}}"#, "divide"),
             (r#"{"workload": "mul", "technology": "flash"}"#, "bad `technology`"),
             (r#"{"workload": "mul", "timeout_ms": 0}"#, "timeout_ms"),
             (r#"not json"#, "invalid JSON"),

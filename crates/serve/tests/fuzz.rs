@@ -4,9 +4,11 @@
 //! `read_request` must turn any byte stream into a request, a 400/413/431
 //! [`HttpError`] or an I/O error, and never panic. A request rendered from
 //! random fields must parse back to the same fields. A request's canonical
-//! JSON must parse back to the same request with the same cache key. A
-//! stream of distinct workload shapes must never push the workload memo
-//! past its byte bound.
+//! JSON must parse back to the same request with the same cache key, unless
+//! it names a convolution shape `Convolution::new` rejects, which must be
+//! refused. A stream of distinct workload shapes must never push the
+//! workload memo past its byte bound, and each invalid one among them must
+//! be refused before it is built.
 //! Failing cases print the seed that replays them (`PROPTEST_SEED`).
 
 use std::io::Cursor;
@@ -155,13 +157,25 @@ proptest! {
             technology: Technology::ALL[technology],
             timeout_ms: None,
         };
-        let parsed = SimRequest::from_json(&request.canonical_json()).expect("canonical form parses");
-        prop_assert_eq!(&parsed, &request);
-        let reparsed = SimRequest::from_str(&request.canonical_text()).expect("canonical text parses");
-        prop_assert_eq!(&reparsed, &request);
-        prop_assert_eq!(parsed.cache_key(), request.cache_key());
-        prop_assert_eq!(reparsed.cache_key(), request.cache_key());
-        prop_assert_eq!(reparsed.canonical_text(), request.canonical_text());
+        // A convolution whose filter rows cannot tile the lanes in groups
+        // of at least 2 is refused, in canonical form too.
+        let bad_conv = matches!(
+            request.workload,
+            WorkloadSpec::Conv { filter_rows, .. } if filter_rows < 2 || lanes % filter_rows != 0
+        );
+        if bad_conv {
+            prop_assert!(SimRequest::from_json(&request.canonical_json()).is_err());
+        } else {
+            let parsed =
+                SimRequest::from_json(&request.canonical_json()).expect("canonical form parses");
+            prop_assert_eq!(&parsed, &request);
+            let reparsed =
+                SimRequest::from_str(&request.canonical_text()).expect("canonical text parses");
+            prop_assert_eq!(&reparsed, &request);
+            prop_assert_eq!(parsed.cache_key(), request.cache_key());
+            prop_assert_eq!(reparsed.cache_key(), request.cache_key());
+            prop_assert_eq!(reparsed.canonical_text(), request.canonical_text());
+        }
     }
 }
 
@@ -170,36 +184,46 @@ proptest! {
 
     #[test]
     fn distinct_shapes_never_push_the_workload_memo_past_its_bound(
-        shapes in prop::collection::vec((0usize..3, 2usize..=16, 3u32..=6, 8u32..=10), 1..24),
+        shapes in prop::collection::vec(
+            (0usize..3, 2usize..=16, 3u32..=6, 8u32..=10, 1usize..=8),
+            1..24,
+        ),
     ) {
         // A bound of a few small workloads, so the stream evicts; mul16 and
         // up exceed it alone and must be served without being kept.
         const BOUND: usize = 192 << 10;
         let memo = WorkloadMemo::new(BOUND);
-        for (i, &(kind, width, log_lanes, log_rows)) in shapes.iter().enumerate() {
+        let mut served = 0u64;
+        for (i, &(kind, width, log_lanes, log_rows, filter_rows)) in shapes.iter().enumerate() {
             let workload = match kind {
                 0 => format!(r#"{{"kind": "mul", "width": {width}}}"#),
                 1 => format!(
-                    r#"{{"kind": "conv", "width": {}, "filter_rows": {}, "filter_cols": {}}}"#,
+                    r#"{{"kind": "conv", "width": {}, "filter_rows": {filter_rows}, "filter_cols": {}}}"#,
                     width.min(8),
-                    2 << (width % 2),
                     1 + width % 3
                 ),
                 _ => format!(r#"{{"kind": "bnn", "fan_in": {width}}}"#),
             };
+            let lanes = 1usize << log_lanes;
             let body = format!(
-                r#"{{"workload": {workload}, "rows": {}, "lanes": {}, "seed": {i}}}"#,
+                r#"{{"workload": {workload}, "rows": {}, "lanes": {lanes}, "seed": {i}}}"#,
                 1usize << log_rows,
-                1usize << log_lanes
             );
+            // A convolution needs groups of at least 2 lanes that tile the
+            // array; any other shape must be refused before it is built.
+            if kind == 1 && (filter_rows < 2 || lanes % filter_rows != 0) {
+                prop_assert!(SimRequest::from_str(&body).is_err(), "accepted {}", body);
+                continue;
+            }
             let request = SimRequest::from_str(&body).expect("valid request");
             let workload = memo.get(&request);
             let fresh = request.build_workload();
             prop_assert_eq!(workload.name(), fresh.name());
             prop_assert_eq!(workload.trace().steps(), fresh.trace().steps());
+            served += 1;
             let stats = memo.stats();
             prop_assert!(stats.bytes <= BOUND, "{} resident bytes over {BOUND}", stats.bytes);
-            prop_assert_eq!(stats.hits + stats.misses, i as u64 + 1);
+            prop_assert_eq!(stats.hits + stats.misses, served);
         }
     }
 }
