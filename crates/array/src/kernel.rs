@@ -206,6 +206,8 @@ pub struct WearKernel {
     slots: usize,
     slot_writes: Vec<Vec<u64>>,
     slot_reads: Option<Vec<Vec<u64>>>,
+    /// Per class, whether no step of the iteration writes it.
+    write_free: Vec<bool>,
     /// The end permutation `E` with its cycle decomposition, so per-epoch
     /// folds and advances are allocation-free.
     folder: PermFolder,
@@ -238,8 +240,9 @@ impl WearKernel {
         for panel in slot_writes.iter().chain(slot_reads.iter().flatten()) {
             assert_eq!(panel.len(), slots, "panel length must equal the slot count");
         }
+        let write_free = slot_writes.iter().map(|panel| panel.iter().all(|&d| d == 0)).collect();
         let folder = PermFolder::new(end);
-        WearKernel { slots, slot_writes, slot_reads, folder, redirects_per_iter }
+        WearKernel { slots, slot_writes, slot_reads, write_free, folder, redirects_per_iter }
     }
 
     /// Physical row count (arrangement length).
@@ -258,6 +261,13 @@ impl WearKernel {
     #[must_use]
     pub fn slot_writes(&self, class: usize) -> &[u64] {
         &self.slot_writes[class]
+    }
+
+    /// Whether one iteration writes nothing in `class`, so its epoch folds
+    /// of writes are all zero and can be skipped.
+    #[must_use]
+    pub fn is_write_free(&self, class: usize) -> bool {
+        self.write_free[class]
     }
 
     /// Per-slot read deltas of one iteration for `class`, if compiled with
@@ -456,10 +466,13 @@ mod tests {
 
     #[test]
     fn accessors_report_the_compiled_shape() {
-        let kernel = WearKernel::new(vec![vec![0; 4]], None, (0..4).collect(), 5);
+        let panels = vec![vec![0; 4], vec![0, 0, 2, 0]];
+        let kernel = WearKernel::new(panels, None, (0..4).collect(), 5);
         assert_eq!(kernel.redirects_per_iteration(), 5);
         assert_eq!(kernel.slots(), 4);
-        assert_eq!(kernel.classes(), 1);
+        assert_eq!(kernel.classes(), 2);
+        assert!(kernel.is_write_free(0));
+        assert!(!kernel.is_write_free(1));
     }
 
     #[test]

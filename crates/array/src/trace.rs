@@ -86,6 +86,16 @@ impl Step {
             Step::Read { .. } => None,
         }
     }
+
+    /// The lane class whose cells are *read* by this step, if any.
+    #[must_use]
+    pub fn read_class(&self) -> Option<ClassId> {
+        match *self {
+            Step::Read { class, .. } | Step::Gate { class, .. } => Some(class),
+            Step::Transfer { src_class, .. } => Some(src_class),
+            Step::Write { .. } => None,
+        }
+    }
 }
 
 /// Aggregate operation counts of a trace under a given architecture style.

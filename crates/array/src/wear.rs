@@ -74,6 +74,27 @@ impl WearMap {
         WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
     }
 
+    /// A zeroed map whose write plane is zeroed by writing it, so each page
+    /// is first touched by a write fault here instead of by a read fault
+    /// and then a copy-on-write fault in the first scattered add. Its sums
+    /// and carried maximum are those of [`WearMap::from_planes`] over the
+    /// same zeros, set without scanning them.
+    #[must_use]
+    pub fn prefaulted(dims: ArrayDims) -> Self {
+        // An opaque zero keeps the compiler from turning the fill into a
+        // zeroed allocation, which would leave the pages untouched.
+        let mut writes = Vec::with_capacity(dims.cells());
+        writes.resize(dims.cells(), std::hint::black_box(0));
+        WearMap {
+            dims,
+            writes,
+            reads: Vec::new(),
+            sum_writes: 0,
+            sum_reads: 0,
+            max_writes: Some(0),
+        }
+    }
+
     /// The dimensions this map covers.
     #[must_use]
     pub fn dims(&self) -> ArrayDims {
@@ -209,6 +230,40 @@ impl WearMap {
             added += weight;
         }
         *sum += count * added;
+    }
+
+    /// Adds `counts[g]` writes (or reads) at every lane of group `g` of
+    /// `row`, where group `g` is `lanes[ends[g - 1]..ends[g]]` (from 0 for
+    /// the first) — the render of disjoint lane lists that each take one
+    /// count, so a lane holding several classes is added to once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` and `counts` differ in length, or an end or a lane
+    /// is out of range.
+    pub fn add_row_groups(
+        &mut self,
+        row: usize,
+        lanes: &[u32],
+        ends: &[u32],
+        counts: &[u64],
+        reads: bool,
+    ) {
+        assert_eq!(ends.len(), counts.len(), "one count per lane group");
+        let (cells, sum) = self.row_plane(row, reads);
+        let (mut start, mut added) = (0, 0);
+        for (&end, &count) in ends.iter().zip(counts) {
+            let group = &lanes[start..end as usize];
+            start = end as usize;
+            if count == 0 {
+                continue;
+            }
+            for &lane in group {
+                cells[lane as usize] += count;
+            }
+            added += count * group.len() as u64;
+        }
+        *sum += added;
     }
 
     /// Adds `per_lane[l]` writes (or reads) at lane `l` of `row`, for
@@ -830,6 +885,43 @@ mod tests {
         untracked.add_full_rows(&rows_w, None);
         assert!(untracked.reads.is_empty());
         assert_eq!(untracked.max_writes(), 5);
+    }
+
+    #[test]
+    fn prefaulted_map_matches_a_zero_plane() {
+        let dims = ArrayDims::new(3, 5);
+        let map = WearMap::prefaulted(dims);
+        let planes = WearMap::from_planes(dims, vec![0; dims.cells()], Vec::new());
+        assert_eq!(map.max_writes, planes.max_writes);
+        assert_eq!(
+            (map.total_writes(), map.total_reads()),
+            (planes.total_writes(), planes.total_reads())
+        );
+        assert_eq!((map.recount_writes(), map.recount_max_writes()), (0, 0));
+        assert_eq!((map.writes.len(), map.reads.len()), (dims.cells(), 0));
+    }
+
+    #[test]
+    fn row_groups_match_row_list_adds() {
+        let dims = ArrayDims::new(2, 6);
+        let mut groups = WearMap::new(dims);
+        // Groups {4, 1}, {}, {0, 5}, {2} with counts 3, 9, 0, 7.
+        groups.add_row_groups(1, &[1, 4, 0, 5, 2], &[2, 2, 4, 5], &[3, 9, 0, 7], false);
+        groups.add_row_groups(0, &[3], &[1], &[2], true);
+        let mut lists = WearMap::new(dims);
+        lists.add_row_writes(1, &[1, 4], 3);
+        lists.add_row_writes(1, &[2], 7);
+        lists.add_row_reads(0, &[3], 2);
+        for row in 0..2 {
+            assert_eq!(groups.row_writes(row), lists.row_writes(row));
+            for lane in 0..6 {
+                assert_eq!(groups.reads_at(row, lane), lists.reads_at(row, lane));
+            }
+        }
+        assert_eq!(groups.total_writes(), groups.recount_writes());
+        assert_eq!(groups.total_reads(), groups.recount_reads());
+        assert_eq!((groups.total_writes(), groups.total_reads()), (13, 2));
+        assert_eq!(groups.max_writes, None, "a scattered add clears the carried max");
     }
 
     #[test]

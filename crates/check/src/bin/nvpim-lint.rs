@@ -13,7 +13,7 @@
 //!   --opt            print the writes-per-op optimization table
 //!   --json FILE      write the JSON findings report to FILE (`-` = stdout)
 //!   --manifest FILE  write a RunManifest artifact to FILE
-//!   --quiet          suppress the human-readable summary
+//!   --quiet          print the human-readable summary only with findings
 //! ```
 //!
 //! Exit status: 0 when clean, 1 when any pass produced a finding, 2 on
@@ -94,7 +94,7 @@ fn main() {
     if opt_table {
         print!("{}", render_opt_table(&rows));
     }
-    if !quiet {
+    if prints_summary(quiet, report.is_clean()) {
         print!("{}", report.render_summary());
     }
     if let Some(path) = &json_out {
@@ -129,6 +129,13 @@ fn main() {
     std::process::exit(i32::from(!report.is_clean()));
 }
 
+/// Whether the human-readable summary is printed: always, unless `--quiet`
+/// and the report is clean. A failing run prints its findings either way,
+/// so a quiet CI log that exits 1 still says why.
+fn prints_summary(quiet: bool, clean: bool) -> bool {
+    !(quiet && clean)
+}
+
 /// The value following `--flag VALUE`, if present.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|pos| {
@@ -159,6 +166,20 @@ Options:
   --opt            print the writes-per-op table (seed vs optimized)
   --json FILE      write the JSON findings report to FILE (`-` = stdout)
   --manifest FILE  write a RunManifest artifact to FILE
-  --quiet          suppress the human-readable summary
+  --quiet          print the human-readable summary only when there are
+                   findings
 
 Exit status: 0 clean, 1 findings, 2 usage error.";
+
+#[cfg(test)]
+mod tests {
+    use super::prints_summary;
+
+    #[test]
+    fn quiet_suppresses_only_a_clean_summary() {
+        assert!(prints_summary(false, true), "a clean summary prints without --quiet");
+        assert!(prints_summary(false, false), "findings print without --quiet");
+        assert!(!prints_summary(true, true), "--quiet suppresses a clean summary");
+        assert!(prints_summary(true, false), "--quiet still prints findings");
+    }
+}

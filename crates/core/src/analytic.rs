@@ -16,9 +16,11 @@
 //! trace's one kernel relabeled through the row table and folded (`+Hw`,
 //! see [`crate::kernel`]) — never a trace walk. Lanes render into the cell
 //! map once per answer for classes spanning every lane, and once per
-//! distinct lane set or row phase for partial classes
-//! (`kernel::RowAccumulator`; the walker picks the staging from the
-//! configuration, `kernel::LaneStage::of`). With no partial class the
+//! distinct lane set or row phase for partial classes; under `Ra` lanes,
+//! whose sets never repeat, the partial classes render once per batch of
+//! up to `kernel::LANE_BATCH` epochs, one add per lane of each lane
+//! signature (`kernel::RowAccumulator`; the walker picks the staging from
+//! the configuration, `kernel::LaneStage::of`). With no partial class the
 //! walker keeps `St` lanes, as lanes cannot affect wear.
 //!
 //! An answer is the walker's own cell plane with its stage rendered in
@@ -362,7 +364,7 @@ impl Walker {
             rows,
             row_period: match stage {
                 kernel::LaneStage::RowPhases { period } => Some(period),
-                kernel::LaneStage::LaneSets { .. } => None,
+                kernel::LaneStage::LaneSets { .. } | kernel::LaneStage::EpochBatches => None,
             },
             done: 0,
         }

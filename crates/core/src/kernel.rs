@@ -39,23 +39,27 @@
 //! deposits were booked under, or once per row phase from span-weighted
 //! lane counts ([`LaneStage`]). So `St` lanes render a partial class once
 //! per run, `Bs` lanes once per shifted lane set (once in all for a class
-//! the shift maps onto itself), and only `Ra` lanes under `+Hw` or `Ra`
-//! rows once per epoch. The analytic engine's epoch walker stages its
-//! epochs through the same accumulator.
+//! the shift maps onto itself). `Ra` lanes under `+Hw` or `Ra` rows draw a
+//! new lane set every epoch; they stage up to [`LANE_BATCH`] epochs and
+//! render the batch in one pass, with one add per lane of each lane
+//! signature instead of one per (class, lane). The analytic engine's epoch
+//! walker stages its epochs through the same accumulator.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nvpim_array::{ArchStyle, ArrayDims, PermFolder, Step, Trace, WearKernel, WearMap};
+use nvpim_array::{ArchStyle, ArrayDims, LaneSet, PermFolder, Step, Trace, WearKernel, WearMap};
 use nvpim_balance::{BalanceConfig, CombinedMap, HwRemapper, Strategy};
 
 use crate::artifacts::{self, ArtifactKind, Fingerprint, StoreCtx};
 use crate::sim::SimConfig;
 
 /// How a [`RowAccumulator`] stages its partial lane classes between
-/// renders. Both stages are exact because wear is
+/// renders. Every stage is exact because wear is
 /// `Σ_c Σ_e (T_e·v_c) ⊗ P_e(1_c)`: deposits booked under the same lane set
-/// share a row vector, and deposits booked under the same row table share
-/// a lane-count vector (DESIGN.md §"Lane staging").
+/// share a row vector, deposits booked under the same row table share a
+/// lane-count vector, and the classes holding the same lanes share one
+/// add per lane (DESIGN.md §"Lane staging").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LaneStage {
     /// Each partial class keys its staged row vector by its own sorted
@@ -66,7 +70,19 @@ pub(crate) enum LaneStage {
     /// (`epoch mod period`) at unit scale, and counts span-weighted lane
     /// occupancy per phase; it renders `v ⊗ counts` once per phase.
     RowPhases { period: u64 },
+    /// `Ra` lanes: each epoch keeps its own lane table and per-(row,
+    /// class) counts, up to [`LANE_BATCH`] epochs, and the batch renders
+    /// in one row-major pass, one add per lane of each lane signature
+    /// ([`EpochBatch`]).
+    EpochBatches,
 }
+
+/// Epochs a [`LaneStage::EpochBatches`] stage holds before it renders. A
+/// per-cell probe over the ten `Ra`-lane cells of conv4x3w8 and dot1024x32
+/// at 1024×1024 timed batches of 1, 4, 8, 16 and 32 epochs: time fell up
+/// to 16, and 32 gained 3% more at 1 000 epochs for twice the stage bytes
+/// (DESIGN.md §"Lane staging").
+pub(crate) const LANE_BATCH: usize = 16;
 
 /// Row phases a partial class may stage: one byte-shift period over the
 /// paper's 1024 rows. At 1024×1024 a phase costs 16 KiB (row vector and
@@ -84,14 +100,15 @@ impl LaneStage {
     ///   per class, whatever the lanes do), and `Ra` lanes under `Bs` rows
     ///   render once per phase instead of once per epoch, up to
     ///   [`MAX_STAGE_KEYS`] phases;
-    /// - otherwise lane-set keys: one key under `Ra` lanes, whose sets
-    ///   never repeat (so one render per lane-set change), and one per lane
-    ///   phase under `Bs` or `St` lanes. A class meets at most one lane set
-    ///   per lane phase, so such a stage never renders before it is read:
-    ///   a walked super-cycle is all stage, which the analytic fold needs.
+    /// - otherwise, under `Ra` lanes, whose sets never repeat, epoch
+    ///   batches: one render pass per [`LANE_BATCH`] epochs;
+    /// - otherwise lane-set keys, one per lane phase under `Bs` or `St`
+    ///   lanes. A class meets at most one lane set per lane phase, so such
+    ///   a stage never renders before it is read: a walked super-cycle is
+    ///   all stage, which the analytic fold needs.
     ///
-    /// Either staging is exact for any walk; the choice only sets how
-    /// often a class renders.
+    /// Every staging is exact for any walk; the choice only sets how
+    /// often and how a class renders.
     pub(crate) fn of(balance: BalanceConfig, dims: ArrayDims, cfg: &SimConfig) -> Self {
         let random_lanes = balance.col == Strategy::Random;
         let epochs = cfg.schedule.period().map_or(1, |p| cfg.iterations.div_ceil(p));
@@ -103,6 +120,7 @@ impl LaneStage {
             Some(period) if random_lanes && period <= MAX_STAGE_KEYS as u64 => {
                 LaneStage::RowPhases { period }
             }
+            _ if random_lanes => LaneStage::EpochBatches,
             _ => LaneStage::LaneSets {
                 keys: balance.col.epoch_period(dims.lanes()).map_or(1, |p| p as usize),
             },
@@ -161,6 +179,184 @@ fn lane_runs(lanes: &[usize]) -> Vec<(usize, usize)> {
     runs
 }
 
+/// The `Ra`-lane stage ([`LaneStage::EpochBatches`]): up to [`LANE_BATCH`]
+/// epochs, each booked under its own lane table, rendered in one
+/// row-major pass.
+///
+/// The logical lanes that the same partial classes hold form one
+/// *signature* (dot1024x32's nested prefix classes `[0, 2^k)` make ten,
+/// conv4x3w8's disjoint stride-4 classes one each); each epoch maps every
+/// signature through its permutation to a disjoint, ascending physical
+/// lane list. A booked class adds its row vector into its column of the
+/// epoch's counts, laid out so that one row's counts for the whole batch
+/// are contiguous. The render gives each signature, per row and epoch,
+/// the sum of the counts of the classes holding it, and adds that once per
+/// lane of its list: the same u64 sum as one add per (class, lane),
+/// reordered, with one add per lane.
+#[derive(Debug)]
+struct EpochBatch {
+    /// The write counts, then the read counts.
+    planes: [BatchPlane; 2],
+    /// Signature `s` holds logical lanes `logical[ends[s - 1]..ends[s]]`
+    /// (from 0 for the first).
+    logical: Vec<u32>,
+    ends: Vec<u32>,
+    /// Each staged epoch's signatures as physical lanes, ascending within
+    /// each signature: `logical.len()` per epoch.
+    lanes: Vec<u32>,
+    /// Epochs staged, and whether the last still takes deposits (its lane
+    /// table is the current one).
+    staged: usize,
+    open: bool,
+    /// Per (staged epoch, partial class), at `epoch × classes + class`:
+    /// whether the class deposited, one (class, lane table) render each.
+    deposited: Vec<bool>,
+    classes: usize,
+    /// Render scratch: one entry per signature.
+    palette: Vec<u64>,
+}
+
+/// One plane's columns and counts in an [`EpochBatch`].
+#[derive(Debug, Default)]
+struct BatchPlane {
+    /// Partial class → its column, when it deposits in this plane.
+    column: Vec<Option<usize>>,
+    /// Columns per (row, epoch).
+    width: usize,
+    /// Per signature, the columns of the classes holding it.
+    signature_columns: Vec<Vec<usize>>,
+    /// Counts at `(row × LANE_BATCH + epoch) × width + column`.
+    counts: Vec<u64>,
+}
+
+impl EpochBatch {
+    /// The stage for the trace's partial classes, in trace order: a class
+    /// takes a write column if some step writes it, and a read column if
+    /// some step reads it and reads are tracked.
+    fn new(trace: &Trace, track_reads: bool) -> Self {
+        let (rows, lanes) = (trace.dims().rows(), trace.dims().lanes());
+        let mut deposits = [vec![false; trace.classes().len()], vec![false; trace.classes().len()]];
+        for step in trace.steps() {
+            if let Some(class) = step.written_class() {
+                deposits[0][class] = true;
+            }
+            if let Some(class) = step.read_class().filter(|_| track_reads) {
+                deposits[1][class] = true;
+            }
+        }
+        let partial: Vec<(usize, &LaneSet)> =
+            trace.classes().iter().enumerate().filter(|(_, c)| c.count() < lanes).collect();
+        let mut planes = deposits.map(|deposits| {
+            let mut plane = BatchPlane::default();
+            for &(class, _) in &partial {
+                plane.column.push(deposits[class].then_some(plane.width));
+                plane.width += usize::from(deposits[class]);
+            }
+            plane.counts = vec![0; rows * LANE_BATCH * plane.width];
+            plane
+        });
+        // Each lane's signature: the depositing partial classes holding it.
+        let mut holders: Vec<Vec<usize>> = vec![Vec::new(); lanes];
+        for (p, (_, set)) in partial.iter().enumerate() {
+            if planes.iter().any(|plane| plane.column[p].is_some()) {
+                for lane in set.iter() {
+                    holders[lane].push(p);
+                }
+            }
+        }
+        let mut signatures: BTreeMap<&[usize], Vec<u32>> = BTreeMap::new();
+        for (lane, classes) in holders.iter().enumerate().filter(|(_, c)| !c.is_empty()) {
+            signatures.entry(classes).or_default().push(lane as u32);
+        }
+        let (mut logical, mut ends) = (Vec::new(), Vec::new());
+        for (classes, lanes) in signatures {
+            logical.extend(lanes);
+            ends.push(logical.len() as u32);
+            for plane in &mut planes {
+                let columns = classes.iter().filter_map(|&p| plane.column[p]).collect();
+                plane.signature_columns.push(columns);
+            }
+        }
+        EpochBatch {
+            planes,
+            palette: vec![0; ends.len()],
+            lanes: Vec::with_capacity(LANE_BATCH * logical.len()),
+            logical,
+            ends,
+            staged: 0,
+            open: false,
+            deposited: vec![false; LANE_BATCH * partial.len()],
+            classes: partial.len(),
+        }
+    }
+
+    /// Starts staging an epoch under lane permutation `perm`.
+    fn open_epoch(&mut self, perm: &[usize]) {
+        debug_assert!(self.staged < LANE_BATCH, "a full batch renders before it opens an epoch");
+        let start = self.lanes.len();
+        self.lanes.extend(self.logical.iter().map(|&lane| perm[lane as usize] as u32));
+        let mut from = start;
+        for &end in &self.ends {
+            let to = start + end as usize;
+            // Ascending lanes walk each row front to back when rendered.
+            self.lanes[from..to].sort_unstable();
+            from = to;
+        }
+        self.staged += 1;
+        self.open = true;
+    }
+
+    /// Adds `deltas[i] × scale` to partial class `p`'s count at physical
+    /// row `rows[i]` in the open epoch (writes, or reads when `reads`).
+    fn book(&mut self, p: usize, rows: &[usize], deltas: &[u64], scale: u64, reads: bool) {
+        let plane = &mut self.planes[usize::from(reads)];
+        let Some(column) = plane.column[p] else {
+            debug_assert!(deltas.iter().all(|&d| d == 0), "a class no step touches deposited");
+            return;
+        };
+        assert!(self.open, "an epoch booked before its lane table was set");
+        let epoch = self.staged - 1;
+        let mut any = false;
+        for (&row, &delta) in rows.iter().zip(deltas) {
+            plane.counts[(row * LANE_BATCH + epoch) * plane.width + column] += delta * scale;
+            any |= delta > 0;
+        }
+        self.deposited[epoch * self.classes + p] |= any;
+    }
+
+    /// Whether a staged epoch holds a deposit.
+    fn holds_deposits(&self) -> bool {
+        self.deposited.iter().any(|&d| d)
+    }
+
+    /// Renders every staged epoch into `wear` in one row-major pass per
+    /// plane and empties the batch; returns its (class, lane table)
+    /// renders.
+    fn render(&mut self, wear: &mut WearMap) -> u64 {
+        let epoch_lanes = self.logical.len();
+        for (reads, plane) in self.planes.iter_mut().enumerate().filter(|(_, p)| p.width > 0) {
+            let width = plane.width;
+            for (row, block) in plane.counts.chunks_exact_mut(LANE_BATCH * width).enumerate() {
+                let epochs = block[..self.staged * width].chunks_exact_mut(width);
+                for (epoch, counts) in epochs.enumerate().filter(|(_, c)| c.iter().any(|&c| c > 0))
+                {
+                    for (entry, columns) in self.palette.iter_mut().zip(&plane.signature_columns) {
+                        *entry = columns.iter().map(|&c| counts[c]).sum();
+                    }
+                    let lanes = &self.lanes[epoch * epoch_lanes..][..epoch_lanes];
+                    wear.add_row_groups(row, lanes, &self.ends, &self.palette, reads == 1);
+                    counts.fill(0);
+                }
+            }
+        }
+        self.lanes.clear();
+        (self.staged, self.open) = (0, false);
+        let renders = self.deposited.iter().filter(|&&d| d).count() as u64;
+        self.deposited.fill(false);
+        renders
+    }
+}
+
 /// FNV-1a over a sorted lane set.
 fn lane_set_key(lanes: &[usize]) -> u64 {
     lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &lane| {
@@ -180,7 +376,9 @@ fn lane_set_key(lanes: &[usize]) -> u64 {
 /// [`RowAccumulator::finish`]), however many permutations its deposits
 /// were booked under. A partial class stages per [`LaneStage`] key — its
 /// lane set, or the row phase — and each (class, key) renders once, at a
-/// read or when a class runs out of keys. Every render is one row-major
+/// read or when a class runs out of keys. Under `Ra` lanes the partial
+/// classes stage whole epochs instead, up to [`LANE_BATCH`] of them, and
+/// render them together ([`EpochBatch`]). Every render is one row-major
 /// pass over the plane through the wear map's own adders, so its running
 /// sums (and every conservation assert built on them) stay exact.
 #[derive(Debug)]
@@ -192,8 +390,11 @@ pub(crate) struct RowAccumulator {
     full_writes: Vec<u64>,
     full_reads: Option<Vec<u64>>,
     partial: Vec<PartialClass>,
-    /// The lane permutation the partial classes' `lanes` were resolved
-    /// under.
+    /// The partial classes' epochs under [`LaneStage::EpochBatches`], which
+    /// keeps no per-class slots.
+    batch: Option<EpochBatch>,
+    /// The lane permutation the partial classes' `lanes` (or the open
+    /// batch epoch's lane table) were resolved under.
     perm: Vec<usize>,
     /// The current epoch's row phase and span (row-phase staging).
     phase: u64,
@@ -232,12 +433,14 @@ impl RowAccumulator {
                 bucket.push(partial.len());
             }
         }
+        let batch = (stage == LaneStage::EpochBatches).then(|| EpochBatch::new(trace, track_reads));
         RowAccumulator {
             stage,
             bucket,
             full_writes: vec![0; rows],
             full_reads: track_reads.then(|| vec![0; rows]),
             partial,
+            batch,
             perm: Vec::new(),
             phase: 0,
             span: 0,
@@ -251,20 +454,12 @@ impl RowAccumulator {
     }
 
     /// A zeroed cumulative map for this stage's partial classes to render
-    /// into, its write plane zeroed by writing it, so each page is first
-    /// touched by a write fault here instead of by a read fault and then a
-    /// copy-on-write fault in the first render (DESIGN.md §"Answers take
-    /// the walker's plane"). `None` without partial classes: nothing
-    /// renders before the answer, which allocates its plane then.
+    /// into, its pages faulted in by writing them ([`WearMap::prefaulted`];
+    /// DESIGN.md §"Answers take the walker's plane"). `None` without
+    /// partial classes: nothing renders before the answer, which allocates
+    /// its plane then.
     pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> Option<WearMap> {
-        if self.partial.is_empty() {
-            return None;
-        }
-        // An opaque zero keeps the compiler from turning the fill into a
-        // zeroed allocation, which would leave the pages untouched.
-        let mut writes = Vec::with_capacity(dims.cells());
-        writes.resize(dims.cells(), std::hint::black_box(0));
-        Some(WearMap::from_planes(dims, writes, Vec::new()))
+        (!self.partial.is_empty()).then(|| WearMap::prefaulted(dims))
     }
 
     /// The full-lane bucket's staged row writes (and reads), when they hold
@@ -273,7 +468,8 @@ impl RowAccumulator {
     /// so a lifetime-only answer reads its hottest cell and totals here,
     /// with no cell plane.
     pub(crate) fn full_lane_rows(&self) -> Option<(&[u64], Option<&[u64]>)> {
-        let staged = self.partial.iter().any(|c| !c.slots.is_empty());
+        let staged = self.partial.iter().any(|c| !c.slots.is_empty())
+            || self.batch.as_ref().is_some_and(EpochBatch::holds_deposits);
         (self.lane_renders == 0 && !staged)
             .then(|| (&self.full_writes[..], self.full_reads.as_deref()))
     }
@@ -298,16 +494,33 @@ impl RowAccumulator {
     }
 
     /// Declares the lane permutation the next deposits are booked under
-    /// (lane-set staging). Each partial class's deposits go to the slot
-    /// keyed by its new physical lane set; if a class has no such slot and
-    /// already holds its `keys`, every staged partial class renders into
-    /// `wear` first.
+    /// (lane-set staging or epoch batches). Under lane-set keys each
+    /// partial class's deposits go to the slot keyed by its new physical
+    /// lane set; if a class has no such slot and already holds its `keys`,
+    /// every staged partial class renders into `wear` first. Under epoch
+    /// batches a new permutation (or a first epoch after a render) opens
+    /// an epoch, rendering a full batch into `wear` first.
     ///
     /// # Panics
     ///
     /// Panics if the stage must render and `wear` is `None` (a walker with
     /// no plane yet).
     pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: Option<&mut WearMap>) {
+        if let Some(batch) = &mut self.batch {
+            if self.perm != perm {
+                self.perm.clear();
+                self.perm.extend_from_slice(perm);
+                batch.open = false;
+            }
+            if !batch.open {
+                if batch.staged == LANE_BATCH {
+                    let wear = wear.expect("a partial class rendered before its plane existed");
+                    self.lane_renders += batch.render(wear);
+                }
+                batch.open_epoch(&self.perm);
+            }
+            return;
+        }
         let LaneStage::LaneSets { keys } = self.stage else {
             unreachable!("set_lanes under row-phase staging");
         };
@@ -366,6 +579,10 @@ impl RowAccumulator {
             for (&row, &delta) in rows.iter().zip(deltas) {
                 staged[row] += delta * scale;
             }
+            return;
+        }
+        if let Some(batch) = &mut self.batch {
+            batch.book(bucket - 1, rows, deltas, scale, reads);
             return;
         }
         let phased = matches!(self.stage, LaneStage::RowPhases { .. });
@@ -439,8 +656,10 @@ impl RowAccumulator {
         relabeled.push(start[spare]);
         let mut totals = std::mem::take(&mut self.totals);
         for class in 0..kernel.classes() {
-            kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut totals);
-            self.book(class, &relabeled, &totals, 1, false);
+            if !kernel.is_write_free(class) {
+                kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut totals);
+                self.book(class, &relabeled, &totals, 1, false);
+            }
             if let Some(reads) = kernel.slot_reads(class) {
                 kernel.fold_epoch_into(span, reads, &mut totals);
                 self.book(class, &relabeled, &totals, 1, true);
@@ -497,8 +716,10 @@ impl RowAccumulator {
     /// staged vectors) for any `k`; nothing renders until
     /// [`RowAccumulator::finish`].
     pub(crate) fn fold_cycles(&mut self, cycle: &RowAccumulator, f: &PermFolder, k: u64) {
-        // A stage that rendered a key has wear outside its vectors.
+        // A stage that rendered a key has wear outside its vectors; `Ra`
+        // lanes have no super-cycle.
         assert_eq!(self.lane_renders + cycle.lane_renders, 0, "a folded stage rendered early");
+        assert!(self.batch.is_none(), "epoch batches do not fold");
         let rows = self.full_writes.len();
         let sources: Vec<&Vec<u64>> = cycle.scaled_rows().collect();
         let fk = f.power(k);
@@ -570,10 +791,14 @@ impl RowAccumulator {
     }
 
     /// Renders every staged (class, key) into `wear` and empties the
-    /// partial stage: lane-set keys in one row-major pass, so each cell row
-    /// is rendered while it is cache-resident; row phases in one row-major
-    /// pass per phase, so each pass's lane weights stay cache-resident too.
+    /// partial stage: lane-set keys and epoch batches in one row-major
+    /// pass, so each cell row is rendered while it is cache-resident; row
+    /// phases in one row-major pass per phase, so each pass's lane weights
+    /// stay cache-resident too.
     fn render_partial(&mut self, wear: &mut WearMap) {
+        if let Some(batch) = &mut self.batch {
+            self.lane_renders += batch.render(wear);
+        }
         let mut slots: Vec<Slot> = Vec::new();
         for class in &mut self.partial {
             class.current = None;
@@ -752,4 +977,132 @@ fn compile(trace: &Trace, arch: ArchStyle, track_reads: bool) -> WearKernel {
     }
     let redirects = sym.redirects();
     WearKernel::new(slot_writes, slot_reads, sym.arrangement(), redirects)
+}
+
+#[cfg(test)]
+mod tests {
+    use nvpim_workloads::convolution::Convolution;
+    use nvpim_workloads::dot_product::DotProduct;
+
+    use super::*;
+
+    /// A xorshift stream for lane and row tables and deltas.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn permutation(&mut self, n: usize) -> Vec<usize> {
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, self.below(i + 1));
+            }
+            perm
+        }
+    }
+
+    /// Books `epochs` epochs of random lane and row tables and sparse
+    /// deltas (writes and reads) into an epoch-batch stage, and renders
+    /// each (class, epoch) booking straight into a reference map, lane by
+    /// lane. Epoch 5 keeps epoch 4's lane table, so it books into the same
+    /// staged epoch, and the stage is flushed after epoch 20, mid-batch.
+    /// The rendered stage must equal the reference cell for cell, keep
+    /// exact running sums, and count one render per (class, lane table)
+    /// with deposits.
+    fn assert_batches_match_per_slot_renders(trace: &Trace, epochs: usize) {
+        let dims = trace.dims();
+        let mut written = vec![false; trace.classes().len()];
+        let mut read = vec![false; trace.classes().len()];
+        for step in trace.steps() {
+            if let Some(class) = step.written_class() {
+                written[class] = true;
+            }
+            if let Some(class) = step.read_class() {
+                read[class] = true;
+            }
+        }
+        let mut stream = Stream(0x5eed_ba7c);
+        let mut stage = RowAccumulator::new(trace, true, LaneStage::EpochBatches);
+        let mut wear = stage.zeroed_map(dims).expect("partial classes render");
+        let mut want = WearMap::new(dims);
+        let (mut tables, mut renders) = (0, std::collections::BTreeSet::new());
+        let mut perm = Vec::new();
+        for epoch in 0..epochs {
+            if epoch != 5 {
+                perm = stream.permutation(dims.lanes());
+                tables += 1;
+            }
+            stage.set_lanes(&perm, Some(&mut wear));
+            let rows = stream.permutation(dims.rows());
+            let scale = 1 + stream.below(4) as u64;
+            for (class, set) in trace.classes().iter().enumerate() {
+                for (reads, deposits) in [(false, written[class]), (true, read[class])] {
+                    let deltas: Vec<u64> = (0..dims.rows())
+                        .map(|_| {
+                            if deposits && stream.below(3) == 0 {
+                                stream.below(5) as u64
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                    stage.book(class, &rows, &deltas, scale, reads);
+                    let lanes: Vec<usize> = set.iter().map(|l| perm[l]).collect();
+                    for (&row, &delta) in rows.iter().zip(&deltas).filter(|(_, &d)| d > 0) {
+                        if reads {
+                            want.add_row_reads(row, &lanes, delta * scale);
+                        } else {
+                            want.add_row_writes(row, &lanes, delta * scale);
+                        }
+                    }
+                    if set.count() < dims.lanes() && deltas.iter().any(|&d| d > 0) {
+                        renders.insert((class, tables));
+                    }
+                }
+            }
+            if epoch == 20 {
+                stage.flush(&mut wear);
+            }
+        }
+        assert_eq!(stage.finish(&mut wear), renders.len() as u64, "one render per (class, table)");
+        for row in 0..dims.rows() {
+            assert_eq!(wear.row_writes(row), want.row_writes(row), "writes of row {row}");
+            for lane in 0..dims.lanes() {
+                assert_eq!(
+                    wear.reads_at(row, lane),
+                    want.reads_at(row, lane),
+                    "reads ({row},{lane})"
+                );
+            }
+        }
+        assert_eq!(wear.total_writes(), wear.recount_writes());
+        assert_eq!(wear.total_reads(), wear.recount_reads());
+        assert_eq!(
+            (wear.total_writes(), wear.total_reads()),
+            (want.total_writes(), want.total_reads())
+        );
+        assert_eq!(wear.max_writes(), wear.recount_max_writes());
+    }
+
+    #[test]
+    fn batched_renders_match_per_slot_renders_for_nested_classes() {
+        // dot-104x24 over 16 elements: nested prefix classes [0, 2^k),
+        // the senders [2^k, 2^(k+1)) that are only read, and lanes 16..24
+        // that only the full-lane class holds. 37 epochs fill two batches
+        // and end in a partial one.
+        let wl = DotProduct::new(ArrayDims::new(104, 24), 16, 8).build();
+        assert_batches_match_per_slot_renders(wl.trace(), 37);
+    }
+
+    #[test]
+    fn batched_renders_match_per_slot_renders_for_disjoint_classes() {
+        // conv-640x16: four disjoint stride-4 classes, one written.
+        let wl = Convolution::new(ArrayDims::new(640, 16), 4, 3, 8).build();
+        assert_batches_match_per_slot_renders(wl.trace(), 37);
+    }
 }

@@ -21,7 +21,10 @@
 //! query after a flush and a restart from the seed. Remapping every
 //! iteration wraps the 128 byte-shift lane sets and row phases, and 250
 //! iterations end on a short epoch that weights the lane counts by its
-//! span. The lifetime-only query (`max_writes_at`) must return step
+//! span. Under `Ra` lanes, 255 iterations remapped every 10 stage one full
+//! batch of 16 epochs and end in a partial batch with a mid-epoch tail, on
+//! the analytic walker and the simulator's compiled `+Hw` path, with one
+//! lane render per (written class, epoch). The lifetime-only query (`max_writes_at`) must return step
 //! replay's maximum and `result_at`'s counters on every mul32 config, where
 //! it reads the stage, and on conv/dot, where it renders, and the §5 sweep
 //! built on it must equal the simulator's bit for bit. `scripts/ci.sh` runs
@@ -235,6 +238,41 @@ fn written_partial_classes(wl: &Workload) -> u64 {
     }
     let partial = trace.classes().iter().map(|c| c.count() < dims().lanes());
     partial.zip(written).filter(|&(p, w)| p && w).count() as u64
+}
+
+#[test]
+fn ra_lane_epoch_batches_match_step_replay_at_paper_dims() {
+    // Remapped every 10 iterations, 255 iterations walk 26 epochs: under
+    // `Ra` lanes a full batch of 16 staged epochs, then a partial batch of
+    // 10 whose last epoch ends mid-epoch after 5 iterations. Every epoch
+    // draws a new lane table, so each written partial class renders once
+    // per epoch, batched or not: 26 renders for conv4x3w8's one written
+    // class and 260 for dot1024x32's ten nested ones, on the analytic
+    // walker and on the simulator's compiled `+Hw` path alike.
+    let n = 255;
+    let cfg = config().with_iterations(n).with_schedule(RemapSchedule::every(10));
+    for (label, wl) in paper_workloads().iter().skip(1) {
+        let per_epoch = written_partial_classes(wl) * n.div_ceil(10);
+        for config in ["RaxRa", "RaxRa+Hw", "BsxRa", "StxRa+Hw"] {
+            let balance: BalanceConfig = config.parse().unwrap();
+            let what = format!("{label} {config} at {n}");
+            let want = step_replay(wl, balance, cfg);
+            let mut engine = AnalyticWearEngine::new(wl, balance, cfg);
+            assert_eq!(engine.path(), AnalyticPath::Lazy, "{what}");
+            let observer = Observer::collecting();
+            assert_same_wear(&engine.wear_at_with(n, &observer), &want, &what);
+            let renders = observer.snapshot().counter("sim.lane_renders");
+            assert_eq!(renders, Some(per_epoch), "{what}: lane renders");
+            if balance.hw {
+                let what = format!("{what} (simulator)");
+                let observer = Observer::collecting();
+                let run = EnduranceSimulator::new(cfg).run_with(wl, balance, &observer);
+                assert_same_wear(&run.wear, &want, &what);
+                let renders = observer.snapshot().counter("sim.lane_renders");
+                assert_eq!(renders, Some(per_epoch), "{what}: lane renders");
+            }
+        }
+    }
 }
 
 #[test]
