@@ -6,9 +6,73 @@
 //! replays it under a load-balancing [`crate::AddressMap`], and
 //! [`crate::PimArray`] replays it functionally to verify correctness.
 
+use std::sync::OnceLock;
+
 use nvpim_logic::GateKind;
 
 use crate::{ArchStyle, ArrayDims, LaneSet};
+
+/// 128-bit FNV-1a offset basis.
+const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+/// 128-bit FNV-1a prime.
+const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+
+/// Incremental 128-bit FNV-1a-style hasher: the one behind
+/// [`Trace::fingerprint`] and every content key derived from it.
+///
+/// Words fold in one multiply each (not byte-at-a-time FNV): keys are
+/// word-heavy — trace steps above all — so the 8× fewer multiplies
+/// matter. Fingerprints are process-internal content addresses; only
+/// determinism and spread are required, not FNV test-vector compliance.
+#[derive(Debug, Clone)]
+pub struct Fnv128(u128);
+
+impl Default for Fnv128 {
+    fn default() -> Self {
+        Fnv128(FNV_OFFSET)
+    }
+}
+
+impl Fnv128 {
+    /// A hasher at the offset basis.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one byte.
+    pub fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ u128::from(b)).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Folds one 64-bit word.
+    pub fn u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ u128::from(v)).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Folds a `usize` as a 64-bit word.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    /// Folds a flag as one byte.
+    pub fn bool(&mut self, v: bool) {
+        self.byte(u8::from(v));
+    }
+
+    /// Folds a 128-bit value (an earlier digest) as its low, then high,
+    /// 64-bit word.
+    pub fn u128(&mut self, v: u128) {
+        self.u64(v as u64);
+        self.u64((v >> 64) as u64);
+    }
+
+    /// The digest so far.
+    #[must_use]
+    pub fn finish(&self) -> u128 {
+        self.0
+    }
+}
 
 /// Index into a trace's table of lane activity classes.
 pub type ClassId = usize;
@@ -113,7 +177,40 @@ pub struct TraceCounts {
     pub weighted_active_lanes: f64,
 }
 
+/// The architecture styles in [`Trace::counts`]' memo order.
+const ARCHES: [ArchStyle; 2] = [ArchStyle::SenseAmp, ArchStyle::PresetOutput];
+
+fn arch_slot(arch: ArchStyle) -> usize {
+    match arch {
+        ArchStyle::SenseAmp => 0,
+        ArchStyle::PresetOutput => 1,
+    }
+}
+
+/// A trace's static facts, each derived by one O(steps) walk on first use
+/// and kept until the trace changes.
+#[derive(Debug, Clone, Default)]
+struct Facts {
+    /// [`TraceCounts`] under each of [`ARCHES`].
+    counts: OnceLock<[TraceCounts; 2]>,
+    /// The content fingerprint.
+    fingerprint: OnceLock<u128>,
+}
+
+impl Facts {
+    fn reset(&mut self) {
+        self.counts.take();
+        self.fingerprint.take();
+    }
+}
+
 /// One workload iteration as a physical operation stream.
+///
+/// Its static facts — [`Trace::counts`] and [`Trace::fingerprint`] — are
+/// derived on first use and memoized, so every engine built on one trace
+/// after the first reads them in O(1). [`Trace::add_class`] and
+/// [`Trace::push`] reset them, which during synthesis, before anything
+/// was derived, only clears an empty memo.
 ///
 /// # Examples
 ///
@@ -136,13 +233,21 @@ pub struct Trace {
     steps: Vec<Step>,
     rows_used: usize,
     num_inputs: usize,
+    facts: Facts,
 }
 
 impl Trace {
     /// An empty trace over the given array dimensions.
     #[must_use]
     pub fn new(dims: ArrayDims) -> Self {
-        Trace { dims, classes: Vec::new(), steps: Vec::new(), rows_used: 0, num_inputs: 0 }
+        Trace {
+            dims,
+            classes: Vec::new(),
+            steps: Vec::new(),
+            rows_used: 0,
+            num_inputs: 0,
+            facts: Facts::default(),
+        }
     }
 
     /// Array dimensions the trace targets.
@@ -159,6 +264,7 @@ impl Trace {
     /// Panics if the set's universe does not match the array's lane count.
     pub fn add_class(&mut self, lanes: LaneSet) -> ClassId {
         assert_eq!(lanes.lanes(), self.dims.lanes(), "class universe mismatch");
+        self.facts.reset();
         self.classes.push(lanes);
         self.classes.len() - 1
     }
@@ -214,6 +320,7 @@ impl Trace {
                 );
             }
         }
+        self.facts.reset();
         self.steps.push(step);
     }
 
@@ -246,43 +353,132 @@ impl Trace {
     }
 
     /// Aggregate operation counts under the given architecture style.
+    /// O(1) after the first call on an unchanged trace: one walk fills in
+    /// the counts for both styles (see [`Trace::recount_counts`]).
     #[must_use]
     pub fn counts(&self, arch: ArchStyle) -> TraceCounts {
-        let mut c = TraceCounts::default();
+        self.facts.counts.get_or_init(|| self.walk_counts())[arch_slot(arch)]
+    }
+
+    /// Aggregate operation counts recomputed by walking every step — the
+    /// O(steps) reference the memoized [`Trace::counts`] must always agree
+    /// with, bit for bit. Exposed for the conservation checker.
+    #[must_use]
+    pub fn recount_counts(&self, arch: ArchStyle) -> TraceCounts {
+        self.walk_counts()[arch_slot(arch)]
+    }
+
+    /// One step walk tallying the counts under every style of [`ARCHES`].
+    /// Each style's tally sees the same additions in the same order as a
+    /// walk for that style alone.
+    fn walk_counts(&self) -> [TraceCounts; 2] {
+        let mut both = [TraceCounts::default(); 2];
         for step in &self.steps {
-            match *step {
-                Step::Write { class, .. } => {
-                    let n = self.classes[class].count() as u64;
-                    c.sequential_steps += 1;
-                    c.cell_writes += n;
-                    c.weighted_active_lanes += n as f64;
-                }
-                Step::Read { class, .. } => {
-                    let n = self.classes[class].count() as u64;
-                    c.sequential_steps += 1;
-                    c.cell_reads += n;
-                    c.weighted_active_lanes += n as f64;
-                }
-                Step::Gate { kind, class, .. } => {
-                    let n = self.classes[class].count() as u64;
-                    let steps = arch.steps_per_gate();
-                    c.sequential_steps += steps;
-                    c.cell_writes += arch.writes_per_gate() * n;
-                    c.cell_reads += u64::from(kind.arity()) * n;
-                    c.gate_ops += 1;
-                    c.weighted_active_lanes += (steps * n) as f64;
-                }
-                Step::Transfer { src_class, dst_class, .. } => {
-                    let ns = self.classes[src_class].count() as u64;
-                    let nd = self.classes[dst_class].count() as u64;
-                    c.sequential_steps += 2;
-                    c.cell_reads += ns;
-                    c.cell_writes += nd;
-                    c.weighted_active_lanes += (ns + nd) as f64;
+            for (c, arch) in both.iter_mut().zip(ARCHES) {
+                match *step {
+                    Step::Write { class, .. } => {
+                        let n = self.classes[class].count() as u64;
+                        c.sequential_steps += 1;
+                        c.cell_writes += n;
+                        c.weighted_active_lanes += n as f64;
+                    }
+                    Step::Read { class, .. } => {
+                        let n = self.classes[class].count() as u64;
+                        c.sequential_steps += 1;
+                        c.cell_reads += n;
+                        c.weighted_active_lanes += n as f64;
+                    }
+                    Step::Gate { kind, class, .. } => {
+                        let n = self.classes[class].count() as u64;
+                        let steps = arch.steps_per_gate();
+                        c.sequential_steps += steps;
+                        c.cell_writes += arch.writes_per_gate() * n;
+                        c.cell_reads += u64::from(kind.arity()) * n;
+                        c.gate_ops += 1;
+                        c.weighted_active_lanes += (steps * n) as f64;
+                    }
+                    Step::Transfer { src_class, dst_class, .. } => {
+                        let ns = self.classes[src_class].count() as u64;
+                        let nd = self.classes[dst_class].count() as u64;
+                        c.sequential_steps += 2;
+                        c.cell_reads += ns;
+                        c.cell_writes += nd;
+                        c.weighted_active_lanes += (ns + nd) as f64;
+                    }
                 }
             }
         }
-        c
+        both
+    }
+
+    /// A 128-bit fingerprint of the trace's *content*: dimensions, lane
+    /// classes, input arity, and every step in order. Two traces built
+    /// independently but with identical content share one fingerprint,
+    /// which content-addressed stores key on. O(1) after the first call on
+    /// an unchanged trace.
+    #[must_use]
+    pub fn fingerprint(&self) -> u128 {
+        *self.facts.fingerprint.get_or_init(|| self.recount_fingerprint())
+    }
+
+    /// The fingerprint recomputed by hashing every class and step — the
+    /// O(steps + class lanes) reference the memoized [`Trace::fingerprint`]
+    /// must always agree with. Exposed for the conservation checker.
+    #[must_use]
+    pub fn recount_fingerprint(&self) -> u128 {
+        let mut h = Fnv128::new();
+        h.usize(self.dims.rows());
+        h.usize(self.dims.lanes());
+        h.usize(self.rows_used);
+        h.usize(self.num_inputs);
+        h.usize(self.classes.len());
+        for class in &self.classes {
+            h.usize(class.count());
+            for lane in class.iter() {
+                h.usize(lane);
+            }
+        }
+        h.usize(self.steps.len());
+        for step in &self.steps {
+            match *step {
+                Step::Write { row, class, source } => {
+                    h.byte(1);
+                    h.usize(row);
+                    h.usize(class);
+                    match source {
+                        WriteSource::Input(k) => {
+                            h.byte(1);
+                            h.usize(k);
+                        }
+                        WriteSource::Const(b) => {
+                            h.byte(2);
+                            h.bool(b);
+                        }
+                    }
+                }
+                Step::Read { row, class } => {
+                    h.byte(2);
+                    h.usize(row);
+                    h.usize(class);
+                }
+                Step::Gate { kind, ins, out, class } => {
+                    h.byte(3);
+                    h.byte(kind as u8);
+                    h.usize(ins[0]);
+                    h.usize(ins[1]);
+                    h.usize(out);
+                    h.usize(class);
+                }
+                Step::Transfer { src_row, dst_row, src_class, dst_class } => {
+                    h.byte(4);
+                    h.usize(src_row);
+                    h.usize(dst_row);
+                    h.usize(src_class);
+                    h.usize(dst_class);
+                }
+            }
+        }
+        h.finish()
     }
 
     /// Average fraction of lanes active per sequential step (Table 3's
@@ -347,6 +543,37 @@ mod tests {
         t.push(Step::Gate { kind: GateKind::And, ins: [0, 1], out: 2, class: one });
         // Two 1-step gates (sense-amp): (4 + 1) / (2 × 4) = 0.625.
         assert!((t.lane_utilization(ArchStyle::SenseAmp) - 0.625).abs() < 1e-12);
+    }
+
+    #[test]
+    fn facts_read_before_a_change_are_replaced_after_it() {
+        let arches = [ArchStyle::SenseAmp, ArchStyle::PresetOutput];
+        // Appending a step: memoized counts and fingerprint must become a
+        // freshly built trace's.
+        let mut grown = tiny_trace();
+        let before = (arches.map(|a| grown.counts(a)), grown.fingerprint());
+        grown.push(Step::Write { row: 4, class: 1, source: WriteSource::Const(true) });
+        let mut fresh = tiny_trace();
+        fresh.push(Step::Write { row: 4, class: 1, source: WriteSource::Const(true) });
+        assert_ne!(arches.map(|a| grown.counts(a)), before.0, "push must reset the counts");
+        assert_ne!(grown.fingerprint(), before.1, "push must reset the fingerprint");
+        assert_eq!(arches.map(|a| grown.counts(a)), arches.map(|a| fresh.recount_counts(a)));
+        assert_eq!(grown.fingerprint(), fresh.recount_fingerprint());
+
+        // Registering a class changes the fingerprint, not the counts.
+        let mut classed = tiny_trace();
+        let before = (arches.map(|a| classed.counts(a)), classed.fingerprint());
+        classed.add_class(LaneSet::from_indices(4, &[3]));
+        let mut fresh = tiny_trace();
+        fresh.add_class(LaneSet::from_indices(4, &[3]));
+        assert_ne!(classed.fingerprint(), before.1, "add_class must reset the fingerprint");
+        assert_eq!(classed.fingerprint(), fresh.recount_fingerprint());
+        assert_eq!(arches.map(|a| classed.counts(a)), arches.map(|a| fresh.recount_counts(a)));
+
+        // A clone carries equal facts.
+        let copy = grown.clone();
+        assert_eq!(arches.map(|a| copy.counts(a)), arches.map(|a| grown.counts(a)));
+        assert_eq!(copy.fingerprint(), grown.fingerprint());
     }
 
     #[test]

@@ -1,11 +1,40 @@
 //! Property-based tests for lane sets, wear maps, and trace accounting.
 
+use nvpim_array::trace::TraceCounts;
 use nvpim_array::{ArchStyle, ArrayDims, LaneSet, Step, Trace, WearMap, WriteSource};
 use nvpim_logic::GateKind;
 use proptest::prelude::*;
 
 fn arb_indices(universe: usize) -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0..universe, 0..universe)
+}
+
+/// A step walk for one architecture style, written out independently of
+/// the trace's own: the reference its memoized counts must equal.
+fn walk_counts(trace: &Trace, arch: ArchStyle) -> TraceCounts {
+    let size = |class: usize| trace.classes()[class].count() as u64;
+    let mut c = TraceCounts::default();
+    for step in trace.steps() {
+        let (steps, writes, reads, gates, active) = match *step {
+            Step::Write { class, .. } => (1, size(class), 0, 0, size(class)),
+            Step::Read { class, .. } => (1, 0, size(class), 0, size(class)),
+            Step::Gate { kind, class, .. } => {
+                let n = size(class);
+                let steps = arch.steps_per_gate();
+                (steps, arch.writes_per_gate() * n, u64::from(kind.arity()) * n, 1, steps * n)
+            }
+            Step::Transfer { src_class, dst_class, .. } => {
+                let (ns, nd) = (size(src_class), size(dst_class));
+                (2, nd, ns, 0, ns + nd)
+            }
+        };
+        c.sequential_steps += steps;
+        c.cell_writes += writes;
+        c.cell_reads += reads;
+        c.gate_ops += gates;
+        c.weighted_active_lanes += active as f64;
+    }
+    c
 }
 
 proptest! {
@@ -144,6 +173,45 @@ proptest! {
         prop_assert_eq!(preset.cell_writes, (n_writes + 2 * n_gates) as u64 * lanes64);
         prop_assert_eq!(sense.sequential_steps + n_gates as u64, preset.sequential_steps);
         prop_assert_eq!(sense.cell_reads, preset.cell_reads);
+    }
+
+    #[test]
+    fn memoized_counts_match_a_step_walk(
+        lanes in 1usize..24,
+        masks in prop::collection::vec(any::<u32>(), 1..5),
+        ops in prop::collection::vec((0usize..4, 0usize..8, 0usize..8, 0usize..8, 0usize..8), 0..60),
+        peek_every in 1usize..8,
+    ) {
+        const ROWS: usize = 8;
+        let arches = [ArchStyle::SenseAmp, ArchStyle::PresetOutput];
+        let mut t = Trace::new(ArrayDims::new(ROWS, lanes));
+        t.add_class(LaneSet::full(lanes));
+        for &mask in &masks {
+            t.add_class(LaneSet::from_pred(lanes, |l| mask >> (l % 32) & 1 == 1));
+        }
+        let classes = t.classes().len();
+        for (i, &(kind, a, b, c, k)) in ops.iter().enumerate() {
+            let class = k % classes;
+            t.push(match kind {
+                0 => Step::Write { row: a, class, source: WriteSource::Input(b) },
+                1 => Step::Read { row: a, class },
+                2 => Step::Gate { kind: GateKind::ALL[k], ins: [a, b], out: c, class },
+                // Transfers pair a class with itself, so cardinalities match.
+                _ => Step::Transfer { src_row: a, dst_row: b, src_class: class, dst_class: class },
+            });
+            // Reading mid-synthesis memoizes counts the next push must reset.
+            if i % peek_every == 0 {
+                for arch in arches {
+                    prop_assert_eq!(t.counts(arch), walk_counts(&t, arch));
+                }
+            }
+        }
+        for arch in arches {
+            let (memo, walked) = (t.counts(arch), walk_counts(&t, arch));
+            prop_assert_eq!(memo, walked);
+            prop_assert_eq!(memo.weighted_active_lanes.to_bits(), walked.weighted_active_lanes.to_bits());
+            prop_assert_eq!(t.recount_counts(arch), walked);
+        }
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! kernel. The `matrix` group times the full 18-config matrix against a
 //! content-addressed store that is cold (first touch builds, later cells
 //! reuse) and warm (a previous matrix already populated the store).
-//! `scripts/bench.sh` records the group into `BENCH_sim.json`.
+//! The `engine_build` group times construction alone, all 18 engines of
+//! one serve-mix shape (256×64, 2 000 iterations) against a warm store:
+//! the work every cold `/simulate` miss does before its query, with the
+//! trace's counts and fingerprint already memoized.
+//! `scripts/bench.sh` records both groups into `BENCH_sim.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvpim_array::ArrayDims;
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::{AnalyticWearEngine, ArtifactStore, SimConfig};
+use nvpim_workloads::convolution::Convolution;
 use nvpim_workloads::parallel_mul::ParallelMul;
 use nvpim_workloads::Workload;
 use std::hint::black_box;
@@ -66,5 +71,34 @@ fn bench_matrix_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matrix_reuse);
+/// Builds every configuration's engine against `store` without querying
+/// it, folding something from each so nothing is optimized away.
+fn build_engines(wl: &Workload, cfg: SimConfig, store: &ArtifactStore) -> u64 {
+    BalanceConfig::all()
+        .into_iter()
+        .map(|balance| {
+            let engine = AnalyticWearEngine::new_with_store(wl, balance, cfg, store);
+            engine.steps_per_iteration() ^ engine.artifact_use().hits
+        })
+        .fold(0, u64::wrapping_add)
+}
+
+fn bench_engine_build(c: &mut Criterion) {
+    // The two serve-mix shapes, at its iterations and default period.
+    let dims = ArrayDims::new(256, 64);
+    let shapes = [
+        ("mul32", ParallelMul::new(dims, 32).build()),
+        ("conv4x3w8", Convolution::new(dims, 4, 3, 8).build()),
+    ];
+    let cfg = SimConfig::paper().with_iterations(2000).with_schedule(RemapSchedule::every(100));
+    let mut group = c.benchmark_group("engine_build");
+    for (name, wl) in &shapes {
+        let store = ArtifactStore::new(ROOMY);
+        let _ = build_engines(wl, cfg, &store);
+        group.bench_function(*name, |b| b.iter(|| black_box(build_engines(wl, cfg, &store))));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_matrix_reuse, bench_engine_build);
 criterion_main!(benches);

@@ -5,11 +5,13 @@
 //! every test still passes. These checks tie the wear map to three
 //! independent tallies of the same traffic: the trace's static operation
 //! counts, the functional executor's [`ExecStats`], and the fast replay
-//! engine's [`SimResult`].
+//! engine's [`SimResult`]. The trace's static counts and fingerprint are
+//! memoized on the trace, so they are themselves checked against a fresh
+//! step walk.
 //!
 //! [`ExecStats`]: nvpim_array::ExecStats
 
-use nvpim_array::WearMap;
+use nvpim_array::{ArchStyle, Trace, WearMap};
 use nvpim_balance::BalanceConfig;
 use nvpim_core::sim::simulate_naive;
 use nvpim_core::{AnalyticWearEngine, EnduranceSimulator, SimConfig};
@@ -73,6 +75,38 @@ pub fn check_totals(subject: &str, wear: &WearMap, expected: Option<(u64, u64)>)
     findings
 }
 
+/// Verifies that a trace's memoized static facts — [`Trace::counts`] under
+/// both architecture styles and [`Trace::fingerprint`] — agree, bit for
+/// bit, with a fresh O(steps) recount. Every engine reads the memo, so a
+/// stale one would skew the conservation audit and the artifact keys alike.
+#[must_use]
+pub fn check_trace_facts(subject: &str, trace: &Trace) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for arch in [ArchStyle::SenseAmp, ArchStyle::PresetOutput] {
+        let (memo, walked) = (trace.counts(arch), trace.recount_counts(arch));
+        let same = memo == walked
+            && memo.weighted_active_lanes.to_bits() == walked.weighted_active_lanes.to_bits();
+        if !same {
+            findings.push(Finding::new(
+                PASS,
+                "trace-counts-drift",
+                subject,
+                format!("memoized {arch} counts {memo:?} disagree with a step walk {walked:?}"),
+            ));
+        }
+    }
+    let (memo, hashed) = (trace.fingerprint(), trace.recount_fingerprint());
+    if memo != hashed {
+        findings.push(Finding::new(
+            PASS,
+            "trace-fingerprint-drift",
+            subject,
+            format!("memoized fingerprint {memo:032x} disagrees with a rehash {hashed:032x}"),
+        ));
+    }
+    findings
+}
+
 /// Runs `workload` under `config` through both simulator arms and proves
 /// write/read conservation end to end:
 ///
@@ -80,7 +114,9 @@ pub fn check_totals(subject: &str, wear: &WearMap, expected: Option<(u64, u64)>)
 /// 2. the fast replay engine's wear map must hold exactly that traffic;
 /// 3. the naive cell-by-cell executor must land on the same totals
 ///    (its per-call stats-vs-wear invariant is additionally enforced
-///    inside `PimArray::execute` itself).
+///    inside `PimArray::execute` itself);
+/// 4. the trace's memoized counts and fingerprint, which both runs read,
+///    must equal a recount ([`check_trace_facts`]).
 #[must_use]
 pub fn verify_conservation(
     workload: &Workload,
@@ -131,7 +167,7 @@ pub fn verify_conservation(
         findings.push(Finding::new(
             PASS,
             "arm-divergence",
-            subject,
+            subject.clone(),
             format!(
                 "naive arm max-writes {} differs from replay arm {}",
                 naive.max_writes(),
@@ -139,6 +175,7 @@ pub fn verify_conservation(
             ),
         ));
     }
+    findings.extend(check_trace_facts(&format!("{subject}/trace"), workload.trace()));
 
     findings
 }

@@ -1,9 +1,11 @@
 //! The conservation checker: clean runs conserve, corrupted maps are
 //! caught.
 
-use nvpim_array::{ArrayDims, WearMap};
+use nvpim_array::{ArchStyle, ArrayDims, Step, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
-use nvpim_check::conservation::{check_totals, verify_conservation, verify_kernel_equivalence};
+use nvpim_check::conservation::{
+    check_totals, check_trace_facts, verify_conservation, verify_kernel_equivalence,
+};
 use nvpim_core::SimConfig;
 use nvpim_workloads::parallel_mul::ParallelMul;
 
@@ -37,6 +39,20 @@ fn kernel_arms_are_equivalent_for_dynamic_configs() {
         let findings = verify_kernel_equivalence(&workload, config, cfg);
         assert!(findings.is_empty(), "{config}: {findings:?}");
     }
+}
+
+/// A trace's memoized counts and fingerprint agree with a recount, read
+/// cold, read warm, and after the trace grew past a memoized read.
+#[test]
+fn memoized_trace_facts_match_a_recount() {
+    let workload = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
+    assert!(check_trace_facts("cold", workload.trace()).is_empty());
+    assert!(check_trace_facts("warm", workload.trace()).is_empty());
+    let mut trace = workload.trace().clone();
+    let _ = (trace.counts(ArchStyle::SenseAmp), trace.fingerprint());
+    trace.push(Step::Read { row: 0, class: 0 });
+    let findings = check_trace_facts("grown", &trace);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 /// A wear map that matches expectations passes `check_totals`.

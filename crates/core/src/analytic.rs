@@ -94,13 +94,17 @@
 //! Engine construction routes its expensive intermediates — the logical
 //! panels of one trace walk and the trace's compiled `+Hw` kernel — through
 //! [`crate::artifacts`]: a content-addressed store shared across matrix
-//! cells, sweep points, and serve requests. Sibling configurations that
-//! share a trace (all 18 do) reuse each other's work;
-//! [`AnalyticWearEngine::new_with_store`] swaps in a private store, and
-//! [`AnalyticWearEngine::artifact_use`] reports how many lookups hit.
-//! Because every memoized builder is deterministic in its key, reuse is
-//! bit-identity-safe (see the `artifacts` module docs for the keying
-//! argument).
+//! cells, sweep points, and serve requests. The trace's static counts (the
+//! conservation audit's reference) and its content fingerprint (the store
+//! key) are memoized on the trace itself ([`Trace::counts`],
+//! [`Trace::fingerprint`]), so building an engine on a trace already seen,
+//! against a store that holds its intermediates, walks none of its steps.
+//! Sibling configurations that share a trace (all 18 do) reuse each
+//! other's work; [`AnalyticWearEngine::new_with_store`] swaps in a private
+//! store, and [`AnalyticWearEngine::artifact_use`] reports how many
+//! lookups hit. Because every memoized builder is deterministic in its
+//! key, reuse is bit-identity-safe (see the `artifacts` module docs for
+//! the keying argument).
 //!
 //! # Examples
 //!
@@ -448,12 +452,14 @@ struct SuperCycle {
 /// (workload, configuration) pair — bit-identical to running the simulator
 /// ([`crate::sim`]) for the same number of iterations.
 ///
-/// Construction fetches the trace's logical panels or `+Hw` kernel (at most
-/// one trace walk) and, for a periodic configuration whose configured
-/// count spans a super-cycle, walks that super-cycle's stage once; an
-/// answer at that count then folds it in row space into the walk of its
-/// remainder (none at a multiple of the super-cycle). Every answer, a
-/// lifetime-only one ([`AnalyticWearEngine::max_writes_at`]) included,
+/// Construction reads the trace's memoized counts and fingerprint, fetches
+/// its logical panels or `+Hw` kernel (one trace walk on a store miss,
+/// none on a trace already seen: the facts live on the trace and the
+/// intermediates in the store) and, for a periodic configuration whose
+/// configured count spans a super-cycle, walks that super-cycle's stage
+/// once; an answer at that count then folds it in row space into the walk
+/// of its remainder (none at a multiple of the super-cycle). Every answer,
+/// a lifetime-only one ([`AnalyticWearEngine::max_writes_at`]) included,
 /// takes the walker, so a later query walks again from the seed, at most
 /// one super-cycle's remainder for a folded count. See the
 /// [module docs](self).
@@ -491,6 +497,11 @@ impl<'w> AnalyticWearEngine<'w> {
     /// [`AnalyticWearEngine::new`] against an explicit store (the identity
     /// suite and `nvpim-check` use private stores to exercise hit, miss,
     /// and eviction regimes in isolation).
+    ///
+    /// The trace's counts and fingerprint come from its memo, so a build
+    /// walks the trace at most once, to build panels or a kernel on a store
+    /// miss, and not at all on a trace already seen whose intermediates the
+    /// store holds.
     ///
     /// # Panics
     ///

@@ -35,13 +35,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use nvpim_array::{ArchStyle, Step, Trace, WriteSource};
+use nvpim_array::trace::Fnv128;
+use nvpim_array::{ArchStyle, Trace};
 use nvpim_obs::{Json, Observer};
-
-/// 128-bit FNV-1a offset basis.
-const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-/// 128-bit FNV-1a prime.
-const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Default store budget: 64 MiB of resident artifact bytes.
 ///
@@ -53,8 +49,8 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 /// any measured run approaches.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
 
-/// A 128-bit content fingerprint (FNV-1a-style, word-folded) over the
-/// keyed inputs.
+/// A 128-bit content fingerprint (FNV-1a-style, word-folded, [`Fnv128`])
+/// over the keyed inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint(u128);
 
@@ -63,46 +59,6 @@ impl Fingerprint {
     #[must_use]
     pub fn to_hex(self) -> String {
         format!("{:032x}", self.0)
-    }
-}
-
-/// Incremental 128-bit FNV-1a-style hasher over the encodings below.
-///
-/// Words fold in one multiply each (not byte-at-a-time FNV): keys are
-/// word-heavy — trace steps above all — so the 8× fewer multiplies
-/// matter. Fingerprints are process-internal content addresses; only
-/// determinism and spread are required, not FNV test-vector compliance.
-#[derive(Debug, Clone)]
-struct Fnv(u128);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u128::from(b)).wrapping_mul(FNV_PRIME);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ u128::from(v)).wrapping_mul(FNV_PRIME);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.byte(u8::from(v));
-    }
-
-    fn fingerprint(&mut self, fp: Fingerprint) {
-        self.u64(fp.0 as u64);
-        self.u64((fp.0 >> 64) as u64);
-    }
-
-    fn finish(&self) -> Fingerprint {
-        Fingerprint(self.0)
     }
 }
 
@@ -416,64 +372,13 @@ pub fn publish_gauges(observer: &Observer) {
 }
 
 /// Fingerprints the *content* of a trace: dimensions, lane classes, input
-/// arity, and every step in order. Two workloads built independently but
-/// emitting identical traces share one fingerprint — exactly the sharing the
-/// matrix renderers rely on.
+/// arity, and every step in order ([`Trace::fingerprint`], memoized on the
+/// trace). Two workloads built independently but emitting identical traces
+/// share one fingerprint — exactly the sharing the matrix renderers rely
+/// on.
 #[must_use]
 pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
-    let mut h = Fnv::new();
-    h.usize(trace.dims().rows());
-    h.usize(trace.dims().lanes());
-    h.usize(trace.rows_used());
-    h.usize(trace.num_inputs());
-    h.usize(trace.classes().len());
-    for class in trace.classes() {
-        h.usize(class.count());
-        for lane in class.iter() {
-            h.usize(lane);
-        }
-    }
-    h.usize(trace.steps().len());
-    for step in trace.steps() {
-        match *step {
-            Step::Write { row, class, source } => {
-                h.byte(1);
-                h.usize(row);
-                h.usize(class);
-                match source {
-                    WriteSource::Input(k) => {
-                        h.byte(1);
-                        h.usize(k);
-                    }
-                    WriteSource::Const(b) => {
-                        h.byte(2);
-                        h.bool(b);
-                    }
-                }
-            }
-            Step::Read { row, class } => {
-                h.byte(2);
-                h.usize(row);
-                h.usize(class);
-            }
-            Step::Gate { kind, ins, out, class } => {
-                h.byte(3);
-                h.byte(kind as u8);
-                h.usize(ins[0]);
-                h.usize(ins[1]);
-                h.usize(out);
-                h.usize(class);
-            }
-            Step::Transfer { src_row, dst_row, src_class, dst_class } => {
-                h.byte(4);
-                h.usize(src_row);
-                h.usize(dst_row);
-                h.usize(src_class);
-                h.usize(dst_class);
-            }
-        }
-    }
-    h.finish()
+    Fingerprint(trace.fingerprint())
 }
 
 fn arch_tag(arch: ArchStyle) -> u8 {
@@ -485,23 +390,23 @@ fn arch_tag(arch: ArchStyle) -> u8 {
 
 /// Key for the logical write/read panels of one trace walk.
 pub(crate) fn panels_key(trace_fp: Fingerprint, arch: ArchStyle, track_reads: bool) -> Fingerprint {
-    let mut h = Fnv::new();
+    let mut h = Fnv128::new();
     h.byte(b'P');
-    h.fingerprint(trace_fp);
+    h.u128(trace_fp.0);
     h.byte(arch_tag(arch));
     h.bool(track_reads);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// Key for a trace's compiled +Hw kernel. No row table: one kernel serves
 /// every table, relabeled per epoch.
 pub(crate) fn kernel_key(trace_fp: Fingerprint, arch: ArchStyle, track_reads: bool) -> Fingerprint {
-    let mut h = Fnv::new();
+    let mut h = Fnv128::new();
     h.byte(b'K');
-    h.fingerprint(trace_fp);
+    h.u128(trace_fp.0);
     h.byte(arch_tag(arch));
     h.bool(track_reads);
-    h.finish()
+    Fingerprint(h.finish())
 }
 
 /// A per-engine handle over a store: funnels lookups through
@@ -576,13 +481,13 @@ pub fn take_provenance() -> Vec<CellProvenance> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvpim_array::{ArrayDims, LaneSet};
+    use nvpim_array::{ArrayDims, LaneSet, Step, WriteSource};
     use nvpim_logic::GateKind;
 
     fn store_key(n: u64) -> Fingerprint {
-        let mut h = Fnv::new();
+        let mut h = Fnv128::new();
         h.u64(n);
-        h.finish()
+        Fingerprint(h.finish())
     }
 
     #[test]
@@ -679,6 +584,33 @@ mod tests {
         let all = 0;
         t.push(Step::Read { row: 0, class: all });
         assert_ne!(a, trace_fingerprint(&t), "extra step must change the fingerprint");
+    }
+
+    #[test]
+    fn fingerprint_read_before_a_change_is_replaced_after_it() {
+        // Read (and so memoize) the fingerprint, then change the trace:
+        // the key must be the one a freshly built trace of the new
+        // content gets, never the memoized one.
+        let mut grown = sample_trace(16);
+        let before = trace_fingerprint(&grown);
+        grown.push(Step::Read { row: 1, class: 0 });
+        let mut fresh = sample_trace(16);
+        fresh.push(Step::Read { row: 1, class: 0 });
+        assert_ne!(trace_fingerprint(&grown), before, "push must reset the fingerprint");
+        assert_eq!(trace_fingerprint(&grown), trace_fingerprint(&fresh));
+
+        let mut classed = sample_trace(16);
+        let before = trace_fingerprint(&classed);
+        classed.add_class(LaneSet::range(4, 0, 2));
+        let mut fresh = sample_trace(16);
+        fresh.add_class(LaneSet::range(4, 0, 2));
+        assert_ne!(trace_fingerprint(&classed), before, "add_class must reset the fingerprint");
+        assert_eq!(trace_fingerprint(&classed), trace_fingerprint(&fresh));
+
+        // A clone carries the memoized fingerprint, equal to a recount.
+        let copy = classed.clone();
+        assert_eq!(trace_fingerprint(&copy), trace_fingerprint(&classed));
+        assert_eq!(copy.fingerprint(), copy.recount_fingerprint());
     }
 
     #[test]

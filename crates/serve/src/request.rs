@@ -29,16 +29,36 @@ use crate::hash::fnv1a;
 /// requests are rejected up front instead of tying a worker up for hours.
 pub const MAX_ITERATIONS: u64 = 1_000_000;
 
+/// Upper bound on the cell planes one request may ask for: rows × lanes ×
+/// 8 bytes of write counters, doubled when reads are tracked. Larger
+/// requests are refused with `413` at canonicalization, before anything is
+/// allocated: the limit (65 536 × 65 536) alone admits a 34 GB plane, and
+/// an allocation failure aborts the process rather than unwinding.
+///
+/// Sized from measured peak RSS (DESIGN.md §"Bounded everything"): one
+/// miss raised a fresh server's peak by 0.5–1.4× its plane bytes, so a
+/// request at the bound (4096 × 4096 with reads tracked) costs about
+/// 0.3 GB, and paper dims (1024 × 1024, 16 MiB with reads tracked) pass
+/// with 16× headroom.
+pub const MAX_PLANE_BYTES: u64 = 256 << 20;
+
 /// Why a request was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestError {
-    /// Human-readable description, returned verbatim in the 400 body.
+    /// The HTTP status to answer with: `400` for a malformed or invalid
+    /// request, `413` for one over a resource bound.
+    pub status: u16,
+    /// Human-readable description, returned verbatim in the error body.
     pub message: String,
 }
 
 impl RequestError {
     fn new(message: impl Into<String>) -> Self {
-        RequestError { message: message.into() }
+        RequestError { status: 400, message: message.into() }
+    }
+
+    fn too_large(message: impl Into<String>) -> Self {
+        RequestError { status: 413, message: message.into() }
     }
 }
 
@@ -294,6 +314,16 @@ impl SimRequest {
             }
         };
 
+        let plane_bytes = rows as u64 * lanes as u64 * 8 * (1 + u64::from(track_reads));
+        if plane_bytes > MAX_PLANE_BYTES {
+            return Err(RequestError::too_large(format!(
+                "{rows} × {lanes} cells need {} MiB of wear planes{}; the limit is {} MiB",
+                plane_bytes >> 20,
+                if track_reads { " with reads tracked" } else { "" },
+                MAX_PLANE_BYTES >> 20,
+            )));
+        }
+
         let timeout_ms = match doc.get("timeout_ms") {
             None => None,
             Some(v) => Some(
@@ -365,7 +395,14 @@ impl SimRequest {
     /// Content address of this request: FNV-1a over the canonical bytes.
     #[must_use]
     pub fn cache_key(&self) -> u64 {
-        fnv1a(self.canonical_text().as_bytes())
+        Self::key_of(&self.canonical_text())
+    }
+
+    /// The cache key of a request whose [`SimRequest::canonical_text`] is
+    /// `canonical`, for callers that already rendered it.
+    #[must_use]
+    pub fn key_of(canonical: &str) -> u64 {
+        fnv1a(canonical.as_bytes())
     }
 
     /// The simulator configuration this request describes.
@@ -542,6 +579,26 @@ mod tests {
         ] {
             let err = SimRequest::from_str(body).expect_err(body);
             assert!(err.message.contains(needle), "{body}: {}", err.message);
+            assert_eq!(err.status, 400, "{body}");
+        }
+    }
+
+    #[test]
+    fn oversized_planes_are_refused_with_413() {
+        // Paper dims pass with reads tracked; the dimension cap alone
+        // would admit a 34 GB plane.
+        let paper = r#"{"workload": "mul", "rows": 1024, "lanes": 1024, "track_reads": true}"#;
+        assert!(SimRequest::from_str(paper).is_ok());
+        let at_bound = r#"{"workload": "mul", "rows": 4096, "lanes": 4096, "track_reads": true}"#;
+        assert!(SimRequest::from_str(at_bound).is_ok());
+        for body in [
+            r#"{"workload": "mul", "rows": 65536, "lanes": 65536}"#,
+            r#"{"workload": "mul", "rows": 8192, "lanes": 4096, "track_reads": true}"#,
+            r#"{"workload": "mul", "rows": 4097, "lanes": 8192}"#,
+        ] {
+            let err = SimRequest::from_str(body).expect_err(body);
+            assert_eq!(err.status, 413, "{body}: {}", err.message);
+            assert!(err.message.contains("MiB"), "{body}: {}", err.message);
         }
     }
 

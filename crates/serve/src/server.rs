@@ -4,7 +4,10 @@
 //!
 //! * **Backpressure** — connections are dispatched onto a bounded
 //!   [`TaskQueue`]; when it is full the accept loop answers `429` with a
-//!   `Retry-After` header inline instead of queueing unboundedly.
+//!   `Retry-After` header inline instead of queueing unboundedly. A
+//!   request whose wear planes exceed
+//!   [`MAX_PLANE_BYTES`](crate::request::MAX_PLANE_BYTES) is refused with
+//!   `413` at canonicalization, before anything is allocated.
 //! * **Timeouts** — `/simulate` runs each job on its own thread and waits
 //!   with `recv_timeout`; a deadline miss answers `504` while the detached
 //!   job finishes and still populates the cache (the work is not lost).
@@ -510,10 +513,11 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     };
     let sim_request = match SimRequest::from_str(text) {
         Ok(r) => r,
-        Err(e) => return respond_error(stream, 400, &th, &e.message),
+        Err(e) => return respond_error(stream, e.status, &th, &e.message),
     };
-    let key = sim_request.cache_key();
+    // Rendered once: the key, the lookup, and a miss's insert share it.
     let canonical = sim_request.canonical_text();
+    let key = SimRequest::key_of(&canonical);
     // Hits serve the response bytes pre-rendered at insert time: one buffer
     // clone under the lock, one write, no formatting beyond the trace echo.
     let cached = state.cache.lock().expect("cache poisoned").get_response(key, &canonical);
@@ -532,7 +536,7 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     let job_state = Arc::clone(state);
     let parent = ctx.span;
     let spawned = std::thread::Builder::new().name("nvpim-serve-sim".into()).spawn(move || {
-        let outcome = execute(&sim_request, &job_state, Some(parent));
+        let outcome = execute(&sim_request, key, canonical, &job_state, Some(parent));
         // The receiver may have timed out and gone away; the cache
         // insert above already preserved the work.
         let _ = tx.send(outcome);
@@ -572,8 +576,10 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     }
 }
 
-/// Runs one simulation to completion, populates the cache, absorbs the
-/// run's private observer, and (when configured) writes a manifest. With a
+/// Runs one simulation to completion, populates the cache under `key`
+/// and `canonical` (the request's cache key and canonical text, as the
+/// caller's lookup rendered them), absorbs the run's private observer,
+/// and (when configured) writes a manifest. With a
 /// parent context the run is wrapped in a `serve.execute` child span —
 /// opened on whatever thread executes (the detached `/simulate` worker or
 /// a `/batch` pool worker), so the trace shows real lanes.
@@ -590,6 +596,8 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
 /// produced the numbers.
 fn execute(
     request: &SimRequest,
+    key: u64,
+    canonical: String,
     state: &ServeState,
     parent: Option<TraceContext>,
 ) -> Result<String, String> {
@@ -606,12 +614,12 @@ fn execute(
         let workload = state.workloads.get(request);
         if request.series {
             let result = EnduranceSimulator::new(cfg).run_with(&workload, request.config, &local);
-            (wire::result_body(request, &result), None)
+            (wire::keyed_result_body(request, key, &result), None)
         } else {
             let mut engine = AnalyticWearEngine::new(&workload, request.config, cfg);
             let path = engine.path();
             let result = engine.result_at_with(cfg.iterations, &local);
-            (wire::result_body(request, &result), Some((path, engine.artifact_use())))
+            (wire::keyed_result_body(request, key, &result), Some((path, engine.artifact_use())))
         }
     }));
     drop(span);
@@ -621,8 +629,7 @@ fn execute(
     };
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     state.observer.absorb(&local);
-    let key = request.cache_key();
-    state.cache.lock().expect("cache poisoned").insert(key, request.canonical_text(), body.clone());
+    state.cache.lock().expect("cache poisoned").insert(key, canonical, body.clone());
     if let Some(dir) = &state.manifest_dir {
         let mut config = request.canonical_json();
         if let Some((path, usage)) = analytic_path {
@@ -693,7 +700,12 @@ fn batch(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>,
         match SimRequest::from_json(cell) {
             Ok(r) => parsed.push((index, r)),
             Err(e) => {
-                return respond_error(stream, 400, &th, &format!("cell {index}: {}", e.message))
+                return respond_error(
+                    stream,
+                    e.status,
+                    &th,
+                    &format!("cell {index}: {}", e.message),
+                )
             }
         }
     }
@@ -707,8 +719,8 @@ fn batch(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>,
     let out = Mutex::new(&mut *stream);
     let pool = JobPool::new(state.workers);
     pool.map(parsed, |(index, cell)| {
-        let key = cell.cache_key();
         let canonical = cell.canonical_text();
+        let key = SimRequest::key_of(&canonical);
         let cached = state.cache.lock().expect("cache poisoned").get(key, &canonical);
         let (was_cached, line) = match cached {
             Some(body) => {
@@ -717,7 +729,7 @@ fn batch(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>,
             }
             None => {
                 state.count("serve.cache.misses");
-                match execute(&cell, state, Some(ctx.span)) {
+                match execute(&cell, key, canonical, state, Some(ctx.span)) {
                     Ok(body) => (false, body),
                     Err(message) => {
                         let doc =

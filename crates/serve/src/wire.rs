@@ -36,6 +36,11 @@ pub fn epoch_sample_json(sample: &EpochSample) -> Json {
 /// Renders the full result document for one served simulation.
 #[must_use]
 pub fn result_json(request: &SimRequest, result: &SimResult) -> Json {
+    keyed_result_json(request, request.cache_key(), result)
+}
+
+/// [`result_json`] for a request whose cache key the caller already holds.
+fn keyed_result_json(request: &SimRequest, key: u64, result: &SimResult) -> Json {
     let model = LifetimeModel::for_technology(request.technology);
     let lifetime = model.lifetime(result);
     let mut body = Json::object()
@@ -51,7 +56,7 @@ pub fn result_json(request: &SimRequest, result: &SimResult) -> Json {
     }
     Json::object()
         .with("schema", RESULT_SCHEMA)
-        .with("key", key_hex(request.cache_key()))
+        .with("key", key_hex(key))
         .with("request", request.canonical_json())
         .with("result", body)
         .with(
@@ -71,6 +76,12 @@ pub fn result_json(request: &SimRequest, result: &SimResult) -> Json {
 #[must_use]
 pub fn result_body(request: &SimRequest, result: &SimResult) -> String {
     result_json(request, result).render()
+}
+
+/// [`result_body`] for a request whose cache key the caller already holds,
+/// so the canonical request is not rendered again to derive it.
+pub(crate) fn keyed_result_body(request: &SimRequest, key: u64, result: &SimResult) -> String {
+    keyed_result_json(request, key, result).render()
 }
 
 /// Wraps a text report in the machine-readable envelope `repro --json`

@@ -8,18 +8,23 @@
 //! it names a convolution shape `Convolution::new` rejects, which must be
 //! refused. A stream of distinct workload shapes must never push the
 //! workload memo past its byte bound, and each invalid one among them must
-//! be refused before it is built.
+//! be refused before it is built. A parseable request whose wear planes
+//! exceed `MAX_PLANE_BYTES` must be refused at canonicalization, and over
+//! loopback may get only 400, 413 or 503.
 //! Failing cases print the seed that replays them (`PROPTEST_SEED`).
 
 use std::io::Cursor;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use nvpim_array::ArchStyle;
 use nvpim_balance::BalanceConfig;
 use nvpim_nvm::Technology;
 use nvpim_serve::http::{read_request, HttpError, MAX_BODY, MAX_HEAD};
-use nvpim_serve::request::MAX_ITERATIONS;
-use nvpim_serve::{SimRequest, WorkloadMemo, WorkloadSpec};
+use nvpim_serve::request::{MAX_ITERATIONS, MAX_PLANE_BYTES};
+use nvpim_serve::{
+    Client, Server, ServerConfig, ServerHandle, SimRequest, WorkloadMemo, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 /// Bytes drawn from a small alphabet rich in HTTP delimiters, so random
@@ -52,6 +57,41 @@ fn read_any(bytes: &[u8]) {
         }
         Err(Err(_io)) => {}
     }
+}
+
+/// The loopback server the oversized arm posts to, started on first use
+/// and left to the end of the process.
+fn loopback() -> &'static Client {
+    static SERVER: OnceLock<(ServerHandle, Client)> = OnceLock::new();
+    let (_, client) = SERVER.get_or_init(|| {
+        let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+        let handle = Server::start(config).expect("server starts");
+        let client = Client::new(handle.addr());
+        (handle, client)
+    });
+    client
+}
+
+/// A request body whose wear planes exceed [`MAX_PLANE_BYTES`] but which
+/// is otherwise well formed JSON, for workload `kind` (0–4): one
+/// dimension is drawn from `[4096, 65536]`, the other from just over the
+/// bound's quotient up to 65 536.
+fn oversized_body(kind: usize, big: u64, small: u64, swap: bool, track_reads: bool) -> String {
+    let bytes_per_cell = 8 * (1 + u64::from(track_reads));
+    let big = 4096 + big % (65536 - 4096 + 1);
+    let least = MAX_PLANE_BYTES / (big * bytes_per_cell) + 1;
+    let small = least + small % (65536 - least + 1);
+    let (rows, lanes) = if swap { (small, big) } else { (big, small) };
+    let workload = match kind {
+        0 => r#"{"kind": "mul", "width": 32}"#,
+        1 => r#"{"kind": "dot", "elements": 1024, "width": 32}"#,
+        2 => r#"{"kind": "conv", "filter_rows": 4, "filter_cols": 3, "width": 8}"#,
+        3 => r#"{"kind": "bnn", "fan_in": 64}"#,
+        _ => r#"{"kind": "matvec", "mat_rows": 4, "elements": 64, "width": 8}"#,
+    };
+    format!(
+        r#"{{"workload": {workload}, "rows": {rows}, "lanes": {lanes}, "config": "RaxRa+Hw", "track_reads": {track_reads}}}"#
+    )
 }
 
 proptest! {
@@ -225,5 +265,37 @@ proptest! {
             prop_assert!(stats.bytes <= BOUND, "{} resident bytes over {BOUND}", stats.bytes);
             prop_assert_eq!(stats.hits + stats.misses, served);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn oversized_requests_get_only_400_413_or_503(
+        kind in 0usize..5,
+        dims in (any::<u64>(), any::<u64>(), any::<bool>()),
+        track_reads in any::<bool>(),
+        batch in any::<bool>(),
+    ) {
+        let (big, small, swap) = dims;
+        let body = oversized_body(kind, big, small, swap, track_reads);
+        // Refused at canonicalization, before any plane is allocated: a
+        // shape the workload rejects may say 400, any other says 413.
+        let err = SimRequest::from_str(&body).expect_err(&body);
+        prop_assert!([400, 413].contains(&err.status), "{} for {}", err.status, body);
+        if kind == 0 || kind == 3 {
+            prop_assert_eq!(err.status, 413, "{}", body);
+        }
+        let client = loopback();
+        let reply = if batch {
+            let small = r#"{"workload": {"kind": "mul", "rows": 128, "lanes": 8}, "iterations": 5}"#;
+            client.post_json("/batch", &format!("[{small}, {body}]"))
+        } else {
+            client.post_json("/simulate", &body)
+        }
+        .expect("the server answers");
+        prop_assert!([400, 413, 503].contains(&reply.status), "{} for {}", reply.status, body);
+        prop_assert_eq!(client.get("/health").expect("still up").status, 200);
     }
 }
