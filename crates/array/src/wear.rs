@@ -1,6 +1,132 @@
 //! Per-cell read/write accounting and distribution statistics.
+//!
+//! # Recycled planes
+//!
+//! At paper dims every answer is a 1024×1024 plane of `u64` counters, and
+//! a fresh 8 MiB plane costs its 2 048 page faults on first touch. A
+//! dropped map therefore hands its planes to one process-wide, bounded
+//! free list, and [`WearMap::new`], [`WearMap::prefaulted`] and the lazy
+//! read plane take a plane of equal cell count from it before they
+//! allocate, zeroing it one row at a time. Only planes that were fully
+//! written when handed out (`prefaulted` planes and planes from the list)
+//! enter it: recycling lazily written `vec![0; n]` planes cost query CPU
+//! in measurement. Planes under 2^17 cells (1 MiB) never enter it, and it
+//! holds at most 136 MiB. [`plane_reuse`] reports its traffic.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use crate::{ArrayDims, LaneSet};
+
+/// Cells a plane must hold to enter the free list: 2^17, a 1 MiB plane.
+/// Smaller planes, such as the service's 256×64 answers, stay on malloc.
+const RECYCLE_FLOOR_CELLS: usize = 1 << 17;
+
+/// Bytes of retired planes the free list holds at most: 17 paper-dims
+/// planes of 8 MiB, one short of the live set of a workload's
+/// 18-configuration fan-out. Holding all 18 raised `repro all --full`'s
+/// peak RSS by about one plane, as the next fan-out's other allocations
+/// found no freed memory to reuse (DESIGN.md §"Bounded everything"). A
+/// plane that would overflow it is freed.
+const RECYCLE_CAP_BYTES: usize = 136 << 20;
+
+/// The process-wide free list of retired planes.
+static RETIRED: Mutex<PlaneList> = Mutex::new(PlaneList::new());
+static PLANES_REUSED: AtomicU64 = AtomicU64::new(0);
+static PLANES_FRESH: AtomicU64 = AtomicU64::new(0);
+
+/// The free list's traffic since the process started ([`plane_reuse`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlaneReuse {
+    /// Planes taken from the free list.
+    pub reused: u64,
+    /// Planes of at least 2^17 cells allocated because the list held none
+    /// of their cell count.
+    pub fresh: u64,
+    /// Bytes of retired planes the list holds now.
+    pub retained_bytes: u64,
+}
+
+/// The free list's counters: planes reused, planes allocated fresh, and
+/// bytes retained.
+#[must_use]
+pub fn plane_reuse() -> PlaneReuse {
+    let retained = RETIRED.lock().map_or(0, |list| list.bytes);
+    PlaneReuse {
+        reused: PLANES_REUSED.load(Ordering::Relaxed),
+        fresh: PLANES_FRESH.load(Ordering::Relaxed),
+        retained_bytes: retained as u64,
+    }
+}
+
+/// Retired planes, most recently retired last, and their bytes.
+#[derive(Debug)]
+struct PlaneList {
+    planes: Vec<Vec<u64>>,
+    bytes: usize,
+}
+
+impl PlaneList {
+    const fn new() -> Self {
+        PlaneList { planes: Vec::new(), bytes: 0 }
+    }
+
+    /// The most recently retired plane of `cells` cells, if any.
+    fn take(&mut self, cells: usize) -> Option<Vec<u64>> {
+        let at = self.planes.iter().rposition(|plane| plane.len() == cells)?;
+        let plane = self.planes.remove(at);
+        self.bytes -= std::mem::size_of_val(plane.as_slice());
+        Some(plane)
+    }
+
+    /// Keeps `plane` if it fits under [`RECYCLE_CAP_BYTES`]; otherwise
+    /// hands it back, for the caller to free outside the lock.
+    fn retire(&mut self, plane: Vec<u64>) -> Option<Vec<u64>> {
+        let bytes = std::mem::size_of_val(plane.as_slice());
+        if self.bytes + bytes > RECYCLE_CAP_BYTES {
+            return Some(plane);
+        }
+        self.bytes += bytes;
+        self.planes.push(plane);
+        None
+    }
+}
+
+/// A retired plane of `dims.cells()` cells, zeroed, or `None` (counted as
+/// fresh at or above the floor) when the list holds none.
+fn reused_plane(dims: ArrayDims) -> Option<Vec<u64>> {
+    let cells = dims.cells();
+    if cells < RECYCLE_FLOOR_CELLS {
+        return None;
+    }
+    let Some(mut plane) = RETIRED.lock().ok().and_then(|mut list| list.take(cells)) else {
+        PLANES_FRESH.fetch_add(1, Ordering::Relaxed);
+        return None;
+    };
+    // One fill per row (8 KiB at paper dims): a single 8 MiB fill, though
+    // faster alone (0.8 against 1.0 ms), made the `Ra`-lane queries that
+    // render into the plane next 13–23% slower in measurement, for a cause
+    // not established. The opaque row keeps the compiler from fusing the
+    // fills back into one.
+    for row in plane.chunks_exact_mut(dims.lanes()) {
+        std::hint::black_box(row).fill(0);
+    }
+    PLANES_REUSED.fetch_add(1, Ordering::Relaxed);
+    Some(plane)
+}
+
+/// Returns `plane` to the free list if it has at least
+/// [`RECYCLE_FLOOR_CELLS`] cells and fits; otherwise frees it.
+fn retire(plane: Vec<u64>) {
+    if plane.len() < RECYCLE_FLOOR_CELLS {
+        return;
+    }
+    let rejected = match RETIRED.lock() {
+        Ok(mut list) => list.retire(plane),
+        Err(_) => Some(plane),
+    };
+    drop(rejected);
+}
 
 /// A 2-D map of accumulated cell writes (and reads) over an array.
 ///
@@ -39,19 +165,25 @@ pub struct WearMap {
     /// carry no per-cell compare.
     /// [`WearMap::max_writes`] scans only while it is unknown.
     max_writes: Option<u64>,
+    /// Whether each plane (writes, reads) was fully written when handed
+    /// out, and so returns to the free list on drop.
+    recycle: [bool; 2],
 }
 
 impl WearMap {
-    /// A zeroed wear map.
+    /// A zeroed wear map, on a recycled plane when the free list holds
+    /// one of its cell count.
     #[must_use]
     pub fn new(dims: ArrayDims) -> Self {
+        let (writes, recycle) = zeroed(dims);
         WearMap {
             dims,
-            writes: vec![0; dims.cells()],
+            writes,
             reads: Vec::new(),
             sum_writes: 0,
             sum_reads: 0,
             max_writes: Some(0),
+            recycle: [recycle, false],
         }
     }
 
@@ -71,20 +203,25 @@ impl WearMap {
         assert!(reads.is_empty() || reads.len() == dims.cells(), "read plane length mismatch");
         let (sum_writes, max) = sum_and_max(&writes);
         let sum_reads = reads.iter().sum();
-        WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max) }
+        let recycle = [false; 2];
+        WearMap { dims, writes, reads, sum_writes, sum_reads, max_writes: Some(max), recycle }
     }
 
     /// A zeroed map whose write plane is zeroed by writing it, so each page
     /// is first touched by a write fault here instead of by a read fault
-    /// and then a copy-on-write fault in the first scattered add. Its sums
-    /// and carried maximum are those of [`WearMap::from_planes`] over the
-    /// same zeros, set without scanning them.
+    /// and then a copy-on-write fault in the first scattered add; or a
+    /// recycled plane, whose pages are already mapped. Its sums and carried
+    /// maximum are those of [`WearMap::from_planes`] over the same zeros,
+    /// set without scanning them.
     #[must_use]
     pub fn prefaulted(dims: ArrayDims) -> Self {
-        // An opaque zero keeps the compiler from turning the fill into a
-        // zeroed allocation, which would leave the pages untouched.
-        let mut writes = Vec::with_capacity(dims.cells());
-        writes.resize(dims.cells(), std::hint::black_box(0));
+        let writes = reused_plane(dims).unwrap_or_else(|| {
+            // An opaque zero keeps the compiler from turning the fill into
+            // a zeroed allocation, which would leave the pages untouched.
+            let mut writes = Vec::with_capacity(dims.cells());
+            writes.resize(dims.cells(), std::hint::black_box(0));
+            writes
+        });
         WearMap {
             dims,
             writes,
@@ -92,6 +229,7 @@ impl WearMap {
             sum_writes: 0,
             sum_reads: 0,
             max_writes: Some(0),
+            recycle: [true; 2],
         }
     }
 
@@ -147,10 +285,11 @@ impl WearMap {
         self.reads.get(self.dims.index_of(row, lane)).copied().unwrap_or(0)
     }
 
-    /// Allocates the read plane on first use.
+    /// Allocates the read plane on first use, recycled when the free list
+    /// holds one of its cell count.
     fn track_reads(&mut self) {
         if self.reads.is_empty() {
-            self.reads = vec![0; self.dims.cells()];
+            (self.reads, self.recycle[1]) = zeroed(self.dims);
         }
     }
 
@@ -526,8 +665,33 @@ impl Clone for WearMap {
         WearMap {
             writes: clone_plane(&self.writes, self.sum_writes),
             reads: clone_plane(&self.reads, self.sum_reads),
+            recycle: [false; 2],
             ..*self
         }
+    }
+}
+
+impl Drop for WearMap {
+    /// Returns the planes that were fully written when handed out to the
+    /// free list.
+    fn drop(&mut self) {
+        let [writes, reads] = self.recycle;
+        if writes {
+            retire(std::mem::take(&mut self.writes));
+        }
+        if reads {
+            retire(std::mem::take(&mut self.reads));
+        }
+    }
+}
+
+/// A zeroed plane of `dims.cells()` cells and whether it may be recycled:
+/// a recycled plane, or else a zeroed allocation, whose pages are touched
+/// lazily and so never enter the free list.
+fn zeroed(dims: ArrayDims) -> (Vec<u64>, bool) {
+    match reused_plane(dims) {
+        Some(plane) => (plane, true),
+        None => (vec![0; dims.cells()], false),
     }
 }
 
@@ -922,6 +1086,104 @@ mod tests {
         assert_eq!(groups.total_reads(), groups.recount_reads());
         assert_eq!((groups.total_writes(), groups.total_reads()), (13, 2));
         assert_eq!(groups.max_writes, None, "a scattered add clears the carried max");
+    }
+
+    // The free list is process-wide and tests run in parallel, so each
+    // recycling test uses a cell count no other test in this crate uses.
+
+    /// Retired planes of `cells` cells on the free list.
+    fn listed(cells: usize) -> usize {
+        let list = RETIRED.lock().expect("no test panics holding the free list");
+        list.planes.iter().filter(|plane| plane.len() == cells).count()
+    }
+
+    #[test]
+    fn a_recycled_plane_reads_all_zero() {
+        let dims = ArrayDims::new(512, 257);
+        assert!(dims.cells() >= RECYCLE_FLOOR_CELLS);
+        let before = plane_reuse();
+        let mut used = WearMap::prefaulted(dims);
+        used.add_full_row_writes(3, 9);
+        used.add_write_at(511, 256, 4);
+        used.add_read_at(7, 7, 2);
+        let plane = used.writes.as_ptr();
+        drop(used);
+        assert_eq!(listed(dims.cells()), 1, "the prefaulted write plane is retired");
+
+        let mut map = WearMap::new(dims);
+        assert_eq!(map.writes.as_ptr(), plane, "new takes the retired plane");
+        assert!(plane_reuse().reused > before.reused);
+        assert_eq!(map.max_writes, Some(0));
+        assert_eq!((map.total_writes(), map.total_reads()), (0, 0));
+        assert_eq!((map.recount_writes(), map.recount_max_writes()), (0, 0));
+        assert_eq!(map.nonzero_cells(), 0);
+
+        // A recycled read plane is zeroed too.
+        let mut donor = WearMap::prefaulted(dims);
+        donor.add_full_row_writes(0, 5);
+        let read_plane = donor.writes.as_ptr();
+        drop(donor);
+        map.add_read_at(1, 2, 3);
+        assert_eq!(map.reads.as_ptr(), read_plane, "the first read takes the retired plane");
+        assert_eq!((map.total_reads(), map.recount_reads()), (3, 3));
+        assert_eq!(map.reads_at(1, 2), 3);
+        assert_eq!(map.reads_at(0, 0), 0);
+        drop(map);
+        assert_eq!(listed(dims.cells()), 2, "both recycled planes return");
+    }
+
+    #[test]
+    fn a_zeroed_allocation_never_enters_the_list() {
+        let dims = ArrayDims::new(512, 258);
+        let mut lazy = WearMap::new(dims);
+        lazy.add_read_at(0, 0, 1);
+        drop(lazy);
+        assert_eq!(listed(dims.cells()), 0, "vec![0; n] planes are freed");
+        let mut written = WearMap::prefaulted(dims);
+        written.add_write_at(2, 2, 2);
+        drop(written.clone());
+        assert_eq!(listed(dims.cells()), 0, "a clone is freed");
+        drop(written);
+        assert_eq!(listed(dims.cells()), 1);
+        drop(WearMap::from_planes(dims, vec![0; dims.cells()], Vec::new()));
+        assert_eq!(listed(dims.cells()), 1, "a caller's plane is freed");
+    }
+
+    #[test]
+    fn planes_under_the_floor_never_enter_the_list() {
+        let dims = ArrayDims::new(256, 511);
+        assert!(dims.cells() < RECYCLE_FLOOR_CELLS);
+        drop(WearMap::prefaulted(dims));
+        assert_eq!(listed(dims.cells()), 0);
+    }
+
+    #[test]
+    fn the_list_never_exceeds_its_cap() {
+        let mut list = PlaneList::new();
+        let plane_bytes = RECYCLE_FLOOR_CELLS * 8;
+        let fit = RECYCLE_CAP_BYTES / plane_bytes;
+        for i in 0..fit + 2 {
+            let rejected = list.retire(vec![0; RECYCLE_FLOOR_CELLS]);
+            assert_eq!(rejected.is_some(), i >= fit, "plane {i}");
+            assert!(list.bytes <= RECYCLE_CAP_BYTES);
+        }
+        assert_eq!((list.planes.len(), list.bytes), (fit, fit * plane_bytes));
+        assert!(list.take(RECYCLE_FLOOR_CELLS).is_some());
+        assert_eq!(list.bytes, (fit - 1) * plane_bytes);
+        assert!(plane_reuse().retained_bytes <= RECYCLE_CAP_BYTES as u64);
+    }
+
+    #[test]
+    fn a_plane_only_serves_its_own_cell_count() {
+        let (a, b) = (ArrayDims::new(512, 259), ArrayDims::new(512, 260));
+        let map = WearMap::prefaulted(a);
+        let plane = map.writes.as_ptr();
+        drop(map);
+        let other = WearMap::prefaulted(b);
+        assert_eq!(listed(a.cells()), 1, "a plane of another cell count stays listed");
+        assert_ne!(other.writes.as_ptr(), plane);
+        let again = WearMap::prefaulted(a);
+        assert_eq!((listed(a.cells()), again.writes.as_ptr()), (0, plane));
     }
 
     #[test]

@@ -342,6 +342,15 @@ fn build_manifest(command: &str, args: &[String], scale: Scale, obs: &Observer) 
             .collect();
         artifacts = artifacts.with("cells", Json::Arr(cells));
     }
+    // Whether the run's answer planes were recycled or page-faulted fresh.
+    let planes = nvpim_array::wear::plane_reuse();
+    artifacts = artifacts.with(
+        "planes",
+        Json::object()
+            .with("reused", planes.reused)
+            .with("fresh", planes.fresh)
+            .with("retained_bytes", planes.retained_bytes),
+    );
     config = config.with("artifacts", artifacts);
     RunManifest::new(command)
         .with_command(args.iter().cloned())

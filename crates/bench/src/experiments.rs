@@ -381,17 +381,19 @@ pub fn sweep_report(scale: Scale) -> String {
 }
 
 /// CI reuse check: renders the fig14–17 matrix pipeline twice in one
-/// process and proves the artifact store's two contracts at once —
-/// byte-identical outputs across passes (hits return exactly what
-/// recomputation would produce) and actual sharing (`artifacts.hits`
-/// advances on the warm pass). Returns the check report, or an error
-/// describing which contract broke.
+/// process and proves three contracts at once — byte-identical outputs
+/// across passes (store hits and recycled planes return exactly what
+/// recomputation on fresh planes would produce), actual sharing
+/// (`artifacts.hits` advances on the warm pass), and plane recycling (the
+/// warm pass takes answer planes the cold pass retired). Returns the check
+/// report, or an error describing which contract broke.
 ///
 /// # Errors
 ///
-/// Fails if the second pass renders different bytes than the first, or if
-/// it records no artifact hits.
+/// Fails if the second pass renders different bytes than the first, if it
+/// records no artifact hits, or if it reuses no plane.
 pub fn reuse_check_report(scale: Scale) -> Result<String, String> {
+    use nvpim_array::wear::plane_reuse;
     use nvpim_core::artifacts;
     let store = artifacts::global();
     let render = || {
@@ -407,9 +409,11 @@ pub fn reuse_check_report(scale: Scale) -> Result<String, String> {
     let first = render();
     let cold_cells = artifacts::take_provenance();
     let cold = store.stats().total();
+    let cold_planes = plane_reuse();
     let second = render();
     let warm_cells = artifacts::take_provenance();
     let warm = store.stats();
+    let warm_planes = plane_reuse();
 
     if first != second {
         return Err("reuse check failed: the second pass rendered different bytes than the first \
@@ -420,6 +424,12 @@ pub fn reuse_check_report(scale: Scale) -> Result<String, String> {
     if warm_hits == 0 {
         return Err("reuse check failed: the second pass recorded no artifact hits — the store \
              is not sharing sub-computations across passes"
+            .into());
+    }
+    let reused = warm_planes.reused - cold_planes.reused;
+    if reused == 0 {
+        return Err("reuse check failed: the second pass reused no answer plane — every plane \
+             the first pass retired was page-faulted again"
             .into());
     }
 
@@ -443,6 +453,11 @@ pub fn reuse_check_report(scale: Scale) -> Result<String, String> {
     out.push_str(&format!(
         "outputs          byte-identical across passes ({} bytes)\n",
         first.len()
+    ));
+    out.push_str(&format!(
+        "planes           pass 2 reused {reused}, allocated {} fresh; {} bytes retained\n",
+        warm_planes.fresh - cold_planes.fresh,
+        warm_planes.retained_bytes,
     ));
     let t = warm.total();
     out.push_str(&format!(

@@ -28,9 +28,11 @@
 //! fresh one from the seed. Every production caller asks one question per
 //! engine; halving the fresh 8 MB planes per paper-dims answer is worth
 //! more than continuing a walk. The plane exists only once something
-//! renders into it: construction builds it, zeroed by writing it, when
-//! partial classes will render, so the query does not pay its page faults
-//! twice; otherwise the answer allocates it when it takes it.
+//! renders into it: construction builds it when partial classes will
+//! render, on a retired plane from `WearMap`'s free list (zeroed row by
+//! row, its pages already mapped) or else zeroed by writing it, so the
+//! query does not pay its page faults twice; otherwise the answer takes it
+//! from the free list or allocates it when it takes it.
 //!
 //! A lifetime-only query ([`AnalyticWearEngine::max_writes_at`], Eq. 4's
 //! input) shares the whole walk with [`AnalyticWearEngine::result_at`] and

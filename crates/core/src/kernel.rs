@@ -454,8 +454,9 @@ impl RowAccumulator {
     }
 
     /// A zeroed cumulative map for this stage's partial classes to render
-    /// into, its pages faulted in by writing them ([`WearMap::prefaulted`];
-    /// DESIGN.md §"Answers take the walker's plane"). `None` without
+    /// into: a recycled plane, or one whose pages are faulted in by writing
+    /// them ([`WearMap::prefaulted`]; DESIGN.md §"Answers take the
+    /// walker's plane"). `None` without
     /// partial classes: nothing renders before the answer, which allocates
     /// its plane then.
     pub(crate) fn zeroed_map(&self, dims: ArrayDims) -> Option<WearMap> {

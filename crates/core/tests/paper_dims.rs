@@ -30,6 +30,7 @@
 //! built on it must equal the simulator's bit for bit. `scripts/ci.sh` runs
 //! it in release mode.
 
+use nvpim_array::wear::plane_reuse;
 use nvpim_array::{ArrayDims, WearMap};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_core::analytic::{AnalyticPath, AnalyticWearEngine};
@@ -226,6 +227,44 @@ fn lane_counts_weight_a_short_last_epoch_at_paper_dims() {
         &[250, 150, 250],
         &[("StxRa", AnalyticPath::Lazy), ("StxBs", AnalyticPath::ClosedForm)],
     );
+}
+
+#[test]
+fn recycled_planes_answer_like_fresh_ones_at_paper_dims() {
+    // A dropped answer's 8 MiB plane returns to a process-wide free list,
+    // and the next engine at the same dims builds on it, zeroed row by
+    // row. Two passes over conv4x3w8 and dot1024x32 under an `Ra`-lane
+    // epoch-batch config (`RaxRa`), a lane-set config (`RaxBs`) and a
+    // folded closed form (`StxSt`, three one-epoch super-cycles): the
+    // second runs on the planes the first retired, and both must match
+    // step replay cell for cell. Other tests in this binary share the
+    // list, so the check is that pass 2 took planes from it at all.
+    let cfg = config();
+    let n = cfg.iterations;
+    let rungs = [
+        ("RaxRa", AnalyticPath::Lazy),
+        ("RaxBs", AnalyticPath::Lazy),
+        ("StxSt", AnalyticPath::ClosedForm),
+    ];
+    let mut cells = Vec::new();
+    for (label, wl) in paper_workloads().into_iter().skip(1) {
+        for (config, path) in rungs {
+            let balance: BalanceConfig = config.parse().unwrap();
+            let want = step_replay(&wl, balance, cfg);
+            cells.push((format!("{label} {config}"), wl.clone(), balance, path, want));
+        }
+    }
+    for pass in 1..=2 {
+        let before = plane_reuse();
+        for (what, wl, balance, path, want) in &cells {
+            let mut engine = AnalyticWearEngine::new(wl, *balance, cfg);
+            assert_eq!(engine.path(), *path, "{what}");
+            assert_same_wear(&engine.wear_at(n), want, &format!("{what} (pass {pass})"));
+        }
+        if pass == 2 {
+            assert!(plane_reuse().reused > before.reused, "pass 2 reused no plane");
+        }
+    }
 }
 
 /// Partial lane classes of `wl` that some step writes: the classes that

@@ -114,9 +114,10 @@ echo "ci: traced smoke artifacts validated"
 
 # Cross-configuration artifact reuse end to end: renders the fig14–16
 # heatmaps plus the fig17 lifetime matrix twice in one process and fails
-# unless the second pass answers from the store (artifacts.hits > 0) AND
-# both passes' rendered outputs are byte-identical — memoization must be
-# observable in the counters and invisible in the numbers.
+# unless the second pass answers from the store (artifacts.hits > 0), runs
+# on answer planes the first pass retired (planes reused > 0), AND both
+# passes' rendered outputs are byte-identical — memoization and plane
+# recycling must be observable in the counters and invisible in the numbers.
 cargo run --release --offline -q -p nvpim-bench --bin repro -- \
     reuse-check --iters 40 > /dev/null
 echo "ci: artifact reuse check passed"
