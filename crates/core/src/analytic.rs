@@ -85,6 +85,17 @@
 //! schedule) have no period and walk every epoch, unless the only `Ra`
 //! axis is lanes the walker does not keep.
 //!
+//! # Deadlines
+//!
+//! [`AnalyticWearEngine::new_within`] and
+//! [`AnalyticWearEngine::result_at_within`] take a wall-clock deadline that
+//! every walk reads at each epoch boundary: the construction-time
+//! super-cycle walk and the query's walk alike. Once it has passed, the
+//! walk stops there, drops its walker and plane, and returns
+//! [`Expired`]; nothing is answered. [`AnalyticWearEngine::new`] and
+//! [`AnalyticWearEngine::result_at_with`] are the no-deadline case, which
+//! reads no clock.
+//!
 //! Every answer is bit-identical to the simulator — the bit-identity suite
 //! (`tests/analytic.rs`) pins `analytic == run == run_reference` across
 //! all 18 configurations, and each query re-asserts conservation against
@@ -126,6 +137,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use nvpim_array::trace::TraceCounts;
 use nvpim_array::{ArchStyle, ArrayDims, PermFolder, Step, Trace, WearKernel, WearMap};
@@ -136,7 +148,7 @@ use nvpim_workloads::Workload;
 use crate::artifacts::{self, ArtifactKind, ArtifactStore, ArtifactUse, Fingerprint, StoreCtx};
 use crate::kernel;
 use crate::parallel::fan_out;
-use crate::sim::{SimConfig, SimResult};
+use crate::sim::{check_deadline, unbounded, Expired, SimConfig, SimResult};
 
 /// Which rung of the reducibility ladder a configuration landed on — see
 /// the [module docs](self) for the criteria.
@@ -377,10 +389,18 @@ impl Walker {
     }
 
     /// Books each epoch span from the walker's position up to `n`
-    /// iterations, in schedule order.
-    fn walk_to(&mut self, booking: &Booking, schedule: RemapSchedule, n: u64) {
+    /// iterations, in schedule order, stopping at the first epoch boundary
+    /// that finds `deadline` passed.
+    fn walk_to(
+        &mut self,
+        booking: &Booking,
+        schedule: RemapSchedule,
+        n: u64,
+        deadline: Option<Instant>,
+    ) -> Result<(), Expired> {
         let period = schedule.period();
         while self.done < n {
+            check_deadline(deadline, self.done)?;
             let span = period.map_or(n, |p| p - self.done % p).min(n - self.done);
             self.book_epoch(booking, span);
             self.done += span;
@@ -388,6 +408,7 @@ impl Walker {
                 self.map.advance_epoch();
             }
         }
+        Ok(())
     }
 
     fn book_epoch(&mut self, booking: &Booking, span: u64) {
@@ -493,7 +514,28 @@ impl<'w> AnalyticWearEngine<'w> {
     /// available (same contract as the simulator).
     #[must_use]
     pub fn new(workload: &'w Workload, balance: BalanceConfig, cfg: SimConfig) -> Self {
-        Self::new_with_store(workload, balance, cfg, artifacts::global())
+        unbounded(Self::new_within(workload, balance, cfg, None))
+    }
+
+    /// [`AnalyticWearEngine::new`] under a wall-clock `deadline`, read at
+    /// each epoch boundary of the construction-time super-cycle walk (see
+    /// the [module docs](self)). `None` reads no clock.
+    ///
+    /// # Errors
+    ///
+    /// [`Expired`] when the deadline passes before the super-cycle walk
+    /// ends.
+    ///
+    /// # Panics
+    ///
+    /// As [`AnalyticWearEngine::new`].
+    pub fn new_within(
+        workload: &'w Workload,
+        balance: BalanceConfig,
+        cfg: SimConfig,
+        deadline: Option<Instant>,
+    ) -> Result<Self, Expired> {
+        Self::build(workload, balance, cfg, artifacts::global(), deadline)
     }
 
     /// [`AnalyticWearEngine::new`] against an explicit store (the identity
@@ -515,6 +557,16 @@ impl<'w> AnalyticWearEngine<'w> {
         cfg: SimConfig,
         store: &'w ArtifactStore,
     ) -> Self {
+        unbounded(Self::build(workload, balance, cfg, store, None))
+    }
+
+    fn build(
+        workload: &'w Workload,
+        balance: BalanceConfig,
+        cfg: SimConfig,
+        store: &'w ArtifactStore,
+        deadline: Option<Instant>,
+    ) -> Result<Self, Expired> {
         let trace = workload.trace();
         let dims = trace.dims();
         let logical_rows = dims.rows() - usize::from(balance.hw);
@@ -551,9 +603,9 @@ impl<'w> AnalyticWearEngine<'w> {
             usage,
         };
         if let Some(len) = engine.cycle_iterations.filter(|&len| cfg.iterations >= len) {
-            engine.walk_super_cycle(len);
+            engine.walk_super_cycle(len, deadline)?;
         }
-        engine
+        Ok(engine)
     }
 
     /// How many artifact-store lookups this engine's construction answered
@@ -619,17 +671,37 @@ impl<'w> AnalyticWearEngine<'w> {
     /// (`sim.super_cycles_folded`, 0 when walked).
     #[must_use]
     pub fn result_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> SimResult {
-        let (walker, folded) = self.walk(iterations);
+        unbounded(self.result_at_within(iterations, sink, None))
+    }
+
+    /// [`AnalyticWearEngine::result_at_with`] under a wall-clock
+    /// `deadline`, read at each epoch boundary of the walk (and of the
+    /// super-cycle walk, when this query is the first to span one). Once
+    /// it has passed, the walk stops there and its walker and plane are
+    /// dropped; a later query walks again from the seed. `None` reads no
+    /// clock.
+    ///
+    /// # Errors
+    ///
+    /// [`Expired`] when the deadline passes before the walk ends; nothing
+    /// is recorded into `sink`.
+    pub fn result_at_within<S: EventSink>(
+        &mut self,
+        iterations: u64,
+        sink: &S,
+        deadline: Option<Instant>,
+    ) -> Result<SimResult, Expired> {
+        let (walker, folded) = self.walk(iterations, deadline)?;
         let (wear, renders) = walker.into_answer(self.workload.trace().dims());
         self.audit(iterations, Summary::of(&wear, renders), folded, sink);
-        SimResult {
+        Ok(SimResult {
             wear,
             config: self.balance,
             iterations,
             steps_per_iteration: self.counts.sequential_steps,
             arch: self.cfg.arch,
             series: Vec::new(),
-        }
+        })
     }
 
     /// The hottest cell's writes after exactly `iterations` iterations —
@@ -652,7 +724,7 @@ impl<'w> AnalyticWearEngine<'w> {
     /// [`AnalyticWearEngine::result_at_with`] does.
     #[must_use]
     pub fn max_writes_at_with<S: EventSink>(&mut self, iterations: u64, sink: &S) -> u64 {
-        let (walker, folded) = self.walk(iterations);
+        let (walker, folded) = unbounded(self.walk(iterations, None));
         let summary = walker.into_summary(self.workload.trace().dims());
         self.audit(iterations, summary, folded, sink);
         summary.max_writes
@@ -691,13 +763,14 @@ impl<'w> AnalyticWearEngine<'w> {
 
     /// Walks one super-cycle of `len` iterations on a walker of its own and
     /// keeps its stage and the arrangement it ends in.
-    fn walk_super_cycle(&mut self, len: u64) {
+    fn walk_super_cycle(&mut self, len: u64, deadline: Option<Instant>) -> Result<(), Expired> {
         let trace = self.workload.trace();
         let mut walker = Walker::new(trace, self.balance, self.cfg, false);
-        walker.walk_to(&self.booking, self.cfg.schedule, len);
+        walker.walk_to(&self.booking, self.cfg.schedule, len, deadline)?;
         let rows = trace.dims().rows();
         let f = walker.map.hw().map_or_else(|| (0..rows).collect(), HwRemapper::arrangement);
         self.cycle = Some(SuperCycle { stage: walker.rows, f: PermFolder::new(f) });
+        Ok(())
     }
 
     /// The walk every answer at `n` shares, taking the walker (the fresh
@@ -705,20 +778,20 @@ impl<'w> AnalyticWearEngine<'w> {
     /// `n`, or, when `n` spans `k` super-cycles, its walk of the remainder
     /// with them folded into its stage. Returns the walker, whose stage
     /// then holds the answer's unrendered wear, and `k` (0 when walked).
-    fn walk(&mut self, n: u64) -> (Walker, u64) {
+    fn walk(&mut self, n: u64, deadline: Option<Instant>) -> Result<(Walker, u64), Expired> {
         let fold = self.cycle_iterations.filter(|&len| n >= len);
         if let Some(len) = fold.filter(|_| self.cycle.is_none()) {
-            self.walk_super_cycle(len);
+            self.walk_super_cycle(len, deadline)?;
         }
         let (k, m) = fold.map_or((0, n), |len| (n / len, n % len));
         let trace = self.workload.trace();
         let fresh = || Walker::new(trace, self.balance, self.cfg, true);
         let mut walker = self.walker.take().unwrap_or_else(fresh);
-        walker.walk_to(&self.booking, self.cfg.schedule, m);
+        walker.walk_to(&self.booking, self.cfg.schedule, m, deadline)?;
         if let Some(cycle) = self.cycle.as_ref().filter(|_| k > 0) {
             walker.rows.fold_cycles(&cycle.stage, &cycle.f, k);
         }
-        (walker, k)
+        Ok((walker, k))
     }
 }
 

@@ -64,4 +64,4 @@ pub use analytic::{run_configs_analytic, AnalyticPath, AnalyticWearEngine};
 pub use artifacts::{ArtifactKind, ArtifactStore, ArtifactUse, StoreStats};
 pub use lifetime::{Lifetime, LifetimeModel};
 pub use parallel::{fan_out, run_matrix, MatrixPoint};
-pub use sim::{EnduranceSimulator, EpochSample, SimConfig, SimResult};
+pub use sim::{EnduranceSimulator, EpochSample, Expired, SimConfig, SimResult};

@@ -19,6 +19,11 @@
 //! translated through [`CombinedMap::lookup_row`] — every iteration under
 //! `Hw`, once per epoch (scaled) otherwise — with no compiled kernel, no
 //! row table and no artifact store.
+//!
+//! [`EnduranceSimulator::run_within`] runs the same epoch loop under a
+//! wall-clock deadline, read at each epoch boundary: once it has passed,
+//! the run stops there, drops its wear map and returns [`Expired`]. Every
+//! other entry point is its no-deadline case and reads no clock.
 
 use std::time::Instant;
 
@@ -200,6 +205,36 @@ impl SimResult {
     }
 }
 
+/// A deadline-checked walk stopped at an epoch boundary because its
+/// deadline had passed; its wear was dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expired {
+    /// Iterations walked before the stop, a whole number of epochs.
+    pub iterations: u64,
+}
+
+impl std::fmt::Display for Expired {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "deadline passed after {} iterations", self.iterations)
+    }
+}
+
+impl std::error::Error for Expired {}
+
+/// The epoch-boundary check: `Err` once `deadline` has passed, with the
+/// iterations `done` so far. `None` reads no clock.
+pub(crate) fn check_deadline(deadline: Option<Instant>, done: u64) -> Result<(), Expired> {
+    match deadline {
+        Some(deadline) if Instant::now() >= deadline => Err(Expired { iterations: done }),
+        _ => Ok(()),
+    }
+}
+
+/// The answer of a walk run without a deadline, which cannot expire.
+pub(crate) fn unbounded<T>(walk: Result<T, Expired>) -> T {
+    walk.unwrap_or_else(|_| unreachable!("a walk without a deadline never expires"))
+}
+
 /// Replays workload traces under balancing configurations.
 #[derive(Debug, Clone, Copy)]
 pub struct EnduranceSimulator {
@@ -254,10 +289,10 @@ impl EnduranceSimulator {
 
     fn run_observed(&self, workload: &Workload, balance: BalanceConfig, arm: Replay) -> SimResult {
         let counts = workload.trace().counts(self.cfg.arch);
-        match nvpim_obs::observer::current() {
-            Some(observer) => self.simulate(workload, balance, &*observer, counts, arm),
-            None => self.simulate(workload, balance, &NullSink, counts, arm),
-        }
+        unbounded(match nvpim_obs::observer::current() {
+            Some(observer) => self.simulate(workload, balance, &*observer, counts, arm, None),
+            None => self.simulate(workload, balance, &NullSink, counts, arm, None),
+        })
     }
 
     /// Runs `workload` under `balance`, emitting progress, phase-timing,
@@ -274,8 +309,27 @@ impl EnduranceSimulator {
         balance: BalanceConfig,
         sink: &S,
     ) -> SimResult {
+        unbounded(self.run_within(workload, balance, sink, None))
+    }
+
+    /// [`EnduranceSimulator::run_with`] under a wall-clock `deadline`,
+    /// checked before each epoch: once it has passed, the run stops at
+    /// that epoch boundary, drops its wear map and returns [`Expired`]
+    /// (a deadline already passed books no epoch). `None` runs to the end
+    /// and reads no clock.
+    ///
+    /// # Errors
+    ///
+    /// [`Expired`] when the deadline passes before the last epoch.
+    pub fn run_within<S: EventSink>(
+        &self,
+        workload: &Workload,
+        balance: BalanceConfig,
+        sink: &S,
+        deadline: Option<Instant>,
+    ) -> Result<SimResult, Expired> {
         let counts = workload.trace().counts(self.cfg.arch);
-        self.run_with_counts(workload, balance, sink, counts)
+        self.simulate(workload, balance, sink, counts, Replay::Production, deadline)
     }
 
     /// [`EnduranceSimulator::run_with`] with the trace's static counts
@@ -290,12 +344,12 @@ impl EnduranceSimulator {
         sink: &S,
         counts: nvpim_array::trace::TraceCounts,
     ) -> SimResult {
-        self.simulate(workload, balance, sink, counts, Replay::Production)
+        unbounded(self.simulate(workload, balance, sink, counts, Replay::Production, None))
     }
 
-    /// The epoch loop both replay arms share: series samples, counters
-    /// and the run-end conservation asserts are common; `arm` picks how
-    /// each epoch's wear is tallied.
+    /// The epoch loop both replay arms share: series samples, counters,
+    /// the deadline check and the run-end conservation asserts are common;
+    /// `arm` picks how each epoch's wear is tallied.
     fn simulate<S: EventSink>(
         &self,
         workload: &Workload,
@@ -303,7 +357,8 @@ impl EnduranceSimulator {
         sink: &S,
         counts: nvpim_array::trace::TraceCounts,
         arm: Replay,
-    ) -> SimResult {
+        deadline: Option<Instant>,
+    ) -> Result<SimResult, Expired> {
         let trace = workload.trace();
         let dims = trace.dims();
         let mut map = CombinedMap::new(balance, dims.rows(), dims.lanes(), self.cfg.seed);
@@ -348,6 +403,7 @@ impl EnduranceSimulator {
 
         let mut iteration = 0u64;
         while iteration < self.cfg.iterations {
+            check_deadline(deadline, iteration)?;
             // Iterations remaining in this software epoch.
             let until_remap = match self.cfg.schedule.period() {
                 Some(p) => p - (iteration % p),
@@ -486,14 +542,14 @@ impl EnduranceSimulator {
             sink.flush();
         }
 
-        SimResult {
+        Ok(SimResult {
             wear,
             config: balance,
             iterations: self.cfg.iterations,
             steps_per_iteration: counts.sequential_steps,
             arch: self.cfg.arch,
             series,
-        }
+        })
     }
 
     /// Answers the configured iteration count through the replay-free

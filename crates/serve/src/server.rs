@@ -8,20 +8,23 @@
 //!   request whose wear planes exceed
 //!   [`MAX_PLANE_BYTES`](crate::request::MAX_PLANE_BYTES) is refused with
 //!   `413` at canonicalization, before anything is allocated.
-//! * **Timeouts** — `/simulate` runs each job on its own thread and waits
-//!   with `recv_timeout`; a deadline miss answers `504` while the detached
-//!   job finishes and still populates the cache (the work is not lost).
-//!   When no thread can be spawned the request answers `503` with a
-//!   `Retry-After` header instead of taking the worker down.
+//! * **Timeouts** — a `/simulate` miss runs on the connection worker that
+//!   took the request, under the request's deadline (`timeout_ms`, or the
+//!   server default). Every epoch loop the run walks reads it at each epoch
+//!   boundary; once it has passed, the work stops there, drops its plane,
+//!   caches nothing, and the request answers `504`. Compute is therefore
+//!   bounded by the workers and the queue, with no thread per job.
 //! * **Workload memo** — a miss runs on a workload borrowed from a
 //!   [`WorkloadMemo`] keyed by shape (workload spec, rows, lanes), so a
 //!   fresh seed of a known shape skips synthesis. Workloads are
 //!   deterministic in their shape, so answers are byte-identical to fresh
 //!   synthesis; the memo is bounded by [`WORKLOAD_MEMO_BYTES`] and shows on
 //!   `/metrics` as `serve.workload_memo.*`.
-//! * **Graceful drain** — `POST /shutdown` flips a draining flag: new
-//!   connections get `503`, in-flight requests complete, and the accept
-//!   loop exits once the queue is idle.
+//! * **Graceful drain** — `POST /shutdown` flips a draining flag and wakes
+//!   the accept loop, which blocks in `accept` while serving, with a
+//!   connection to its own listener. From then on new connections get
+//!   `503`, in-flight requests complete, and the loop exits once the queue
+//!   is idle. Only this drain phase polls; the serving path never sleeps.
 //! * **Observability** — per-endpoint request counters and latency
 //!   histograms (cache hit/miss labeled for `/simulate`) feed the server
 //!   [`Observer`]; each executed simulation runs against a private
@@ -38,16 +41,15 @@
 //!   whatever the request said.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::str::FromStr as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nvpim_core::{AnalyticWearEngine, EnduranceSimulator};
+use nvpim_core::{AnalyticWearEngine, EnduranceSimulator, Expired};
 use nvpim_exec::{JobPool, SubmitError, TaskQueue};
 use nvpim_obs::{
     Event, EventSink as _, Json, JsonlSink, Observer, RunManifest, TraceContext, TraceId,
@@ -76,7 +78,7 @@ pub struct ServerConfig {
     /// `429`.
     pub queue_depth: usize,
     /// Default per-request wall-clock budget for `/simulate`, in
-    /// milliseconds (`0` = unlimited). Requests may lower it with their own
+    /// milliseconds (`0` = unlimited). Requests may set their own
     /// `timeout_ms`.
     pub timeout_ms: u64,
     /// In-memory result-cache capacity (entries).
@@ -118,6 +120,9 @@ struct ServeState {
     started: Instant,
     in_flight: AtomicU64,
     draining: AtomicBool,
+    /// A loopback address of the listener, which a drain connects to so
+    /// the accept loop wakes up.
+    wake_addr: SocketAddr,
     timeout_ms: u64,
     retry_after_s: u64,
     workers: usize,
@@ -132,6 +137,18 @@ impl ServeState {
 
     fn observe(&self, name: &str, value: u64) {
         self.observer.record(&Event::Observe { name, value });
+    }
+
+    /// Starts a graceful drain. The first call also wakes the accept loop,
+    /// blocked in `accept`, with a connection to its own listener; the
+    /// loop refuses it like any connection that arrives while draining.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)) {
+            eprintln!("nvpim-serve: could not wake the accept loop: {e}");
+        }
     }
 
     /// Refreshes the point-in-time server gauges so a metrics snapshot
@@ -185,7 +202,7 @@ impl ServerHandle {
     /// Initiates a graceful drain, exactly like `POST /shutdown`: in-flight
     /// requests finish, new connections are refused with `503`.
     pub fn request_shutdown(&self) {
-        self.state.draining.store(true, Ordering::SeqCst);
+        self.state.begin_drain();
     }
 
     /// Waits for the accept loop to exit (after a drain was requested).
@@ -202,8 +219,14 @@ impl Server {
     /// Fails if the listen address cannot be bound.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let observer = match &config.cache_dir {
             Some(dir) => {
@@ -230,6 +253,7 @@ impl Server {
             started: Instant::now(),
             in_flight: AtomicU64::new(0),
             draining: AtomicBool::new(false),
+            wake_addr,
             timeout_ms: config.timeout_ms,
             retry_after_s: config.retry_after_s,
             workers,
@@ -248,17 +272,11 @@ impl Server {
     }
 }
 
-/// Idle-poll backoff bounds for the non-blocking accept loop. After serving
-/// a connection the loop polls again almost immediately (new work tends to
-/// arrive in bursts, and a request/response turnaround is often well under
-/// a millisecond); each empty poll doubles the sleep up to the cap so a
-/// quiet server still costs ~zero CPU. The cap bounds the worst-case
-/// latency an after-idle request pays before it is even accepted — at
-/// 500 µs a fully idle server burns ~2000 accept polls (syscalls) per
-/// second, well under 1% of a core, while keeping cache-hit round-trips
-/// dominated by useful work instead of the poll sleep.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_micros(50);
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_micros(500);
+/// Poll backoff bounds for the drain phase, the only time the accept loop
+/// does not block: it must see the queue go idle while still refusing new
+/// connections. Each empty poll doubles the sleep up to the cap.
+const DRAIN_POLL_MIN: Duration = Duration::from_micros(50);
+const DRAIN_POLL_MAX: Duration = Duration::from_micros(500);
 
 /// How long a peer has to send its whole request, however it is split
 /// into reads (`http::read_request_within`).
@@ -271,13 +289,19 @@ fn accept_loop(
     queue_depth: usize,
 ) {
     let queue = TaskQueue::new(workers, queue_depth);
-    let mut backoff = ACCEPT_BACKOFF_MIN;
+    let mut backoff = DRAIN_POLL_MIN;
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                backoff = ACCEPT_BACKOFF_MIN;
+                backoff = DRAIN_POLL_MIN;
                 if state.draining.load(Ordering::SeqCst) {
                     refuse(stream, 503, &[], "server is draining");
+                    // Until now `accept` blocked; the drain polls instead,
+                    // so the loop sees the queue go idle.
+                    if let Err(e) = listener.set_nonblocking(true) {
+                        eprintln!("nvpim-serve: cannot poll the listener to drain: {e}");
+                        break;
+                    }
                     continue;
                 }
                 // Only this thread submits, so pending() cannot grow between
@@ -301,15 +325,13 @@ fn accept_loop(
                     // A drain raced in; the connection drops with the task.
                 }
             }
+            // Only the drain phase's listener is non-blocking.
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if state.draining.load(Ordering::SeqCst)
-                    && queue.pending() == 0
-                    && queue.in_flight() == 0
-                {
+                if queue.pending() == 0 && queue.in_flight() == 0 {
                     break;
                 }
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+                backoff = (backoff * 2).min(DRAIN_POLL_MAX);
             }
             Err(e) => {
                 eprintln!("nvpim-serve: accept error: {e}");
@@ -359,34 +381,51 @@ fn handle_connection(mut stream: TcpStream, state: Arc<ServeState>) {
     let mut span = state.tracer.adopt_trace(trace, "serve.request");
     let ctx = ReqCtx { hex: trace.to_hex(), span: span.context(), started };
     let endpoint = route(&mut stream, &request, &state, &ctx);
-    span.attr_str("endpoint", endpoint);
+    span.attr_str("endpoint", endpoint.label);
     drop(span);
-    state.count(&format!("serve.requests.{endpoint}"));
+    state.count(endpoint.requests);
     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    state.observe(&format!("serve.latency_us.{endpoint}"), micros);
+    state.observe(endpoint.latency_us, micros);
     state.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Dispatches one parsed request and returns the endpoint label used in
-/// metric names.
+/// An endpoint's span label and its metric names, `serve.requests.<label>`
+/// and `serve.latency_us.<label>`, spelled out at compile time.
+struct Endpoint {
+    label: &'static str,
+    requests: &'static str,
+    latency_us: &'static str,
+}
+
+macro_rules! endpoint {
+    ($label:literal) => {
+        Endpoint {
+            label: $label,
+            requests: concat!("serve.requests.", $label),
+            latency_us: concat!("serve.latency_us.", $label),
+        }
+    };
+}
+
+/// Dispatches one parsed request and returns its [`Endpoint`].
 fn route(
     stream: &mut TcpStream,
     request: &HttpRequest,
     state: &Arc<ServeState>,
     ctx: &ReqCtx,
-) -> &'static str {
+) -> Endpoint {
     let th = [("X-Trace-Id", ctx.hex.as_str())];
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/") => {
             respond_json(stream, 200, &th, &index_doc());
-            "index"
+            endpoint!("index")
         }
         ("GET", "/health") => {
             let doc = Json::object()
                 .with("status", "ok")
                 .with("draining", state.draining.load(Ordering::SeqCst));
             respond_json(stream, 200, &th, &doc);
-            "health"
+            endpoint!("health")
         }
         ("GET", "/metrics") => {
             state.refresh_gauges();
@@ -404,7 +443,7 @@ fn route(
                     &format!("unknown metrics format `{other}` (expected json or prometheus)"),
                 ),
             }
-            "metrics"
+            endpoint!("metrics")
         }
         ("GET", path) if path.strip_prefix("/trace/").is_some() => {
             let hex = path.strip_prefix("/trace/").unwrap_or_default();
@@ -426,32 +465,32 @@ fn route(
                     let _ = http::write_response(stream, 200, &th, "application/json", &body);
                 }
             }
-            "trace"
+            endpoint!("trace")
         }
         ("POST", "/simulate") => {
             simulate(stream, request, state, ctx);
-            "simulate"
+            endpoint!("simulate")
         }
         ("POST", "/batch") => {
             batch(stream, request, state, ctx);
-            "batch"
+            endpoint!("batch")
         }
         ("POST", "/shutdown") => {
-            state.draining.store(true, Ordering::SeqCst);
+            state.begin_drain();
             respond_json(stream, 200, &th, &Json::object().with("status", "draining"));
-            "shutdown"
+            endpoint!("shutdown")
         }
         (_, "/" | "/health" | "/metrics" | "/simulate" | "/batch" | "/shutdown") => {
             respond_error(stream, 405, &th, "method not allowed for this path");
-            "method_not_allowed"
+            endpoint!("method_not_allowed")
         }
         (_, path) if path.starts_with("/trace/") => {
             respond_error(stream, 405, &th, "method not allowed for this path");
-            "method_not_allowed"
+            endpoint!("method_not_allowed")
         }
         _ => {
             respond_error(stream, 404, &th, "no such endpoint");
-            "not_found"
+            endpoint!("not_found")
         }
     }
 }
@@ -532,57 +571,51 @@ fn simulate(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeStat
     state.count("serve.cache.misses");
 
     let timeout_ms = sim_request.timeout_ms.unwrap_or(state.timeout_ms);
-    let (tx, rx) = mpsc::channel::<Result<String, String>>();
-    let job_state = Arc::clone(state);
-    let parent = ctx.span;
-    let spawned = std::thread::Builder::new().name("nvpim-serve-sim".into()).spawn(move || {
-        let outcome = execute(&sim_request, key, canonical, &job_state, Some(parent));
-        // The receiver may have timed out and gone away; the cache
-        // insert above already preserved the work.
-        let _ = tx.send(outcome);
-    });
-    if spawned.is_err() {
-        state.count("serve.rejected.spawn");
-        let retry = state.retry_after_s.to_string();
-        let headers = [("Retry-After", retry.as_str()), th[0]];
-        return respond_error(
-            stream,
-            503,
-            &headers,
-            "no thread to run the simulation, retry shortly",
-        );
-    }
-
-    let outcome = if timeout_ms == 0 {
-        rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected)
-    } else {
-        rx.recv_timeout(Duration::from_millis(timeout_ms))
+    // A budget past an `Instant`'s range is as good as unlimited.
+    let deadline = match timeout_ms {
+        0 => None,
+        ms => ctx.started.checked_add(Duration::from_millis(ms)),
     };
-    match outcome {
-        Ok(Ok(body)) => {
+    match execute(&sim_request, key, canonical, state, Some(ctx.span), deadline) {
+        Ok(body) => {
             let headers = [("X-Cache", "miss"), ("X-Trace-Id", ctx.hex.as_str())];
             let _ = http::write_response(stream, 200, &headers, "application/json", &body);
             let micros = u64::try_from(ctx.started.elapsed().as_micros()).unwrap_or(u64::MAX);
             state.observe("serve.latency_us.simulate|cache=miss", micros);
         }
-        Ok(Err(message)) => respond_error(stream, 400, &th, &message),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
+        Err(Unanswered::Rejected) => respond_error(stream, 400, &th, REJECTED),
+        // Counted once the walk has stopped, so the counter shows it did.
+        Err(Unanswered::Expired) => {
             state.count("serve.timeouts");
             respond_error(stream, 504, &th, "simulation exceeded its time budget");
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            respond_error(stream, 500, &th, "simulation worker vanished");
         }
     }
 }
 
-/// Runs one simulation to completion, populates the cache under `key`
-/// and `canonical` (the request's cache key and canonical text, as the
-/// caller's lookup rendered them), absorbs the run's private observer,
+/// Why [`execute`] produced no body.
+enum Unanswered {
+    /// The run panicked: the parameters passed validation but not a
+    /// constructor's invariants ([`REJECTED`]).
+    Rejected,
+    /// The deadline passed; the walk stopped at an epoch boundary.
+    Expired,
+}
+
+/// The error text of [`Unanswered::Rejected`].
+const REJECTED: &str = "simulation rejected the parameter combination";
+
+/// Runs one simulation on the calling thread, populates the cache under
+/// `key` and `canonical` (the request's cache key and canonical text, as
+/// the caller's lookup rendered them), absorbs the run's private observer,
 /// and (when configured) writes a manifest. With a
 /// parent context the run is wrapped in a `serve.execute` child span —
-/// opened on whatever thread executes (the detached `/simulate` worker or
-/// a `/batch` pool worker), so the trace shows real lanes.
+/// opened on whatever thread executes (the `/simulate` connection worker
+/// or a `/batch` pool worker), so the trace shows real lanes.
+///
+/// Every epoch loop of the run reads `deadline` at each epoch boundary
+/// (`None`, as `/batch` passes, reads no clock). A run that finds it passed
+/// stops there and leaves nothing behind: no cache entry, no absorbed
+/// counters, no manifest.
 ///
 /// The workload comes from the server's [`WorkloadMemo`], built on the
 /// first miss of its shape.
@@ -600,7 +633,8 @@ fn execute(
     canonical: String,
     state: &ServeState,
     parent: Option<TraceContext>,
-) -> Result<String, String> {
+    deadline: Option<Instant>,
+) -> Result<String, Unanswered> {
     let local = Observer::collecting();
     let started = Instant::now();
     let mut span = parent.map(|ctx| state.tracer.span(ctx, "serve.execute"));
@@ -609,23 +643,31 @@ fn execute(
         span.attr_str("config", request.config.label());
         span.attr_u64("iterations", request.iterations);
     }
-    let run = catch_unwind(AssertUnwindSafe(|| {
+    let run = catch_unwind(AssertUnwindSafe(|| -> Result<_, Expired> {
         let cfg = request.sim_config();
         let workload = state.workloads.get(request);
         if request.series {
-            let result = EnduranceSimulator::new(cfg).run_with(&workload, request.config, &local);
-            (wire::keyed_result_body(request, key, &result), None)
+            let result = EnduranceSimulator::new(cfg).run_within(
+                &workload,
+                request.config,
+                &local,
+                deadline,
+            )?;
+            Ok((wire::keyed_result_body(request, key, &result), None))
         } else {
-            let mut engine = AnalyticWearEngine::new(&workload, request.config, cfg);
+            let mut engine =
+                AnalyticWearEngine::new_within(&workload, request.config, cfg, deadline)?;
             let path = engine.path();
-            let result = engine.result_at_with(cfg.iterations, &local);
-            (wire::keyed_result_body(request, key, &result), Some((path, engine.artifact_use())))
+            let result = engine.result_at_within(cfg.iterations, &local, deadline)?;
+            let body = wire::keyed_result_body(request, key, &result);
+            Ok((body, Some((path, engine.artifact_use()))))
         }
     }));
     drop(span);
     let (body, analytic_path) = match run {
-        Ok(outcome) => outcome,
-        Err(_) => return Err("simulation rejected the parameter combination".to_owned()),
+        Ok(Ok(outcome)) => outcome,
+        Ok(Err(Expired { .. })) => return Err(Unanswered::Expired),
+        Err(_) => return Err(Unanswered::Rejected),
     };
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     state.observer.absorb(&local);
@@ -729,11 +771,11 @@ fn batch(stream: &mut TcpStream, request: &HttpRequest, state: &Arc<ServeState>,
             }
             None => {
                 state.count("serve.cache.misses");
-                match execute(&cell, key, canonical, state, Some(ctx.span)) {
+                match execute(&cell, key, canonical, state, Some(ctx.span), None) {
                     Ok(body) => (false, body),
-                    Err(message) => {
+                    Err(_) => {
                         let doc =
-                            Json::object().with("index", index).with("error", message).render();
+                            Json::object().with("index", index).with("error", REJECTED).render();
                         let mut w = out.lock().expect("batch stream poisoned");
                         let _ = writeln!(w, "{doc}");
                         return;

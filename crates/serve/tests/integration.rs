@@ -213,6 +213,60 @@ fn over_budget_simulation_times_out_with_504() {
 }
 
 #[test]
+fn a_timed_out_walk_stops_and_frees_the_lone_worker() {
+    let (handle, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    // A million `RaxRa+Hw` epochs over 1024 rows: about 10 s of walking in
+    // release mode on a 2-vCPU x86-64 box, against a 50 ms budget.
+    let slow = r#"{"workload": {"kind": "mul", "rows": 1024, "lanes": 16},
+                   "config": "RaxRa+Hw", "period": 1, "iterations": 1000000, "timeout_ms": 50}"#;
+    let started = std::time::Instant::now();
+    assert_eq!(client.post_json("/simulate", slow).unwrap().status, 504);
+
+    // The lone worker walked the request itself and counts the timeout once
+    // the walk has stopped, so its next answer shows the stop: nothing was
+    // cached, and the worker is free for the next request at once.
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    assert_eq!(counter(&metrics, "serve.timeouts"), 1);
+    let resident =
+        metrics.get("serve").and_then(|s| s.get("cache")).and_then(|c| c.get("resident"));
+    assert_eq!(resident.and_then(Json::as_u64), Some(0), "a stopped walk caches nothing");
+    let next = client.post_json("/simulate", &small_request(3)).unwrap();
+    assert_eq!(next.status, 200);
+    assert_eq!(next.header("x-cache"), Some("miss"));
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(5), "the abandoned walk held the worker for {elapsed:?}");
+
+    handle.request_shutdown();
+    handle.join();
+}
+
+/// Whether `handle.join()` returns within `limit`. The join runs on a
+/// thread of its own, so a loop that never wakes fails the test instead of
+/// hanging it.
+fn joins_within(handle: nvpim_serve::ServerHandle, limit: Duration) -> bool {
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done.send(());
+    });
+    joined.recv_timeout(limit).is_ok()
+}
+
+#[test]
+fn request_shutdown_wakes_an_idle_accept_loop() {
+    let (handle, _client) = start(ServerConfig::default());
+    handle.request_shutdown();
+    assert!(joins_within(handle, Duration::from_secs(2)), "the blocked accept loop never woke");
+}
+
+#[test]
+fn post_shutdown_wakes_an_idle_accept_loop() {
+    let (handle, client) = start(ServerConfig::default());
+    assert_eq!(client.post_json("/shutdown", "").unwrap().status, 200);
+    assert!(joins_within(handle, Duration::from_secs(2)), "the blocked accept loop never woke");
+}
+
+#[test]
 fn saturated_queue_answers_429_with_retry_after() {
     let config =
         ServerConfig { workers: 1, queue_depth: 1, retry_after_s: 3, ..ServerConfig::default() };

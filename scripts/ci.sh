@@ -49,7 +49,9 @@ cargo test -q --release --offline -p nvpim-core --test paper_dims
 cargo test -q --release --offline -p nvpim-core --test artifacts
 
 # The HTTP service end to end in release mode: concurrent byte-identical
-# responses, cache hits, 429 backpressure, 504 timeouts, graceful drain.
+# responses, cache hits, 429 backpressure, 504 timeouts whose walk stops
+# and frees the lone worker, graceful drain, and a shutdown that wakes the
+# accept loop blocked in `accept` (each join under its own time limit).
 cargo test -q --release --offline -p nvpim-serve --test integration
 
 # Seeded fuzzing of the service boundary in release mode: request framing
