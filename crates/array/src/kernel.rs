@@ -206,8 +206,10 @@ pub struct WearKernel {
     slots: usize,
     slot_writes: Vec<Vec<u64>>,
     slot_reads: Option<Vec<Vec<u64>>>,
-    /// Per class, whether no step of the iteration writes it.
+    /// Per class, whether no step of the iteration writes it, and (with
+    /// reads) whether none reads it.
     write_free: Vec<bool>,
+    read_free: Vec<bool>,
     /// The end permutation `E` with its cycle decomposition, so per-epoch
     /// folds and advances are allocation-free.
     folder: PermFolder,
@@ -240,9 +242,21 @@ impl WearKernel {
         for panel in slot_writes.iter().chain(slot_reads.iter().flatten()) {
             assert_eq!(panel.len(), slots, "panel length must equal the slot count");
         }
-        let write_free = slot_writes.iter().map(|panel| panel.iter().all(|&d| d == 0)).collect();
+        let free = |panels: &[Vec<u64>]| -> Vec<bool> {
+            panels.iter().map(|panel| panel.iter().all(|&d| d == 0)).collect()
+        };
+        let write_free = free(&slot_writes);
+        let read_free = slot_reads.as_deref().map_or_else(Vec::new, free);
         let folder = PermFolder::new(end);
-        WearKernel { slots, slot_writes, slot_reads, write_free, folder, redirects_per_iter }
+        WearKernel {
+            slots,
+            slot_writes,
+            slot_reads,
+            write_free,
+            read_free,
+            folder,
+            redirects_per_iter,
+        }
     }
 
     /// Physical row count (arrangement length).
@@ -268,6 +282,14 @@ impl WearKernel {
     #[must_use]
     pub fn is_write_free(&self, class: usize) -> bool {
         self.write_free[class]
+    }
+
+    /// Whether one iteration reads nothing in `class`, so its epoch folds
+    /// of reads are all zero and can be skipped (also without read
+    /// tracking, when no reads are kept).
+    #[must_use]
+    pub fn is_read_free(&self, class: usize) -> bool {
+        self.read_free.get(class).copied().unwrap_or(true)
     }
 
     /// Per-slot read deltas of one iteration for `class`, if compiled with
@@ -473,6 +495,11 @@ mod tests {
         assert_eq!(kernel.classes(), 2);
         assert!(kernel.is_write_free(0));
         assert!(!kernel.is_write_free(1));
+        assert!(kernel.is_read_free(0), "no reads are kept");
+        let reads = Some(vec![vec![1, 0, 0, 0], vec![0; 4]]);
+        let kernel = WearKernel::new(vec![vec![0; 4]; 2], reads, (0..4).collect(), 0);
+        assert!(!kernel.is_read_free(0));
+        assert!(kernel.is_read_free(1));
     }
 
     #[test]

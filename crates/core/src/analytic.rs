@@ -9,19 +9,19 @@
 //!
 //! # One walker
 //!
-//! Every configuration runs on one epoch walker. It enumerates epoch
-//! states in schedule order with the exact seeded RNG streams, but each
-//! epoch only books O(rows) per lane class into a row-space stage — the
-//! trace's logical panels through the epoch's row table (software), or the
-//! trace's one kernel relabeled through the row table and folded (`+Hw`,
-//! see [`crate::kernel`]) — never a trace walk. Lanes render into the cell
-//! map once per answer for classes spanning every lane, and once per
-//! distinct lane set or row phase for partial classes; under `Ra` lanes,
-//! whose sets never repeat, the partial classes render once per batch of
-//! up to `kernel::LANE_BATCH` epochs, one add per lane of each lane
-//! signature (`kernel::RowAccumulator`; the walker picks the staging from
-//! the configuration, `kernel::LaneStage::of`). With no partial class the
-//! walker keeps `St` lanes, as lanes cannot affect wear.
+//! Every configuration runs on one epoch walker. It enumerates epoch states in
+//! schedule order with the exact seeded RNG streams, but each epoch only books
+//! O(support) per lane class into a row-space stage — the rows a class's
+//! logical panel counts, through the epoch's row table (software), or every row
+//! of the trace's one kernel relabeled through the row table and folded (`+Hw`,
+//! see [`crate::kernel`]) — never a trace walk. A class that writes (or reads)
+//! nothing books nothing. Lanes render into the cell map once per answer for
+//! classes spanning every lane, and once per distinct lane set or row phase for
+//! partial classes; under `Ra` lanes, whose sets never repeat, the partial
+//! classes render once per batch of up to `kernel::LANE_BATCH` epochs, one add
+//! per lane of each lane signature (`kernel::RowAccumulator`; the walker picks
+//! the staging from the configuration, `kernel::LaneStage::of`). With no
+//! partial class the walker keeps `St` lanes, as lanes cannot affect wear.
 //!
 //! An answer is the walker's own cell plane with its stage rendered in
 //! place, not a copy, so the walker is spent and the next query walks a
@@ -250,58 +250,132 @@ fn super_cycle_iterations(
     epochs.checked_mul(schedule.period()?)
 }
 
+/// The work an engine's walk books for a configuration, estimated without
+/// the trace: [`walk_cost`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalkCost {
+    /// Epochs the walker books, after super-cycle folding: a count that
+    /// spans a super-cycle walks that super-cycle once plus its remainder,
+    /// any other walks every epoch (one, under `never()`).
+    pub epochs: u64,
+    /// Passes the walk renders over the cell plane: one per
+    /// `kernel::LANE_BATCH` epochs under `Ra` lanes (epoch batches), else
+    /// one.
+    pub renders: u64,
+}
+
+/// The [`WalkCost`] of an engine answering `cfg.iterations` under
+/// `balance` at `dims`. It assumes the walker keeps the configured lanes,
+/// so it is exact for a trace with a class that does not span every lane
+/// and an upper bound otherwise (such a walker keeps `St` lanes, which may
+/// fold or render less). The sweeps schedule their points by `epochs`, and
+/// the service's admission bound prices `epochs × rows + renders × cells`.
+#[must_use]
+pub fn walk_cost(balance: BalanceConfig, cfg: &SimConfig, dims: ArrayDims) -> WalkCost {
+    let period = cfg.schedule.period();
+    let epochs_of =
+        |iterations: u64| period.map_or(u64::from(iterations > 0), |p| iterations.div_ceil(p));
+    let n = cfg.iterations;
+    let epochs = match super_cycle_iterations(balance, cfg.schedule, dims) {
+        Some(len) if n >= len => epochs_of(len) + epochs_of(n % len),
+        _ => epochs_of(n),
+    };
+    let renders = match kernel::LaneStage::of(balance, dims, cfg) {
+        kernel::LaneStage::EpochBatches => epochs.div_ceil(kernel::LANE_BATCH as u64),
+        kernel::LaneStage::LaneSets { .. } | kernel::LaneStage::RowPhases { .. } => 1,
+    };
+    WalkCost { epochs, renders }
+}
+
+/// One class's counts per logical row, and its support: the rows whose
+/// count is nonzero, ascending. An epoch books only the support.
+#[derive(Debug, Default)]
+struct RowPanel {
+    counts: Vec<u64>,
+    support: Vec<usize>,
+}
+
+impl RowPanel {
+    fn zeroed(rows: usize) -> Self {
+        RowPanel { counts: vec![0; rows], support: Vec::new() }
+    }
+
+    /// Adds `delta` at `row`, entering `row` into the support when its
+    /// count leaves zero; the support is sorted once the walk ends.
+    fn add(&mut self, row: usize, delta: u64) {
+        if self.counts[row] == 0 && delta > 0 {
+            self.support.push(row);
+        }
+        self.counts[row] += delta;
+    }
+
+    /// This panel's deposits in an epoch of `span` iterations under row
+    /// table `table`.
+    fn deposits<'a>(&'a self, table: &'a [usize], span: u64) -> kernel::Deposits<'a> {
+        kernel::Deposits { rows: table, deltas: &self.counts, support: &self.support, scale: span }
+    }
+}
+
 /// Per-class, per-logical-row write (and read) panels of one trace walk —
 /// the table-independent core of the non-`Hw` replay, and the first artifact
 /// kind the store shares across configurations (all 18 configs of a matrix
 /// share one trace, hence one panel set).
 #[derive(Debug)]
 struct LogicalPanels {
-    writes: Vec<Vec<u64>>,
-    reads: Option<Vec<Vec<u64>>>,
+    writes: Vec<RowPanel>,
+    reads: Option<Vec<RowPanel>>,
 }
 
 impl LogicalPanels {
     fn approx_bytes(&self) -> usize {
-        let entries = self.writes.iter().map(Vec::len).sum::<usize>()
-            + self.reads.as_ref().map_or(0, |r| r.iter().map(Vec::len).sum::<usize>());
-        entries * std::mem::size_of::<u64>()
+        let panels = self.writes.iter().chain(self.reads.iter().flatten());
+        panels
+            .map(|p| {
+                p.counts.len() * std::mem::size_of::<u64>()
+                    + p.support.len() * std::mem::size_of::<usize>()
+            })
+            .sum()
     }
 }
 
 /// Walks the trace once into [`LogicalPanels`]: an epoch with row table `T`
 /// and lane permutation `P` deposits `V[class][r]` at `(T[r], P[lane])` for
 /// each lane of the class. Mirrors `Accumulator::replay_cached` with the
-/// identity table.
+/// identity table. Each panel's support is gathered in the same walk.
 fn logical_panels(trace: &Trace, arch: ArchStyle, track_reads: bool) -> LogicalPanels {
     let rows = trace.dims().rows();
     let n_classes = trace.classes().len();
     let writes_per_gate = arch.writes_per_gate();
-    let mut writes = vec![vec![0u64; rows]; n_classes];
-    let mut reads = track_reads.then(|| vec![vec![0u64; rows]; n_classes]);
+    let panels = || (0..n_classes).map(|_| RowPanel::zeroed(rows)).collect::<Vec<_>>();
+    let mut writes = panels();
+    let mut reads = track_reads.then(panels);
     for step in trace.steps() {
         match *step {
-            Step::Write { row, class, .. } => writes[class][row] += 1,
+            Step::Write { row, class, .. } => writes[class].add(row, 1),
             Step::Read { row, class } => {
                 if let Some(reads) = &mut reads {
-                    reads[class][row] += 1;
+                    reads[class].add(row, 1);
                 }
             }
             Step::Gate { kind, ins, out, class } => {
-                writes[class][out] += writes_per_gate;
+                writes[class].add(out, writes_per_gate);
                 if let Some(reads) = &mut reads {
-                    reads[class][ins[0]] += 1;
+                    reads[class].add(ins[0], 1);
                     if kind.arity() == 2 {
-                        reads[class][ins[1]] += 1;
+                        reads[class].add(ins[1], 1);
                     }
                 }
             }
             Step::Transfer { src_row, dst_row, src_class, dst_class } => {
-                writes[dst_class][dst_row] += 1;
+                writes[dst_class].add(dst_row, 1);
                 if let Some(reads) = &mut reads {
-                    reads[src_class][src_row] += 1;
+                    reads[src_class].add(src_row, 1);
                 }
             }
         }
+    }
+    for panel in writes.iter_mut().chain(reads.iter_mut().flatten()) {
+        panel.support.sort_unstable();
     }
     LogicalPanels { writes, reads }
 }
@@ -421,10 +495,10 @@ impl Walker {
                 }
                 let table = self.map.row_table();
                 for (class, writes) in panels.writes.iter().enumerate() {
-                    self.rows.book(class, table, writes, span, false);
+                    self.rows.book(class, &writes.deposits(table, span), false);
                 }
                 for (class, reads) in panels.reads.iter().flatten().enumerate() {
-                    self.rows.book(class, table, reads, span, true);
+                    self.rows.book(class, &reads.deposits(table, span), true);
                 }
             }
             Booking::Hw(kernel) => {
@@ -832,7 +906,86 @@ pub fn run_configs_analytic(
 
 #[cfg(test)]
 mod tests {
+    use nvpim_array::{ClassId, LaneSet};
+    use nvpim_logic::{circuits, BitId};
+    use nvpim_workloads::WorkloadBuilder;
+    use proptest::prelude::{any, prop, prop_assert_eq, proptest, ProptestConfig};
+
     use super::*;
+
+    /// A random program on a 256-row array of `lanes` lanes: one class per
+    /// lane mask (a mask's low bits, or one lane when they are all clear),
+    /// and per op `(kind, class, width)` a word loaded, two words added, a
+    /// word sent to the next class as wide (in lanes), or a word read out.
+    /// A class no op reaches has empty supports; a class that only sends
+    /// has reads and no writes.
+    fn random_program(lanes: usize, masks: &[u64], ops: &[(usize, usize, usize)]) -> Workload {
+        let mut wb = WorkloadBuilder::new(ArrayDims::new(256, lanes));
+        let sets: Vec<LaneSet> = masks
+            .iter()
+            .map(|&mask| {
+                let mut held: Vec<usize> = (0..lanes).filter(|&l| mask >> l & 1 == 1).collect();
+                if held.is_empty() {
+                    held.push(mask as usize % lanes);
+                }
+                LaneSet::from_indices(lanes, &held)
+            })
+            .collect();
+        let classes: Vec<ClassId> = sets.iter().map(|set| wb.add_class(set.clone())).collect();
+        // A transfer pairs source and destination lanes one to one.
+        let receiver = |class: usize| {
+            (1..sets.len())
+                .map(|step| (class + step) % sets.len())
+                .find(|&to| sets[to].count() == sets[class].count())
+        };
+        let mut words: Vec<Vec<Vec<BitId>>> = vec![Vec::new(); classes.len()];
+        for &(kind, class, width) in ops {
+            let class = class % classes.len();
+            let id = classes[class];
+            match (kind, words[class].len()) {
+                (1, held) if held >= 2 => {
+                    let (x, y) = (&words[class][held - 1], &words[class][held - 2]);
+                    let width = x.len().min(y.len());
+                    let (x, y) = (x[..width].to_vec(), y[..width].to_vec());
+                    let sum = wb.compute(id, |cb| circuits::ripple_carry_add(cb, &x, &y));
+                    words[class].push(sum);
+                }
+                (2, held) if held >= 1 && receiver(class).is_some() => {
+                    let to = receiver(class).expect("checked above");
+                    let moved = wb.receive_word(&words[class][held - 1], id, classes[to]);
+                    words[to].push(moved);
+                }
+                (3, held) if held >= 1 => wb.readout(&words[class][held - 1], id),
+                _ => words[class].push(wb.load_word(width, id)),
+            }
+        }
+        let (class, word) = words.iter().enumerate().find(|(_, w)| !w.is_empty()).unwrap();
+        let result = word.last().unwrap().clone();
+        wb.pin_results(&result, classes[class]);
+        wb.finish("random")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn each_support_is_its_panels_nonzero_rows_ascending(
+            lanes in 2usize..17,
+            masks in prop::collection::vec(any::<u64>(), 1..5),
+            ops in prop::collection::vec((0usize..4, 0usize..4, 2usize..6), 1..12),
+        ) {
+            let wl = random_program(lanes, &masks, &ops);
+            for arch in [ArchStyle::PresetOutput, ArchStyle::SenseAmp] {
+                let panels = logical_panels(wl.trace(), arch, true);
+                let reads = panels.reads.as_ref().expect("reads tracked");
+                prop_assert_eq!(panels.writes.len(), wl.trace().classes().len());
+                for panel in panels.writes.iter().chain(reads) {
+                    let nonzero: Vec<usize> =
+                        (0..panel.counts.len()).filter(|&r| panel.counts[r] > 0).collect();
+                    prop_assert_eq!(&panel.support, &nonzero);
+                }
+            }
+        }
+    }
 
     #[test]
     fn periodic_configs_are_closed_form_at_every_dims() {

@@ -306,22 +306,16 @@ impl EpochBatch {
         self.open = true;
     }
 
-    /// Adds `deltas[i] × scale` to partial class `p`'s count at physical
-    /// row `rows[i]` in the open epoch (writes, or reads when `reads`).
-    fn book(&mut self, p: usize, rows: &[usize], deltas: &[u64], scale: u64, reads: bool) {
+    /// Adds `deposits` to partial class `p`'s counts in the open epoch
+    /// (writes, or reads when `reads`). The caller books only a class with
+    /// a nonempty support.
+    fn book(&mut self, p: usize, deposits: &Deposits<'_>, reads: bool) {
         let plane = &mut self.planes[usize::from(reads)];
-        let Some(column) = plane.column[p] else {
-            debug_assert!(deltas.iter().all(|&d| d == 0), "a class no step touches deposited");
-            return;
-        };
+        let column = plane.column[p].expect("a class no step touches deposited");
         assert!(self.open, "an epoch booked before its lane table was set");
-        let epoch = self.staged - 1;
-        let mut any = false;
-        for (&row, &delta) in rows.iter().zip(deltas) {
-            plane.counts[(row * LANE_BATCH + epoch) * plane.width + column] += delta * scale;
-            any |= delta > 0;
-        }
-        self.deposited[epoch * self.classes + p] |= any;
+        let (epoch, width) = (self.staged - 1, plane.width);
+        deposits.add_into(&mut plane.counts, |row| (row * LANE_BATCH + epoch) * width + column);
+        self.deposited[epoch * self.classes + p] = true;
     }
 
     /// Whether a staged epoch holds a deposit.
@@ -354,6 +348,28 @@ impl EpochBatch {
         let renders = self.deposited.iter().filter(|&&d| d).count() as u64;
         self.deposited.fill(false);
         renders
+    }
+}
+
+/// One class's deposits in one epoch: `deltas[i] × scale` at physical row
+/// `rows[i]` for each `i` in `support`. A software epoch's support is the
+/// rows its logical panel counts, ascending; a `+Hw` epoch's folded totals
+/// are dense, so it passes every row, or none for a class the kernel never
+/// touches in that plane.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deposits<'a> {
+    pub(crate) rows: &'a [usize],
+    pub(crate) deltas: &'a [u64],
+    pub(crate) support: &'a [usize],
+    pub(crate) scale: u64,
+}
+
+impl Deposits<'_> {
+    /// The one booking loop: adds each deposit at `staged[at(row)]`.
+    fn add_into(&self, staged: &mut [u64], at: impl Fn(usize) -> usize) {
+        for &i in self.support {
+            staged[at(self.rows[i])] += self.deltas[i] * self.scale;
+        }
     }
 }
 
@@ -407,9 +423,12 @@ pub(crate) struct RowAccumulator {
     /// (Class, key) renders since the last
     /// [`RowAccumulator::take_lane_renders`].
     lane_renders: u64,
-    /// Kernel-epoch scratch: one class's folded per-slot totals, and the
-    /// relabeled arrangement (B = A₀ ∘ T', advanced in place).
+    /// Kernel-epoch scratch: one class's folded per-slot totals, the
+    /// support they are booked through (every row, built at the first
+    /// kernel epoch), and the relabeled arrangement (B = A₀ ∘ T', advanced
+    /// in place).
     totals: Vec<u64>,
+    every_row: Vec<usize>,
     arrangement: Vec<usize>,
     cycle_scratch: Vec<usize>,
 }
@@ -448,6 +467,7 @@ impl RowAccumulator {
             diff: [Vec::new(), Vec::new()],
             lane_renders: 0,
             totals: vec![0; rows],
+            every_row: Vec::new(),
             arrangement: Vec::new(),
             cycle_scratch: Vec::new(),
         }
@@ -507,6 +527,10 @@ impl RowAccumulator {
     /// Panics if the stage must render and `wear` is `None` (a walker with
     /// no plane yet).
     pub(crate) fn set_lanes(&mut self, perm: &[usize], wear: Option<&mut WearMap>) {
+        if self.partial.is_empty() {
+            // Every class spans every lane: no permutation changes a deposit.
+            return;
+        }
         if let Some(batch) = &mut self.batch {
             if self.perm != perm {
                 self.perm.clear();
@@ -557,19 +581,20 @@ impl RowAccumulator {
         }
     }
 
-    /// Books `deltas[i] × scale` at physical row `rows[i]` for `class`
-    /// (writes, or reads when `reads` is set). Under row-phase staging a
-    /// partial class books its phase's deltas once, at unit scale, and
-    /// `scale` (the epoch's span) goes to its lane counts instead.
-    pub(crate) fn book(
-        &mut self,
-        class: usize,
-        rows: &[usize],
-        deltas: &[u64],
-        scale: u64,
-        reads: bool,
-    ) {
-        debug_assert_eq!(rows.len(), deltas.len(), "row table and deltas disagree");
+    /// Books `deposits` for `class` (writes, or reads when `reads` is set),
+    /// touching only the rows of their support: a class with an empty
+    /// support books nothing. Under row-phase staging a partial class books
+    /// its phase's deltas once, at unit scale, and the deposits' scale (the
+    /// epoch's span) goes to its lane counts instead.
+    pub(crate) fn book(&mut self, class: usize, deposits: &Deposits<'_>, reads: bool) {
+        debug_assert_eq!(
+            deposits.rows.len(),
+            deposits.deltas.len(),
+            "row table and deltas disagree"
+        );
+        if deposits.support.is_empty() {
+            return;
+        }
         let bucket = self.bucket[class];
         if bucket == 0 {
             let staged = if reads {
@@ -577,30 +602,29 @@ impl RowAccumulator {
             } else {
                 &mut self.full_writes
             };
-            for (&row, &delta) in rows.iter().zip(deltas) {
-                staged[row] += delta * scale;
-            }
+            deposits.add_into(staged, |row| row);
             return;
         }
         if let Some(batch) = &mut self.batch {
-            batch.book(bucket - 1, rows, deltas, scale, reads);
+            batch.book(bucket - 1, deposits, reads);
             return;
         }
         let phased = matches!(self.stage, LaneStage::RowPhases { .. });
         let class = &mut self.partial[bucket - 1];
         let slot = match class.current {
             Some(i) => &mut class.slots[i],
-            // A class that deposits nothing never holds a slot.
-            None if deltas.iter().all(|&d| d == 0) => return,
             None => {
                 let mut slot = Slot { key: class.fingerprint, ..Slot::default() };
                 if phased {
-                    debug_assert_eq!(scale, self.span, "booked at another span than declared");
+                    debug_assert_eq!(
+                        deposits.scale, self.span,
+                        "booked at another span than declared"
+                    );
                     slot.key = self.phase;
                     let lanes = self.perm.len();
                     slot.counts = vec![0; lanes];
                     for &lane in &class.lanes {
-                        slot.counts[lane] += scale;
+                        slot.counts[lane] += deposits.scale;
                     }
                 } else {
                     slot.lanes.extend_from_slice(&class.lanes);
@@ -612,22 +636,16 @@ impl RowAccumulator {
             }
         };
         let staged = if reads { &mut slot.reads } else { &mut slot.writes };
-        let scale = if phased {
-            if !staged.is_empty() || deltas.iter().all(|&d| d == 0) {
-                // Booked at an earlier epoch of this phase, or nothing to book.
-                return;
-            }
-            1
-        } else {
-            scale
-        };
+        if phased && !staged.is_empty() {
+            // Booked at an earlier epoch of this phase.
+            return;
+        }
         if staged.is_empty() {
             let rows = self.full_writes.len();
             *staged = self.spare_rows.pop().unwrap_or_else(|| vec![0; rows]);
         }
-        for (&row, &delta) in rows.iter().zip(deltas) {
-            staged[row] += delta * scale;
-        }
+        let scale = if phased { 1 } else { deposits.scale };
+        Deposits { scale, ..*deposits }.add_into(staged, |row| row);
     }
 
     /// Folds one epoch of `span` iterations of `kernel` into the stage and
@@ -656,16 +674,25 @@ impl RowAccumulator {
         relabeled.extend(table.iter().map(|&t| start[t]));
         relabeled.push(start[spare]);
         let mut totals = std::mem::take(&mut self.totals);
+        let mut every_row = std::mem::take(&mut self.every_row);
+        if every_row.is_empty() {
+            every_row.extend(0..totals.len());
+        }
         for class in 0..kernel.classes() {
             if !kernel.is_write_free(class) {
                 kernel.fold_epoch_into(span, kernel.slot_writes(class), &mut totals);
-                self.book(class, &relabeled, &totals, 1, false);
+                let deposits =
+                    Deposits { rows: &relabeled, deltas: &totals, support: &every_row, scale: 1 };
+                self.book(class, &deposits, false);
             }
-            if let Some(reads) = kernel.slot_reads(class) {
+            if let Some(reads) = kernel.slot_reads(class).filter(|_| !kernel.is_read_free(class)) {
                 kernel.fold_epoch_into(span, reads, &mut totals);
-                self.book(class, &relabeled, &totals, 1, true);
+                let deposits =
+                    Deposits { rows: &relabeled, deltas: &totals, support: &every_row, scale: 1 };
+                self.book(class, &deposits, true);
             }
         }
+        self.every_row = every_row;
         // A_end[T'(x)] = (B ∘ E^span)[x], written back over A₀'s buffer.
         kernel.advance_arrangement(span, &mut relabeled, &mut self.cycle_scratch);
         let mut end = start;
@@ -1052,7 +1079,10 @@ mod tests {
                             }
                         })
                         .collect();
-                    stage.book(class, &rows, &deltas, scale, reads);
+                    let support: Vec<usize> = (0..dims.rows()).filter(|&r| deltas[r] > 0).collect();
+                    let deposits =
+                        Deposits { rows: &rows, deltas: &deltas, support: &support, scale };
+                    stage.book(class, &deposits, reads);
                     let lanes: Vec<usize> = set.iter().map(|l| perm[l]).collect();
                     for (&row, &delta) in rows.iter().zip(&deltas).filter(|(_, &d)| d > 0) {
                         if reads {

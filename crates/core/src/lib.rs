@@ -60,7 +60,7 @@ pub mod sim;
 pub mod sweep;
 pub mod system;
 
-pub use analytic::{run_configs_analytic, AnalyticPath, AnalyticWearEngine};
+pub use analytic::{run_configs_analytic, walk_cost, AnalyticPath, AnalyticWearEngine, WalkCost};
 pub use artifacts::{ArtifactKind, ArtifactStore, ArtifactUse, StoreStats};
 pub use lifetime::{Lifetime, LifetimeModel};
 pub use parallel::{fan_out, run_matrix, MatrixPoint};

@@ -7,10 +7,10 @@
 
 use nvpim_balance::{BalanceConfig, RemapSchedule};
 use nvpim_exec::ParallelRunner;
-use nvpim_obs::NullSink;
+use nvpim_obs::{NullSink, Observer};
 use nvpim_workloads::Workload;
 
-use crate::analytic::AnalyticWearEngine;
+use crate::analytic::{walk_cost, AnalyticWearEngine};
 use crate::parallel::fan_out;
 use crate::{EnduranceSimulator, LifetimeModel, SimConfig};
 
@@ -67,19 +67,63 @@ fn sweep_schedules(periods: &[u64]) -> Vec<RemapSchedule> {
         .collect()
 }
 
-/// Splits the schedules into at most `effective-threads` contiguous
-/// batches so each pool job amortizes its spawn/join overhead over several
-/// sweep points — a single point can be microseconds of work, for which
-/// one-job-per-point parallelism loses to serial (`BENCH_sim.json`'s old
-/// `parallel_sweep/jobs_*` rows).
-fn sweep_batches(schedules: Vec<RemapSchedule>, jobs: usize) -> Vec<Vec<RemapSchedule>> {
-    let workers = ParallelRunner::new(jobs).effective_threads(schedules.len()).max(1);
-    let batch = schedules.len().div_ceil(workers);
-    schedules.chunks(batch).map(<[RemapSchedule]>::to_vec).collect()
+/// Splits the sweep's points, weighted by the epochs their walks book,
+/// over `workers` batches longest walk first (LPT): heaviest point first,
+/// each to the batch with the least load so far (the fewest points on a
+/// tie). Returns each batch's point indices, heaviest first; no batch is
+/// empty.
+///
+/// One batch per worker, because each pool job amortizes its spawn/join
+/// overhead over several sweep points: a single point can be microseconds
+/// of work, for which one-job-per-point parallelism loses to serial
+/// (`BENCH_sim.json`'s old `parallel_sweep/jobs_*` rows). Contiguous
+/// batches would queue the finest periods, nearly all of the epochs, on one
+/// worker: on the paper sweep, periods 100, 50 and 10 hold 1 300 of its
+/// 1 332 epochs at 10 000 iterations. LPT runs period 10 alone and the
+/// other six points on the second worker.
+fn sweep_batches(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+    let mut batches = vec![(0u64, Vec::new()); workers.max(1)];
+    for i in order {
+        let (load, batch) = batches
+            .iter_mut()
+            .min_by_key(|(load, batch)| (*load, batch.len()))
+            .expect("at least one batch");
+        *load += weights[i];
+        batch.push(i);
+    }
+    batches.into_iter().map(|(_, batch)| batch).filter(|batch| !batch.is_empty()).collect()
 }
 
-/// Turns the flattened per-schedule lifetimes (baseline first) into sweep
-/// points.
+/// Answers `lifetime` for every schedule across `jobs` worker threads
+/// (`0` = auto), batched by [`sweep_batches`] on the epochs `epochs`
+/// counts, and returns the lifetimes in input order.
+fn sweep_lifetimes<F>(
+    schedules: &[RemapSchedule],
+    epochs: impl Fn(RemapSchedule) -> u64,
+    jobs: usize,
+    lifetime: F,
+) -> Vec<f64>
+where
+    F: Fn(RemapSchedule, Option<&Observer>) -> f64 + Sync,
+{
+    let weights: Vec<u64> = schedules.iter().map(|&s| epochs(s)).collect();
+    let workers = ParallelRunner::new(jobs).effective_threads(schedules.len());
+    let batches = sweep_batches(&weights, workers);
+    let outputs = fan_out(batches.iter().collect(), jobs, |batch: &Vec<usize>, sink| {
+        batch.iter().map(|&i| lifetime(schedules[i], sink)).collect::<Vec<f64>>()
+    });
+    let mut lifetimes = vec![0.0; schedules.len()];
+    for (batch, outputs) in batches.iter().zip(outputs) {
+        for (&i, lifetime) in batch.iter().zip(outputs) {
+            lifetimes[i] = lifetime;
+        }
+    }
+    lifetimes
+}
+
+/// Turns the per-schedule lifetimes (baseline first) into sweep points.
 fn sweep_points(periods: &[u64], lifetimes: &[f64]) -> Vec<SweepPoint> {
     let never_lifetime = lifetimes[0];
     periods
@@ -97,9 +141,9 @@ fn sweep_points(periods: &[u64], lifetimes: &[f64]) -> Vec<SweepPoint> {
 /// auto), bit-identical to the serial sweep.
 ///
 /// The never-remap baseline rides along as the first sweep point, and
-/// points are batched per pool job ([`sweep_batches`]); improvements are
-/// computed against the baseline after the deterministic submission-order
-/// join.
+/// points are batched per pool job longest walk first ([`sweep_batches`]),
+/// weighted by every epoch the simulator walks; improvements are computed
+/// against the baseline once the lifetimes are back in input order.
 ///
 /// # Panics
 ///
@@ -113,26 +157,20 @@ pub fn remap_frequency_sweep_parallel(
     periods: &[u64],
     jobs: usize,
 ) -> Vec<SweepPoint> {
-    let batches = sweep_batches(sweep_schedules(periods), jobs);
     // The trace's static counts don't depend on the schedule: one tally
-    // serves every job in the batch.
+    // serves every point.
     let counts = workload.trace().counts(base.arch);
-    let lifetimes: Vec<f64> = fan_out(batches, jobs, |batch, sink| {
-        batch
-            .into_iter()
-            .map(|schedule| {
-                let sim = EnduranceSimulator::new(base.with_schedule(schedule));
-                let result = match sink {
-                    Some(observer) => sim.run_with_counts(workload, balance, observer, counts),
-                    None => sim.run_with_counts(workload, balance, &NullSink, counts),
-                };
-                model.lifetime(&result).iterations
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let every_epoch =
+        |schedule: RemapSchedule| schedule.period().map_or(1, |p| base.iterations.div_ceil(p));
+    let lifetimes =
+        sweep_lifetimes(&sweep_schedules(periods), every_epoch, jobs, |schedule, sink| {
+            let sim = EnduranceSimulator::new(base.with_schedule(schedule));
+            let result = match sink {
+                Some(observer) => sim.run_with_counts(workload, balance, observer, counts),
+                None => sim.run_with_counts(workload, balance, &NullSink, counts),
+            };
+            model.lifetime(&result).iterations
+        });
     sweep_points(periods, &lifetimes)
 }
 
@@ -141,7 +179,9 @@ pub fn remap_frequency_sweep_parallel(
 /// ([`AnalyticWearEngine::max_writes_at_with`]) instead of running the
 /// simulator, bit-identical to both. Every configuration answers through
 /// the engine's epoch walker, and a point whose answer is one row vector
-/// (no partial lane class, as on mul32) builds no cell plane at all.
+/// (no partial lane class, as on mul32) builds no cell plane at all. Points
+/// are batched longest walk first, weighted by the epochs their walks book
+/// after super-cycle folding ([`walk_cost`]).
 ///
 /// The per-period engines share sub-computations through the process-wide
 /// [`crate::artifacts`] store: the trace walk and logical panels depend
@@ -160,25 +200,17 @@ pub fn remap_frequency_sweep_analytic(
     periods: &[u64],
     jobs: usize,
 ) -> Vec<SweepPoint> {
-    let batches = sweep_batches(sweep_schedules(periods), jobs);
-    let lifetimes: Vec<f64> = fan_out(batches, jobs, |batch, sink| {
-        batch
-            .into_iter()
-            .map(|schedule| {
-                let mut engine =
-                    AnalyticWearEngine::new(workload, balance, base.with_schedule(schedule));
-                let max_writes = match sink {
-                    Some(observer) => engine.max_writes_at_with(base.iterations, observer),
-                    None => engine.max_writes_at_with(base.iterations, &NullSink),
-                };
-                let steps = engine.steps_per_iteration();
-                model.lifetime_of(max_writes, base.iterations, steps).iterations
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let dims = workload.trace().dims();
+    let walked = |schedule| walk_cost(balance, &base.with_schedule(schedule), dims).epochs;
+    let lifetimes = sweep_lifetimes(&sweep_schedules(periods), walked, jobs, |schedule, sink| {
+        let mut engine = AnalyticWearEngine::new(workload, balance, base.with_schedule(schedule));
+        let max_writes = match sink {
+            Some(observer) => engine.max_writes_at_with(base.iterations, observer),
+            None => engine.max_writes_at_with(base.iterations, &NullSink),
+        };
+        let steps = engine.steps_per_iteration();
+        model.lifetime_of(max_writes, base.iterations, steps).iterations
+    });
     sweep_points(periods, &lifetimes)
 }
 
@@ -297,6 +329,68 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn bits(points: &[SweepPoint]) -> Vec<(u64, u64, u64)> {
+        points
+            .iter()
+            .map(|p| (p.period, p.lifetime_iterations.to_bits(), p.improvement_vs_never.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn both_sweeps_are_bit_identical_in_input_order_for_any_order_and_jobs() {
+        let wl = ParallelMul::new(ArrayDims::new(128, 8), 8).build();
+        let base = SimConfig::default().with_iterations(600);
+        let balance: BalanceConfig = "RaxRa".parse().unwrap();
+        let model = LifetimeModel::mtj();
+        for periods in [[10u64, 50, 100, 300], [300, 100, 50, 10], [50, 300, 10, 100]] {
+            let serial = bits(&remap_frequency_sweep(&wl, balance, base, model, &periods));
+            let order: Vec<u64> = serial.iter().map(|p| p.0).collect();
+            assert_eq!(order, periods, "the serial sweep answers in input order");
+            for jobs in [1, 2, 4] {
+                let parallel =
+                    remap_frequency_sweep_parallel(&wl, balance, base, model, &periods, jobs);
+                let analytic =
+                    remap_frequency_sweep_analytic(&wl, balance, base, model, &periods, jobs);
+                assert_eq!(bits(&parallel), serial, "{periods:?} simulated with {jobs} jobs");
+                assert_eq!(bits(&analytic), serial, "{periods:?} analytic with {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn longest_walk_first_places_every_point_once_and_isolates_period_10() {
+        let dims = ArrayDims::new(1024, 1024);
+        let balance: BalanceConfig = "RaxRa".parse().unwrap();
+        for iterations in [10_000, SimConfig::paper().iterations] {
+            let base = SimConfig::paper().with_iterations(iterations);
+            let schedules = sweep_schedules(&RemapSchedule::PAPER_SWEEP);
+            let weights: Vec<u64> = schedules
+                .iter()
+                .map(|&s| walk_cost(balance, &base.with_schedule(s), dims).epochs)
+                .collect();
+            for workers in 1..=8 {
+                let batches = sweep_batches(&weights, workers);
+                assert_eq!(batches.len(), workers.min(weights.len()), "{workers} workers");
+                let mut placed: Vec<usize> = batches.iter().flatten().copied().collect();
+                placed.sort_unstable();
+                assert_eq!(placed, (0..weights.len()).collect::<Vec<_>>(), "{workers} workers");
+            }
+            // Schedule 6 is period 10: it walks 1 000 of the 1 332 epochs
+            // at 10 000 iterations, so it runs alone on one of two workers.
+            let ten = schedules.iter().position(|s| s.period() == Some(10)).unwrap();
+            let batches = sweep_batches(&weights, 2);
+            assert!(batches.contains(&vec![ten]), "{iterations} iterations: {batches:?}");
+        }
+    }
+
+    #[test]
+    fn longest_walk_first_balances_load_and_spreads_weightless_points() {
+        // LPT on 3 workers: 7 | 5 + 2 | 4 + 3.
+        assert_eq!(sweep_batches(&[2, 7, 4, 5, 3], 3), vec![vec![1], vec![3, 0], vec![2, 4]]);
+        // Points that weigh nothing still spread, fewest points first.
+        assert_eq!(sweep_batches(&[0, 0, 0, 0], 2), vec![vec![0, 2], vec![1, 3]]);
     }
 
     #[test]

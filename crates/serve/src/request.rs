@@ -13,7 +13,7 @@ use std::str::FromStr;
 
 use nvpim_array::{ArchStyle, ArrayDims};
 use nvpim_balance::{BalanceConfig, RemapSchedule};
-use nvpim_core::SimConfig;
+use nvpim_core::{walk_cost, SimConfig, WalkCost};
 use nvpim_nvm::Technology;
 use nvpim_obs::Json;
 use nvpim_workloads::bnn_layer::BnnLayer;
@@ -41,6 +41,20 @@ pub const MAX_ITERATIONS: u64 = 1_000_000;
 /// 0.3 GB, and paper dims (1024 × 1024, 16 MiB with reads tracked) pass
 /// with 16× headroom.
 pub const MAX_PLANE_BYTES: u64 = 256 << 20;
+
+/// Upper bound on the work one request may ask for, in walk units: the
+/// epochs its walk books times its rows, plus its render passes over the
+/// cell plane times its cells ([`SimRequest::walk_units`]). Larger requests
+/// are refused with `413` at canonicalization, before they take a worker.
+///
+/// Sized from measured walks on a 2-vCPU x86-64 box (DESIGN.md §"Bounded
+/// everything"): they ran at 0.04–51 ns per unit, so a request at the
+/// bound walks for about 27 s at the slowest rate, within the 30 s default
+/// budget.
+/// Paper dims at 100 000 iterations pass down to period 100 (0.13 × 2²⁹
+/// units); a million `RaxRa+Hw` epochs at 1024 × 16, about 10 s of
+/// walking, costs 3.8 × 2²⁹ and is refused.
+pub const MAX_WALK_UNITS: u64 = 1 << 29;
 
 /// Why a request was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -333,7 +347,7 @@ impl SimRequest {
             ),
         };
 
-        Ok(SimRequest {
+        let request = SimRequest {
             workload,
             rows,
             lanes,
@@ -346,7 +360,32 @@ impl SimRequest {
             series,
             technology,
             timeout_ms,
-        })
+        };
+        let units = request.walk_units();
+        if units > MAX_WALK_UNITS {
+            return Err(RequestError::too_large(format!(
+                "{iterations} iterations of {config} at period {period} on {rows} × {lanes} \
+                 cells cost {units} walk units; the limit is {MAX_WALK_UNITS}",
+            )));
+        }
+        Ok(request)
+    }
+
+    /// The request's work in walk units ([`MAX_WALK_UNITS`]): from
+    /// [`walk_cost`], `epochs × rows + renders × cells`. A request for the
+    /// epoch series runs the simulator instead, which walks every epoch and
+    /// renders and samples the whole plane after each.
+    #[must_use]
+    pub fn walk_units(&self) -> u64 {
+        let cfg = self.sim_config();
+        let WalkCost { epochs, renders } = if self.series {
+            let epochs = cfg.schedule.period().map_or(1, |p| self.iterations.div_ceil(p));
+            WalkCost { epochs, renders: epochs }
+        } else {
+            walk_cost(self.config, &cfg, ArrayDims::new(self.rows, self.lanes))
+        };
+        let cells = self.rows as u64 * self.lanes as u64;
+        epochs.saturating_mul(self.rows as u64).saturating_add(renders.saturating_mul(cells))
     }
 
     /// The normalized request document: every field present, defaults
@@ -599,6 +638,41 @@ mod tests {
             let err = SimRequest::from_str(body).expect_err(body);
             assert_eq!(err.status, 413, "{body}: {}", err.message);
             assert!(err.message.contains("MiB"), "{body}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn overlong_walks_are_refused_with_413() {
+        // A million `RaxRa+Hw` epochs at 1024 × 16: about 10 s of walking.
+        let million = r#"{"workload": {"kind": "mul", "rows": 1024, "lanes": 16},
+                          "config": "RaxRa+Hw", "period": 1, "iterations": 1000000}"#;
+        // Paper dims with the series: a thousand whole-plane samples, about
+        // 20 s of sampling.
+        let sampled = r#"{"workload": "mul", "rows": 1024, "lanes": 1024,
+                          "iterations": 100000, "series": true}"#;
+        for body in [million, sampled] {
+            let err = SimRequest::from_str(body).expect_err(body);
+            assert_eq!(err.status, 413, "{body}: {}", err.message);
+            assert!(err.message.contains("walk units"), "{body}: {}", err.message);
+        }
+        // Every configuration passes at paper dims and 100 000 iterations
+        // down to period 100, and at the benchmark's serve shapes.
+        for config in BalanceConfig::all() {
+            for kind in ["mul", "conv", "dot"] {
+                for period in [0, 10_000, 100] {
+                    let body = format!(
+                        r#"{{"workload": {{"kind": "{kind}", "rows": 1024, "lanes": 1024}},
+                            "config": "{config}", "period": {period}, "iterations": 100000}}"#
+                    );
+                    let request = SimRequest::from_str(&body).expect(&body);
+                    assert!(request.walk_units() <= MAX_WALK_UNITS, "{body}");
+                }
+                let body = format!(
+                    r#"{{"workload": {{"kind": "{kind}", "rows": 256, "lanes": 64}},
+                        "config": "{config}", "iterations": 2000, "track_reads": true}}"#
+                );
+                assert!(SimRequest::from_str(&body).is_ok(), "{body}");
+            }
         }
     }
 

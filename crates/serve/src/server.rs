@@ -6,8 +6,10 @@
 //!   [`TaskQueue`]; when it is full the accept loop answers `429` with a
 //!   `Retry-After` header inline instead of queueing unboundedly. A
 //!   request whose wear planes exceed
-//!   [`MAX_PLANE_BYTES`](crate::request::MAX_PLANE_BYTES) is refused with
-//!   `413` at canonicalization, before anything is allocated.
+//!   [`MAX_PLANE_BYTES`](crate::request::MAX_PLANE_BYTES), or whose walk
+//!   costs more than [`MAX_WALK_UNITS`](crate::request::MAX_WALK_UNITS),
+//!   is refused with `413` at canonicalization, before anything is
+//!   allocated or walked; so is a `/batch` with any such cell.
 //! * **Timeouts** — a `/simulate` miss runs on the connection worker that
 //!   took the request, under the request's deadline (`timeout_ms`, or the
 //!   server default). Every epoch loop the run walks reads it at each epoch

@@ -21,7 +21,7 @@ use nvpim_array::ArchStyle;
 use nvpim_balance::BalanceConfig;
 use nvpim_nvm::Technology;
 use nvpim_serve::http::{read_request, HttpError, MAX_BODY, MAX_HEAD};
-use nvpim_serve::request::{MAX_ITERATIONS, MAX_PLANE_BYTES};
+use nvpim_serve::request::{MAX_ITERATIONS, MAX_PLANE_BYTES, MAX_WALK_UNITS};
 use nvpim_serve::{
     Client, Server, ServerConfig, ServerHandle, SimRequest, WorkloadMemo, WorkloadSpec,
 };
@@ -205,6 +205,10 @@ proptest! {
         );
         if bad_conv {
             prop_assert!(SimRequest::from_json(&request.canonical_json()).is_err());
+        } else if request.walk_units() > MAX_WALK_UNITS {
+            // Over the walk bound: refused as too large, in canonical form too.
+            let err = SimRequest::from_json(&request.canonical_json()).expect_err("over the bound");
+            prop_assert_eq!(err.status, 413);
         } else {
             let parsed =
                 SimRequest::from_json(&request.canonical_json()).expect("canonical form parses");

@@ -215,10 +215,13 @@ fn over_budget_simulation_times_out_with_504() {
 #[test]
 fn a_timed_out_walk_stops_and_frees_the_lone_worker() {
     let (handle, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
-    // A million `RaxRa+Hw` epochs over 1024 rows: about 10 s of walking in
-    // release mode on a 2-vCPU x86-64 box, against a 50 ms budget.
-    let slow = r#"{"workload": {"kind": "mul", "rows": 1024, "lanes": 16},
-                   "config": "RaxRa+Hw", "period": 1, "iterations": 1000000, "timeout_ms": 50}"#;
+    // 400 000 `RaxRa+Hw` epochs over 1024 rows, just under the walk bound:
+    // about 4 s of walking in release mode on a 2-vCPU x86-64 box, against
+    // a 50 ms budget.
+    let slow = r#"{"workload": {"kind": "mul", "rows": 1024, "lanes": 4},
+                   "config": "RaxRa+Hw", "period": 1, "iterations": 400000, "timeout_ms": 50}"#;
+    let units = SimRequest::from_str(slow).expect("under the walk bound").walk_units();
+    assert!(units > nvpim_serve::request::MAX_WALK_UNITS * 9 / 10, "{units} walk units");
     let started = std::time::Instant::now();
     assert_eq!(client.post_json("/simulate", slow).unwrap().status, 504);
 
@@ -235,6 +238,35 @@ fn a_timed_out_walk_stops_and_frees_the_lone_worker() {
     assert_eq!(next.header("x-cache"), Some("miss"));
     let elapsed = started.elapsed();
     assert!(elapsed < Duration::from_secs(5), "the abandoned walk held the worker for {elapsed:?}");
+
+    handle.request_shutdown();
+    handle.join();
+}
+
+#[test]
+fn an_overlong_walk_is_refused_before_it_takes_the_lone_worker() {
+    let (handle, client) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    // A million `RaxRa+Hw` epochs over 1024 rows, about 10 s of walking,
+    // costs nearly four times the walk bound: canonicalization refuses it.
+    let long = r#"{"workload": {"kind": "mul", "rows": 1024, "lanes": 16},
+                   "config": "RaxRa+Hw", "period": 1, "iterations": 1000000, "timeout_ms": 50}"#;
+    let started = std::time::Instant::now();
+    let refused = client.post_json("/simulate", long).unwrap();
+    assert_eq!(refused.status, 413);
+    assert!(refused.text().contains("walk units"), "{}", refused.text());
+    // A `/batch` with one such cell is refused whole.
+    let batch = format!(r#"{{"requests": [{}, {long}]}}"#, small_request(4));
+    assert_eq!(client.post_json("/batch", &batch).unwrap().status, 413);
+
+    // Nothing was looked up, walked or timed out, and the worker answers
+    // the next request at once.
+    let metrics = client.get("/metrics").unwrap().json().unwrap();
+    assert_eq!(counter(&metrics, "serve.cache.misses"), 0);
+    assert_eq!(counter(&metrics, "serve.timeouts"), 0);
+    let next = client.post_json("/simulate", &small_request(3)).unwrap();
+    assert_eq!(next.status, 200);
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(2), "the refusal held the worker for {elapsed:?}");
 
     handle.request_shutdown();
     handle.join();

@@ -87,6 +87,16 @@ cargo run --release --offline -q -p nvpim-bench --bin repro -- \
     --manifest "$OBS_TMP/manifest.json" > /dev/null
 cargo run --release --offline -q -p nvpim-bench --bin repro -- \
     serve-smoke --out "$OBS_TMP" > /dev/null
+
+# The §5 sweep batches its points longest walk first over the workers: no
+# schedule may change an answer, so one worker and two must print the same
+# bytes.
+cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+    sweep --iters 2000 --jobs 1 > "$OBS_TMP/sweep-jobs1.txt"
+cargo run --release --offline -q -p nvpim-bench --bin repro -- \
+    sweep --iters 2000 --jobs 2 > "$OBS_TMP/sweep-jobs2.txt"
+cmp "$OBS_TMP/sweep-jobs1.txt" "$OBS_TMP/sweep-jobs2.txt" ||
+    { echo "ci: the sweep answered differently with 1 and 2 workers" >&2; exit 1; }
 cargo run --release --offline -q -p nvpim-obs --bin obs-lint -- \
     --chrome "$OBS_TMP/trace.json" --prom "$OBS_TMP/serve-metrics.prom"
 # The smoke run samples the wear trajectory: the manifest must carry the
